@@ -13,10 +13,10 @@ __version__ = "0.1.0"
 from .linalg import (DensityMatrix, PureState, SystemLayout,
                      hermitian_eigenvalues, partial_trace, partial_transpose,
                      psd_sqrt, tensor_product, trace_norm)
-from .states import (EvolutionPoint, amplitudes, generalized_ghz,
-                     gghz_output_state, gghz_output_state_from_amplitudes, ghz,
-                     global_output_state, global_output_state_from_amplitudes,
-                     mixed_ghz_w, purified_initial, reduce, reorder, w)
+from .states import (amplitudes, generalized_ghz, gghz_output_state,
+                     gghz_output_state_from_amplitudes, ghz, global_output_state,
+                     global_output_state_from_amplitudes, mixed_ghz_w,
+                     purified_initial, reduce, reorder, w)
 from .entanglement import (MonogamyChainRecord, PtSpectrum,
                            closed_form_pt_eigenvalues, gghz_negativity_closed,
                            monogamy_chain, negativity, negativity_from_spectrum,
@@ -36,7 +36,7 @@ __all__ = [
     "trace_norm", "psd_sqrt",
     # states
     "ghz", "w", "generalized_ghz", "mixed_ghz_w", "amplitudes",
-    "EvolutionPoint", "purified_initial", "global_output_state",
+    "purified_initial", "global_output_state",
     "global_output_state_from_amplitudes", "gghz_output_state",
     "gghz_output_state_from_amplitudes", "reduce", "reorder",
     # entanglement

@@ -11,10 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DensityMatrix, hermitian_eigenvalues, partial_trace,
-                     partial_transpose, psd_sqrt, trace_norm)
-from .states import (_check_probability, _check_time, _partner_amplitude,
-                     gghz_output_state, global_output_state, reduce)
+from .linalg import (DensityMatrix, hermitian_eigenvalues, partial_transpose,
+                     psd_sqrt, trace_norm)
+from .states import (_amplitude_matrix, _check_probability, _check_time,
+                     _partner_amplitude, gghz_output_state, global_output_state,
+                     reduce)
 
 NEGATIVITY_CLAMP = 1e-12   # float noise below this reports as exactly 0
 ZERO_ENTANGLEMENT = 1e-10  # decision threshold for "no entanglement"
@@ -185,29 +186,27 @@ class MonogamyChainRecord:
 
 
 def _qubit_block_concurrence_sq(state, qubit, partner):
-    """Squared concurrence between one qubit and the five-qubit block left
-    after discarding its partner.
+    """Squared concurrence between one qubit and the block of every qubit
+    but it and its partner.
 
     The global state is supported on a 2x2 product of subspaces across the
     (qubit, partner) | block cut, so the block marginal has rank at most
-    two.  Compressing the block onto that support turns the mixed state
-    into an honest two-qubit state whose Wootters concurrence is exact; no
-    decomposition search is needed.
+    two.  The amplitudes, arranged as a matrix M with rows (qubit, partner)
+    and columns the block, give that support by SVD: M = U S V^dagger, and
+    the top two right singular vectors span it.  Compressing the block onto
+    them (M V = U S) and tracing out the partner leaves an honest two-qubit
+    state whose Wootters concurrence is exact; no decomposition search is
+    needed.
     """
-    keep = [lab for lab in state.layout if lab != partner]
-    rho = reduce(state, keep)
-    block = [lab for lab in keep if lab != qubit]
-    rho_block = partial_trace(rho, block).data
-    weights, vecs = np.linalg.eigh(rho_block)
-    order = np.argsort(weights)[::-1]
-    weights, vecs = weights[order], vecs[:, order]
-    if weights[1] < 1e-13:
+    m = _amplitude_matrix(state, [state.layout.position(qubit),
+                                  state.layout.position(partner)])
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    if s[1] ** 2 < 1e-13:
         return 0.0  # block effectively pure: product across the cut
-    if rho.layout.position(qubit) != 0:
-        raise ValueError("qubit must come first in the reduced layout")
-    iso = np.kron(np.eye(2), vecs[:, :2])
-    compressed = iso.conj().T @ rho.data @ iso
-    conc = wootters_concurrence(compressed)
+    amps = (u[:, :2] * s[:2]).reshape(2, 2, 2)  # (qubit, partner, support)
+    compressed = np.einsum("apj,bpk->ajbk", amps, amps.conj()).reshape(4, 4)
+    # the support qubit carries the partner's label
+    conc = wootters_concurrence(DensityMatrix((qubit, partner), compressed))
     return conc * conc
 
 

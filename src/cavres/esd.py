@@ -286,6 +286,9 @@ def esb_time(t_esd):
     """
     if t_esd <= 0.0:
         raise ValueError(f"death time must be positive, got {t_esd}")
+    # -ln(1 - e^-t), in the branch of log1mexp that keeps full precision
+    if t_esd < np.log(2.0):
+        return float(-np.log(-np.expm1(-t_esd)))
     return float(-np.log1p(-np.exp(-t_esd)))
 
 

@@ -8,11 +8,9 @@ times time).  An ancilla qubit z purifies GHZ/W mixtures so every evolved
 state can be handled as a global pure state.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .linalg import DensityMatrix, PureState, SystemLayout, partial_trace
+from .linalg import DensityMatrix, PureState, SystemLayout
 
 CAVITY_LAYOUT = SystemLayout(("c1", "c2", "c3"))
 RESERVOIR_LAYOUT = SystemLayout(("r1", "r2", "r3"))
@@ -82,34 +80,6 @@ def amplitudes(kt):
     return xi, chi
 
 
-@dataclass(frozen=True)
-class EvolutionPoint:
-    """Parameter record for one point of an evolution: weight, time, amplitudes."""
-
-    kt: float
-    xi: float
-    chi: float
-    p: float | None = None
-    a: float | None = None
-    b: float | None = None
-
-    def __post_init__(self):
-        if abs(self.xi ** 2 + self.chi ** 2 - 1.0) > 1e-14:
-            raise ValueError("amplitudes must satisfy xi^2 + chi^2 = 1")
-
-    @classmethod
-    def mixture(cls, p, kt):
-        _check_probability(p)
-        xi, chi = amplitudes(kt)
-        return cls(kt=kt, xi=xi, chi=chi, p=p)
-
-    @classmethod
-    def generalized_ghz(cls, a, kt):
-        b = _partner_amplitude(a)
-        xi, chi = amplitudes(kt)
-        return cls(kt=kt, xi=xi, chi=chi, a=a, b=b)
-
-
 def purified_initial(p):
     """Purification of mixed_ghz_w(p) by the ancilla z, reservoirs in vacuum.
 
@@ -128,6 +98,11 @@ def _pair_state(xi, chi):
     return xi * _basis(2, 0b10) + chi * _basis(2, 0b01)
 
 
+def _triple(a, b, c):
+    # Kronecker product of three pair vectors, by broadcasting
+    return (a[:, None, None] * b[None, :, None] * c[None, None, :]).reshape(-1)
+
+
 def global_output_state_from_amplitudes(p, xi, chi):
     """Evolved 7-qubit pure state at explicit damping amplitudes (xi, chi).
 
@@ -136,15 +111,12 @@ def global_output_state_from_amplitudes(p, xi, chi):
     """
     _check_probability(p)
     ph = _pair_state(xi, chi)
-    vac2 = _basis(2, 0)
-    vac6 = _basis(6, 0)
-    z0, z1 = _basis(1, 0), _basis(1, 1)
-    triple = np.kron(np.kron(ph, ph), ph)
-    ghz_branch = np.kron(vac6 + triple, z0)
-    w_branch = np.kron(np.kron(np.kron(vac2, vac2), ph)
-                       + np.kron(np.kron(vac2, ph), vac2)
-                       + np.kron(np.kron(ph, vac2), vac2), z1)
-    amps = np.sqrt(p / 2.0) * ghz_branch + np.sqrt((1.0 - p) / 3.0) * w_branch
+    vac = _basis(2, 0)
+    ghz_branch = _basis(6, 0) + _triple(ph, ph, ph)
+    w_branch = _triple(vac, vac, ph) + _triple(vac, ph, vac) + _triple(ph, vac, vac)
+    # z is the last, least significant qubit: interleave the two branches
+    amps = np.stack([np.sqrt(p / 2.0) * ghz_branch,
+                     np.sqrt((1.0 - p) / 3.0) * w_branch], axis=-1).reshape(-1)
     return PureState(GLOBAL_LAYOUT, amps)
 
 
@@ -158,7 +130,7 @@ def gghz_output_state_from_amplitudes(a, xi, chi):
     """Evolved 6-qubit generalized-GHZ state at explicit amplitudes."""
     b = _partner_amplitude(a)
     ph = _pair_state(xi, chi)
-    amps = a * _basis(6, 0) + b * np.kron(np.kron(ph, ph), ph)
+    amps = a * _basis(6, 0) + b * _triple(ph, ph, ph)
     return PureState(PAIR_LAYOUT, amps)
 
 
@@ -168,10 +140,30 @@ def gghz_output_state(a, kt):
     return gghz_output_state_from_amplitudes(a, xi, chi)
 
 
+def _amplitude_matrix(state, pos):
+    # psi as a matrix: rows the qubits at positions `pos`, in that order;
+    # columns the other qubits, in layout order
+    n = state.layout.n_qubits
+    rest = [i for i in range(n) if i not in pos]
+    return (state.amplitudes.reshape((2,) * n).transpose(pos + rest)
+            .reshape(2 ** len(pos), -1))
+
+
 def reduce(state, keep):
-    """Reduced density matrix of a pure state on the kept qubits."""
-    rho = np.outer(state.amplitudes, state.amplitudes.conj())
-    return partial_trace(DensityMatrix(state.layout, rho), keep)
+    """Reduced density matrix of a pure state on the kept qubits.
+
+    Contracts the amplitudes directly: with the kept qubits as rows (in
+    layout order) and the others as columns, psi is a matrix M and the
+    marginal is M M^dagger.  The state was validated when it was built, so
+    only the small returned DensityMatrix is validated; no full-size
+    |psi><psi| is formed.
+    """
+    keep = list(keep)
+    if not keep:
+        raise ValueError("keep set must be nonempty")
+    sub = state.layout.restrict(keep)
+    m = _amplitude_matrix(state, state.layout.positions(keep))
+    return DensityMatrix(sub, m @ m.conj().T)
 
 
 def reorder(state, new_layout):

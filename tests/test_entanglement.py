@@ -7,8 +7,9 @@ from cavres import (DensityMatrix, SystemLayout, closed_form_pt_eigenvalues,
                     negativity, negativity_from_spectrum,
                     pure_bipartite_concurrence_sq, reduce, w,
                     wootters_concurrence)
-from cavres.entanglement import PtSpectrum
-from cavres.linalg import hermitian_eigenvalues, partial_transpose
+from cavres.entanglement import PtSpectrum, _qubit_block_concurrence_sq
+from cavres.esd import reservoir_negativity, swap_check
+from cavres.linalg import hermitian_eigenvalues, partial_trace, partial_transpose
 from cavres.states import ghz, purified_initial
 
 from conftest import random_unitary
@@ -237,3 +238,76 @@ class TestMonogamyChain:
         rec = monogamy_chain(1.0, kt)
         assert abs(rec.c_c1_sq - xi_sq) < 1e-10
         assert abs(rec.c_r1_sq - (1.0 - xi_sq)) < 1e-10
+
+
+def _dense_block_concurrence_sq(state, qubit, partner):
+    # the route the amplitude SVD replaces: trace |psi><psi| down to the
+    # qubit and the block, take the block support from its eigenvectors,
+    # and compress onto it
+    psi = state.amplitudes
+    full = DensityMatrix(state.layout, np.outer(psi, psi.conj()))
+    keep = [lab for lab in state.layout if lab != partner]
+    rho = partial_trace(full, keep)
+    assert rho.layout.position(qubit) == 0
+    block = [lab for lab in keep if lab != qubit]
+    weights, vecs = np.linalg.eigh(partial_trace(rho, block).data)
+    weights, vecs = weights[::-1], vecs[:, ::-1]
+    if weights[1] < 1e-13:
+        return 0.0
+    iso = np.kron(np.eye(2), vecs[:, :2])
+    conc = wootters_concurrence(iso.conj().T @ rho.data @ iso)
+    return conc * conc
+
+
+GRID_9x9 = [(p, kt) for p in np.linspace(0.0, 1.0, 9) for kt in np.linspace(0.0, 3.0, 9)]
+
+
+class TestBlockConcurrenceFastPath:
+    def test_matches_dense_route_on_grid(self):
+        worst = 0.0
+        for p, kt in GRID_9x9:
+            state = global_output_state(p, kt)
+            for qubit, partner in (("c1", "r1"), ("r1", "c1")):
+                got = _qubit_block_concurrence_sq(state, qubit, partner)
+                want = _dense_block_concurrence_sq(state, qubit, partner)
+                worst = max(worst, abs(got - want))
+        assert worst < 1e-14
+
+    def test_qubit_need_not_come_first(self):
+        # the SVD route takes any qubit; c2 against the block left without r2
+        state = global_output_state(0.6, 0.8)
+        got = _qubit_block_concurrence_sq(state, "c2", "r2")
+        assert abs(got - _qubit_block_concurrence_sq(state, "c1", "r1")) < 1e-14
+
+    def test_chain_members_match_closed_forms(self):
+        # e = exp(-kt); C0^2 = 4 (p/2 + 2(1-p)/3) (p/2 + (1-p)/3)
+        for p, kt in GRID_9x9:
+            e = np.exp(-kt)
+            c0_sq = 4.0 * (p / 2.0 + 2.0 * (1.0 - p) / 3.0) * (p / 2.0 + (1.0 - p) / 3.0)
+            rec = monogamy_chain(p, kt)
+            assert abs(rec.c_pair_sq - c0_sq) < 1e-14
+            assert abs(rec.c_c1_sq - e * c0_sq) < 1e-14
+            assert abs(rec.c_r1_sq - (1.0 - e) * c0_sq) < 1e-14
+
+
+class TestLapackSizes:
+    """The dense oracle must never eigensolve or factor a matrix with more
+    than 8 rows: a 128x128 or 64x64 intermediate coming back fails here."""
+
+    def test_no_large_lapack_inputs(self, monkeypatch):
+        shapes = []
+
+        def recording(fn):
+            def wrapper(a, *args, **kwargs):
+                shapes.append(np.shape(a))
+                return fn(a, *args, **kwargs)
+            return wrapper
+
+        for name in ("eigvalsh", "eigh", "svd"):
+            monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+        monogamy_chain(0.5, 1.0)
+        swap_check(0.5, 1.0)
+        reservoir_negativity(0.5, 1.0)
+        negativity(reduce(global_output_state(0.5, 1.0), ["c1", "c2", "c3"]), ["c1"])
+        assert shapes, "no LAPACK call was recorded"
+        assert max(shape[0] for shape in shapes) <= 8, shapes

@@ -253,6 +253,16 @@ class TestEsbTime:
         with pytest.raises(ValueError):
             esb_time(-1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_small_death_times_stay_finite(self):
+        # -ln(1 - e^-t) = -ln(t) + t/2 - t^2/24 + ...; log1p(-exp(-t))
+        # loses it to cancellation and returns inf below t ~ 1e-16
+        for t in (1e-300, 1e-20, 1e-9):
+            value = esb_time(t)
+            assert np.isfinite(value) and value > 0.0
+            expected = -np.log(t) + t / 2.0
+            assert abs(value - expected) <= 1e-12 * expected
+
     def test_against_reservoir_bisection(self):
         for p in (0.385, 0.6, 0.9):
             t_death = esd_time(p)

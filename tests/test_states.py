@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
-from cavres import (EvolutionPoint, amplitudes, generalized_ghz,
-                    gghz_output_state, ghz, global_output_state, mixed_ghz_w,
-                    purified_initial, reduce, reorder, w)
+from cavres import (DensityMatrix, amplitudes, generalized_ghz,
+                    gghz_output_state, gghz_output_state_from_amplitudes, ghz,
+                    global_output_state, global_output_state_from_amplitudes,
+                    mixed_ghz_w, partial_trace, purified_initial, reduce,
+                    reorder, w)
 from cavres.linalg import hermitian_eigenvalues
-from cavres.states import GLOBAL_LAYOUT
+from cavres.states import GLOBAL_LAYOUT, PAIR_LAYOUT
+
+from conftest import random_pure_state
 
 
 def basis_index(bits):
@@ -85,12 +89,6 @@ class TestAmplitudes:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             amplitudes(-0.1)
-
-    def test_evolution_point_records(self):
-        pt = EvolutionPoint.mixture(0.4, np.log(2.0))
-        assert pt.p == 0.4 and pt.a is None
-        gpt = EvolutionPoint.generalized_ghz(0.6, 0.0)
-        assert gpt.b == pytest.approx(0.8)
 
 
 class TestPurifiedInitial:
@@ -188,3 +186,106 @@ class TestReorder:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             reorder(ghz(), ["c1", "c2", "r1"])
+
+
+def _kron_pair(xi, chi):
+    return np.array([0.0, chi, xi, 0.0], dtype=complex)
+
+
+def _kron_global(p, xi, chi):
+    # the explicit Kronecker chain the broadcasting construction replaces
+    ph = _kron_pair(xi, chi)
+    vac2 = np.eye(4, dtype=complex)[0]
+    vac6 = np.eye(64, dtype=complex)[0]
+    z0, z1 = np.eye(2, dtype=complex)
+    ghz_branch = np.kron(vac6 + np.kron(np.kron(ph, ph), ph), z0)
+    w_branch = np.kron(np.kron(np.kron(vac2, vac2), ph)
+                       + np.kron(np.kron(vac2, ph), vac2)
+                       + np.kron(np.kron(ph, vac2), vac2), z1)
+    return np.sqrt(p / 2.0) * ghz_branch + np.sqrt((1.0 - p) / 3.0) * w_branch
+
+
+def _kron_gghz(a, xi, chi):
+    ph = _kron_pair(xi, chi)
+    b = np.sqrt(1.0 - a * a)
+    return a * np.eye(64, dtype=complex)[0] + b * np.kron(np.kron(ph, ph), ph)
+
+
+class TestOutputStatesAgainstKronChain:
+    GRID = [(x, kt) for x in np.linspace(0.0, 1.0, 9) for kt in np.linspace(0.0, 3.0, 9)]
+
+    def test_global_output_state(self):
+        for p, kt in self.GRID:
+            xi, chi = amplitudes(kt)
+            got = global_output_state_from_amplitudes(p, xi, chi)
+            assert got.layout == GLOBAL_LAYOUT
+            np.testing.assert_allclose(got.amplitudes, _kron_global(p, xi, chi),
+                                       rtol=0, atol=1e-16)
+
+    def test_gghz_output_state(self):
+        for a, kt in self.GRID:
+            xi, chi = amplitudes(kt)
+            got = gghz_output_state_from_amplitudes(a, xi, chi)
+            assert got.layout == PAIR_LAYOUT
+            np.testing.assert_allclose(got.amplitudes, _kron_gghz(a, xi, chi),
+                                       rtol=0, atol=1e-16)
+
+    def test_swapped_amplitudes(self):
+        # the swap check feeds (chi, xi); that order must build the same way
+        xi, chi = amplitudes(0.7)
+        np.testing.assert_allclose(
+            global_output_state_from_amplitudes(0.4, chi, xi).amplitudes,
+            _kron_global(0.4, chi, xi), rtol=0, atol=1e-16)
+
+
+class TestReduceAgainstDenseTrace:
+    """reduce contracts the amplitudes; the referee traces |psi><psi|."""
+
+    SEVEN = ("c1", "r1", "c2", "r2", "c3", "r3", "z")
+    SIX = ("c1", "r1", "c2", "r2", "c3", "r3")
+    KEEPS = (["c2"], ["c1", "r3"], ["r1", "c2", "z"], ["c1", "c2", "c3"],
+             ["c1", "r1", "c2", "r2", "c3"], ["r1", "c2", "r2", "c3", "r3", "z"],
+             ["r2", "c1"], ["z", "c3", "r1"], ["r3", "r2", "r1"])
+
+    @staticmethod
+    def _referee(state, keep):
+        rho = DensityMatrix(state.layout,
+                            np.outer(state.amplitudes, state.amplitudes.conj()))
+        return partial_trace(rho, keep)
+
+    def _check(self, state, keep):
+        got = reduce(state, keep)
+        want = self._referee(state, keep)
+        assert got.layout == want.layout
+        np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-15)
+
+    def test_random_seven_qubit_states(self, rng):
+        for _ in range(4):
+            state = random_pure_state(rng, self.SEVEN)
+            for keep in self.KEEPS:
+                self._check(state, keep)
+
+    def test_random_six_qubit_states(self, rng):
+        for _ in range(4):
+            state = random_pure_state(rng, self.SIX)
+            for keep in self.KEEPS:
+                keep = [lab for lab in keep if lab != "z"] or ["c1"]
+                self._check(state, keep)
+
+    def test_evolved_states(self):
+        for p, kt in [(0.0, 0.0), (0.4, 0.8), (1.0, 2.5)]:
+            for keep in self.KEEPS:
+                self._check(global_output_state(p, kt), keep)
+
+    def test_unsorted_keep_follows_layout_order(self):
+        state = global_output_state(0.3, 0.9)
+        assert reduce(state, ["r2", "c1"]).layout.labels == ("c1", "r2")
+
+    def test_errors(self):
+        state = global_output_state(0.3, 0.9)
+        with pytest.raises(ValueError, match="keep set must be nonempty"):
+            reduce(state, [])
+        with pytest.raises(ValueError, match="not in layout"):
+            reduce(state, ["c1", "q9"])
+        with pytest.raises(ValueError, match="not in layout"):
+            reduce(gghz_output_state(0.5, 1.0), ["z"])
