@@ -21,12 +21,12 @@ from .entanglement import (MonogamyChainRecord, PtSpectrum,
                            closed_form_pt_eigenvalues, gghz_negativity_closed,
                            monogamy_chain, negativity, negativity_from_spectrum,
                            pure_bipartite_concurrence_sq, wootters_concurrence)
-from .esd import (BoundaryCurve, RegionClass, classify_region,
-                  equal_entanglement_range, esb_time, esb_time_numeric,
-                  esd_threshold_probability, esd_time, gghz_esd_boundary,
-                  gghz_esd_time, initial_negativity, lambda5_boundary,
-                  lambda7_boundary, min_esd_point, min_initial_negativity,
-                  reservoir_negativity, sample_boundary, swap_check)
+from .esd import (RegionClass, classify_region, equal_entanglement_range,
+                  esb_time, esb_time_numeric, esd_threshold_probability,
+                  esd_time, gghz_esd_boundary, gghz_esd_time,
+                  initial_negativity, lambda5_boundary, lambda7_boundary,
+                  min_esd_point, min_initial_negativity, reservoir_negativity,
+                  sample_boundary, swap_check)
 
 __all__ = [
     "__version__",
@@ -45,7 +45,7 @@ __all__ = [
     "wootters_concurrence", "gghz_negativity_closed", "MonogamyChainRecord",
     "monogamy_chain",
     # sudden death / birth
-    "RegionClass", "BoundaryCurve", "lambda5_boundary", "lambda7_boundary",
+    "RegionClass", "lambda5_boundary", "lambda7_boundary",
     "classify_region", "esd_time", "min_esd_point", "min_initial_negativity",
     "initial_negativity", "esd_threshold_probability", "gghz_esd_boundary",
     "gghz_esd_time", "equal_entanglement_range", "swap_check", "esb_time",

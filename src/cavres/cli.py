@@ -1,9 +1,10 @@
 """Command-line front end: grid sweeps, boundary extraction, verification
 suites, landmark reproduction, and point queries.
 
-Exit codes: 0 on success, 1 when a verification or landmark check fails,
-2 on usage errors.  Output files are byte-identical for identical
-configurations regardless of worker count.
+Exit codes: 0 on success, 1 when a verification or landmark check fails
+or a computation fails on valid input, 2 on usage errors.  Output files
+are byte-identical for identical configurations regardless of worker
+count.
 """
 
 import argparse
@@ -181,18 +182,18 @@ def cmd_boundary(args):
               file=sys.stderr)
         return 2
     kts = np.linspace(args.kt_min, args.kt_max, args.kt_steps)
-    curve = sample_boundary(args.kind, kts)
+    samples = sample_boundary(args.kind, kts)
     lines = ["kt,param"]
-    for kt, value in curve.samples:
+    for kt, value in samples:
         lines.append(f"{_fmt(kt)},{_fmt(value)}")
     payload = "\n".join(lines) + "\n"
     if args.format == "json":
         doc = {"meta": {"kind": args.kind, "conventions": CONVENTIONS},
-               "samples": [[kt, v] for kt, v in curve.samples]}
+               "samples": [[kt, v] for kt, v in samples]}
         payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     with open(args.out, "w", newline="") as fh:
         fh.write(payload)
-    print(f"wrote {len(curve.samples)} samples to {args.out}")
+    print(f"wrote {len(samples)} samples to {args.out}")
     return 0
 
 
@@ -364,7 +365,8 @@ def main(argv=None):
         return args.func(args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # a RuntimeError is a numerical failure on valid input, not misuse
+        return 2 if isinstance(exc, ValueError) else 1
 
 
 if __name__ == "__main__":

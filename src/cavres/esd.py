@@ -7,28 +7,25 @@ death times they induce, the generalized-GHZ counterpart, and the exact
 cavity/reservoir swap relation all live here.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .entanglement import (ZERO_ENTANGLEMENT, closed_form_pt_eigenvalues,
-                           gghz_negativity_closed, negativity,
-                           negativity_from_spectrum)
+                           negativity, negativity_from_spectrum)
 from .states import (_check_probability, amplitudes, global_output_state,
                      global_output_state_from_amplitudes, reduce)
 
 BOUNDARY_TIE_TOL = 1e-12
-BISECT_XTOL = 1e-10
-BISECT_MAXITER = 200
-GOLDEN_TOL = 1e-4
-# tight enough that N at the located minimum is exact to rounding
-WINDOW_GOLDEN_TOL = 1e-7
 
 # Large-time limit of the lambda7 boundary curve: below this mix probability
 # the eigenvalue never turns positive and the decay stays asymptotic.
 ESD_ONSET_PROBABILITY = 0.25
+
+# 6 dN(p, 0)/dp = 0 with both square roots cleared by squaring twice
+# (sympy), highest power first.  Squaring adds a spurious root near 0.3214.
+INITIAL_NEGATIVITY_STATIONARY = (-26896000, 94726400, -145141600, 121730912, -58629376,
+                                 23685632, -3447040, -2560000, 730112)
 
 
 class RegionClass(Enum):
@@ -40,82 +37,78 @@ class RegionClass(Enum):
     IV = "IV"    # both nonnegative: cavity photons separable
 
 
-@dataclass(frozen=True)
-class BoundaryCurve:
-    """Sampled boundary: ordered (kt, parameter) pairs for one curve kind."""
-
-    kind: str
-    samples: tuple
-
-    def __post_init__(self):
-        if self.kind not in ("lambda5", "lambda7", "gghz"):
-            raise ValueError(f"unknown boundary kind {self.kind!r}")
-        kts = [kt for kt, _ in self.samples]
-        if any(b <= a for a, b in zip(kts, kts[1:])):
-            raise ValueError("kt samples must be strictly increasing")
-        if any(not 0.0 <= v <= 1.0 for _, v in self.samples):
-            raise ValueError("boundary parameter values must lie in [0, 1]")
+# The sign changes as polynomials in e = exp(-kt), highest power first:
+# lambda5 = 0 on Q5 = 3p e^3 - 9p e^2 + (7p + 2) e + 2p - 2, and lambda7 = 0
+# on Q7 = 9p^2 e^4 - 36p^2 e^3 + (36p^2 + 18p) e^2 - (9p^2 + 36p) e
+# - 8p^2 + 34p - 8.  Q5 is linear and Q7 quadratic in p.
+def _q5(p):
+    return (3.0 * p, -9.0 * p, 7.0 * p + 2.0, 2.0 * p - 2.0)
 
 
-def _check_positive_time(kt):
+def _q7(p):
+    # the constant term, factored, keeps its digits near the onset p = 1/4
+    return (9.0 * p * p, -36.0 * p * p, 36.0 * p * p + 18.0 * p,
+            -(9.0 * p * p + 36.0 * p), 2.0 * (4.0 * p - 1.0) * (4.0 - p))
+
+
+def _chi_sq(kt):
+    """The leaked weight chi^2 = 1 - e, exact as kt -> 0 and as kt -> inf."""
     if kt <= 0.0:
         raise ValueError(f"boundary curves need kt > 0, got {kt}")
-
-
-def _as_unit_interval(value, what):
-    if -1e-12 <= value < 0.0:
-        return 0.0
-    if 1.0 < value <= 1.0 + 1e-12:
-        return 1.0
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{what} = {value} falls outside [0, 1]")
-    return float(value)
+    return -np.expm1(-kt)
 
 
 def lambda5_boundary(kt):
     """Mix probability where the lambda5 eigenvalue crosses zero at time kt.
 
-    Increases from 0 toward 1 with kt.
+    The root of Q5 in p: 2(1 - e) / (3e^3 - 9e^2 + 7e + 2).  Increases from
+    0 toward 1 with kt.
     """
-    _check_positive_time(kt)
-    u = np.exp(kt)
-    p = 2.0 * u ** 2 * (u - 1.0) / (3.0 - 9.0 * u + 7.0 * u ** 2 + 2.0 * u ** 3)
-    return _as_unit_interval(p, "lambda5 boundary probability")
+    om = _chi_sq(kt)
+    e = 1.0 - om
+    return float(2.0 * om / (((3.0 * e - 9.0) * e + 7.0) * e + 2.0))
 
 
 def lambda7_boundary(kt):
     """Mix probability where the lambda7 eigenvalue crosses zero at time kt.
 
+    The root in [0, 1] of Q7 as a quadratic A p^2 + B p - 8 in p, taken as
+    16 / (B + sqrt(B^2 + 32A)).  In o = 1 - e, B = 18o^2 + 16 and
+    B^2 + 32A = 36o(17o^3 + 8), which does not cancel as kt -> 0.
     Decreases from 1 toward 1/4 with kt.
     """
-    _check_positive_time(kt)
-    u = np.exp(kt)
-    d = 17.0 - 68.0 * u + 102.0 * u ** 2 - 76.0 * u ** 3 + 25.0 * u ** 4
-    num = 9.0 - 18.0 * u + 17.0 * u ** 2 - 3.0 * np.sqrt(max(d, 0.0))
-    den = 8.0 * u ** 2 - 9.0 * u ** -2 * (1.0 - 4.0 * u + 4.0 * u ** 2 - u ** 3)
-    return _as_unit_interval(num / den, "lambda7 boundary probability")
+    om = _chi_sq(kt)
+    return float(16.0 / (18.0 * om * om + 16.0
+                         + 6.0 * np.sqrt(om * (17.0 * om ** 3 + 8.0))))
 
 
 def gghz_esd_boundary(kt):
     """Generalized-GHZ amplitude whose negativity dies exactly at time kt.
 
-    Increases from 0 toward sqrt(2)/2 with kt.
+    a^2 = (1 - e)^3 / ((1 - e)^3 + 1).  Increases from 0 toward sqrt(2)/2
+    with kt.
     """
-    _check_positive_time(kt)
-    g = (np.exp(kt) - 1.0) ** 3
-    return _as_unit_interval(np.sqrt(g / (g + np.exp(3.0 * kt))),
-                             "generalized-GHZ boundary amplitude")
+    g = _chi_sq(kt) ** 3
+    return float(np.sqrt(g / (g + 1.0)))
 
 
 def sample_boundary(kind, kt_values):
-    """Evaluate one boundary curve on an increasing kt grid."""
+    """Evaluate one boundary curve on an increasing kt grid.
+
+    Returns the (kt, parameter) pairs in grid order.
+    """
     fn = {"lambda5": lambda5_boundary,
           "lambda7": lambda7_boundary,
           "gghz": gghz_esd_boundary}.get(kind)
     if fn is None:
         raise ValueError(f"unknown boundary kind {kind!r}")
-    return BoundaryCurve(kind=kind,
-                         samples=tuple((float(kt), fn(kt)) for kt in kt_values))
+    kts = [float(kt) for kt in kt_values]
+    if any(b <= a for a, b in zip(kts, kts[1:])):
+        raise ValueError("kt samples must be strictly increasing")
+    samples = tuple((kt, fn(kt)) for kt in kts)
+    if any(not 0.0 <= v <= 1.0 for _, v in samples):
+        raise ValueError("boundary parameter values must lie in [0, 1]")
+    return samples
 
 
 def classify_region(p, kt):
@@ -137,26 +130,21 @@ def classify_region(p, kt):
     return RegionClass.IV
 
 
-def _expand_bracket(f, lo, hi, hi_cap=120.0):
-    flo = f(lo)
-    while f(hi) * flo > 0.0:
-        hi *= 2.0
-        if hi > hi_cap:
-            raise RuntimeError("failed to bracket a sign change")
-    return lo, hi
-
-
-def _solve_boundary_time(boundary, p):
-    f = lambda kt: boundary(kt) - p
-    lo, hi = _expand_bracket(f, 1e-9, 1.0)
-    return bisect(f, lo, hi, xtol=BISECT_XTOL, maxiter=BISECT_MAXITER)
+def _decay_root(coeffs, what):
+    """The one root e in (0, 1] of a polynomial; a root within rounding
+    above 1 is a crossing at kt = 0."""
+    r = np.roots(coeffs)
+    r = r.real[(np.abs(r.imag) <= 1e-9) & (r.real > 0.0) & (r.real <= 1.0 + 1e-9)]
+    if r.size != 1:
+        raise RuntimeError(f"{what}: expected one root in (0, 1], got {r.size}")
+    return min(float(r[0]), 1.0)
 
 
 def esd_time(p):
     """Time after which the cavity negativity stays zero, or None.
 
-    The death time is the later of the two eigenvalue zero crossings,
-    located by inverting the monotone boundary curves.  Families without a
+    The death time is the later of the two eigenvalue zero crossings, -ln
+    of the smaller of the roots of Q5 and Q7 in e.  Families without a
     finite death (p <= 1/4, where lambda7 stays negative, and p = 1, where
     lambda5 does) return None.  The result is confirmed by two probes of
     the closed-form negativity past the crossing.
@@ -164,9 +152,8 @@ def esd_time(p):
     _check_probability(p)
     if p <= ESD_ONSET_PROBABILITY or p >= 1.0:
         return None
-    t5 = _solve_boundary_time(lambda5_boundary, p)
-    t7 = _solve_boundary_time(lambda7_boundary, p)
-    t = max(t5, t7)
+    t = -np.log(min(_decay_root(_q5(p), "lambda5 crossing"),
+                    _decay_root(_q7(p), "lambda7 crossing")))
     for probe in (t + 0.01, t + 1.0):
         n = negativity_from_spectrum(closed_form_pt_eigenvalues(p, probe))
         if n > ZERO_ENTANGLEMENT:
@@ -175,33 +162,16 @@ def esd_time(p):
     return float(t)
 
 
-def _golden_min(f, lo, hi, tol=GOLDEN_TOL):
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def min_esd_point():
     """The (p, kt) point of earliest possible sudden death.
 
-    Golden-section search over the open interval where death is finite;
-    the death time is V-shaped there (one boundary time falls while the
-    other rises), so the minimum is unique.
+    The death time is V-shaped in p (one crossing time falls while the
+    other rises), so its minimum is where both eigenvalues vanish at once.
+    The resultant of Q5 and Q7 in p is -72 (2e^2 (e^2 - 3e + 3)^2 - 1),
+    whose root in (0, 1) has (1 - e)^3 = 1 - sqrt(2)/2.
     """
-    p = _golden_min(esd_time, ESD_ONSET_PROBABILITY + 1e-4, 1.0 - 1e-4)
-    return float(p), float(esd_time(p))
+    kt = float(-np.log1p(-(1.0 - np.sqrt(0.5)) ** (1.0 / 3.0)))
+    return lambda5_boundary(kt), kt
 
 
 def initial_negativity(p):
@@ -209,19 +179,21 @@ def initial_negativity(p):
     return negativity_from_spectrum(closed_form_pt_eigenvalues(p, 0.0))
 
 
-def min_initial_negativity():
-    """The (p, negativity) minimum of the undamped mixture's entanglement."""
-    p = _golden_min(initial_negativity, 0.0, 1.0)
+def min_initial_negativity(lo=0.0, hi=1.0):
+    """The (p, negativity) minimum of the undamped mixture's entanglement
+    over [lo, hi]: at an edge or at a real root of its stationary
+    polynomial.  Comparing N also discards the spurious root."""
+    roots = np.roots(INITIAL_NEGATIVITY_STATIONARY)
+    stationary = roots.real[(np.abs(roots.imag) <= 1e-9)
+                            & (roots.real >= lo) & (roots.real <= hi)]
+    p = min([lo, hi, *stationary], key=initial_negativity)
     return float(p), float(initial_negativity(p))
 
 
 def esd_threshold_probability():
-    """Mix probability below which the decay is asymptotic.
-
-    Evaluates the lambda7 boundary deep in the decayed regime, where the
-    curve has converged to its large-time limit.
-    """
-    return lambda7_boundary(40.0)
+    """Mix probability below which the decay is asymptotic: at e = 0, Q7 is
+    -2(4p - 1)(4 - p), so lambda7's boundary ends at 1/4."""
+    return ESD_ONSET_PROBABILITY
 
 
 def gghz_esd_time(a):
@@ -256,8 +228,7 @@ def equal_entanglement_range():
     """
     p_lo = 7.0 - np.sqrt(45.0)
     p_hi = 4.0 * 2.0 ** (1.0 / 3.0) / (3.0 + 4.0 * 2.0 ** (1.0 / 3.0))
-    n_low = initial_negativity(_golden_min(initial_negativity, p_lo, p_hi,
-                                           tol=WINDOW_GOLDEN_TOL))
+    n_low = min_initial_negativity(p_lo, p_hi)[1]
     n_high = max(initial_negativity(p_lo), initial_negativity(p_hi))
     a_low, a_high = (float(np.sqrt((1.0 - np.sqrt(1.0 - n * n)) / 2.0))
                      for n in (n_low, n_high))
@@ -300,12 +271,32 @@ def reservoir_negativity(p, kt):
     return negativity(res, ["r1"])
 
 
+def _bisect(f, lo, hi, xtol):
+    """Sign change of f on [lo, hi]; returns (root, iterations)."""
+    f_lo = f(lo)
+    if f_lo * f(hi) > 0.0:
+        raise RuntimeError(f"no sign change on [{lo}, {hi}]")
+    iterations = 0
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid * f_lo > 0.0:
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+        iterations += 1
+    return 0.5 * (lo + hi), iterations
+
+
 def esb_time_numeric(p, xtol=1e-6):
     """Locate the reservoir entanglement birth by bisection on the
-    reservoir negativity; independent of the closed-form relation."""
+    reservoir negativity; independent of the closed-form relation.
+
+    Every birth comes before esb_time of the earliest death, kt ~ 0.41, so
+    [1e-8, 1] brackets it unless the death is later than kt ~ 18.
+    """
     f = lambda kt: reservoir_negativity(p, kt) - ZERO_ENTANGLEMENT
-    lo, hi = _expand_bracket(f, 1e-8, 0.5, hi_cap=60.0)
-    return float(bisect(f, lo, hi, xtol=xtol, maxiter=BISECT_MAXITER))
+    return float(_bisect(f, 1e-8, 1.0, xtol)[0])
 
 
 def lambda7_formula_audit(kt_values=None):
@@ -317,13 +308,12 @@ def lambda7_formula_audit(kt_values=None):
     """
     if kt_values is None:
         kt_values = np.linspace(0.1, 4.0, 30)
-    samples = []
-    worst = 0.0
+    samples, worst = [], 0.0
     for kt in kt_values:
         f = lambda p: closed_form_pt_eigenvalues(p, kt).lambda7
-        root = bisect(f, 0.0, 1.0, xtol=1e-12, maxiter=BISECT_MAXITER)
+        root, _ = _bisect(f, 0.0, 1.0, xtol=1e-12)
         formula = lambda7_boundary(kt)
-        samples.append((float(kt), formula, float(root)))
+        samples.append((float(kt), formula, root))
         worst = max(worst, abs(formula - root))
     return worst, samples
 

@@ -143,6 +143,14 @@ class TestBoundary:
                       0.0, 1.0, xtol=1e-12)
         assert abs(p - root) < 1e-8
 
+    def test_lambda7_at_long_times(self, tmp_path):
+        out = tmp_path / "b.csv"
+        rc = run_cli(["boundary", "lambda7", "--kt-max", "200", "--out", str(out)])
+        assert rc == 0
+        values = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+        assert len(values) == 40 and all(0.25 <= v <= 1.0 for v in values)
+        assert values[-1] == 0.25
+
     def test_bad_range_usage_error(self, tmp_path):
         rc = run_cli(["boundary", "lambda5", "--kt-min", "0.0",
                       "--kt-max", "2.0", "--out", str(tmp_path / "b.csv")])
@@ -212,6 +220,17 @@ class TestPointQueries:
     def test_esd_time_domain_error(self):
         assert run_cli(["esd-time", "--p", "1.5"]) == 2
 
+    def test_esd_time_near_one(self, capsys):
+        assert run_cli(["esd-time", "--p", "0.99999"]) == 0
+        assert "death at kt = 13.01699286" in capsys.readouterr().out
+
+    def test_numerical_failure_is_not_a_usage_error(self, capsys, monkeypatch):
+        def fail(p):
+            raise RuntimeError("no root found")
+        monkeypatch.setattr(cli, "esd_time", fail)
+        assert run_cli(["esd-time", "--p", "0.5"]) == 1
+        assert "error: no root found" in capsys.readouterr().err
+
     def test_monogamy_point(self, capsys):
         assert run_cli(["monogamy", "--p", "0.5", "--kt", "1.0"]) == 0
         out = capsys.readouterr().out
@@ -228,6 +247,13 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert out.exists()
+
+    def test_cli_import_leaves_scipy_out(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, cavres.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
     def test_version_flag(self):
         proc = subprocess.run([sys.executable, "-m", "cavres", "--version"],

@@ -72,6 +72,27 @@ class TestLambda7Boundary:
             lambda7_boundary(0.0)
 
 
+class TestBoundariesAtLongTimes:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kt", [1e-12, 1e-6, 177.0, 200.0, 237.0, 400.0, 1000.0])
+    def test_finite_and_inside_the_unit_interval(self, kt):
+        for fn in (lambda5_boundary, lambda7_boundary, gghz_esd_boundary):
+            value = fn(kt)
+            assert np.isfinite(value) and 0.0 <= value <= 1.0
+
+    def test_limits(self):
+        assert lambda5_boundary(1000.0) == 1.0
+        assert lambda7_boundary(1000.0) == 0.25
+        assert abs(gghz_esd_boundary(1000.0) - np.sqrt(0.5)) < 1e-15
+
+    def test_small_time_slopes(self):
+        # lambda5 ~ 2kt/3, 1 - lambda7 ~ (3 sqrt(2) / 4) sqrt(kt), gghz ~ kt^(3/2)
+        kt = 1e-12
+        assert abs(lambda5_boundary(kt) / kt - 2.0 / 3.0) < 1e-10
+        assert abs((1.0 - lambda7_boundary(kt)) / np.sqrt(kt) - 0.75 * np.sqrt(2.0)) < 1e-5
+        assert abs(gghz_esd_boundary(kt) / kt ** 1.5 - 1.0) < 1e-10
+
+
 class TestRegionClassification:
     def test_ghz_start_has_negative_lambda5(self):
         spec = closed_form_pt_eigenvalues(1.0, 0.0)
@@ -278,10 +299,12 @@ class TestEsbTime:
 class TestBoundarySampling:
     def test_curve_kinds(self):
         kts = np.linspace(0.1, 2.0, 10)
-        for kind in ("lambda5", "lambda7", "gghz"):
-            curve = sample_boundary(kind, kts)
-            assert curve.kind == kind
-            assert len(curve.samples) == 10
+        for kind, fn in (("lambda5", lambda5_boundary),
+                         ("lambda7", lambda7_boundary),
+                         ("gghz", gghz_esd_boundary)):
+            samples = sample_boundary(kind, kts)
+            assert len(samples) == 10
+            assert samples == tuple((float(kt), fn(kt)) for kt in kts)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

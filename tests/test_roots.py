@@ -1,0 +1,176 @@
+"""The death times and landmarks as exact polynomial roots.
+
+The polynomials are checked against a sympy expansion of the closed-form
+eigenvalues, and the roots against scipy's bisection on the closed forms
+(where double precision resolves their sign change) and against a
+60-digit mpmath bisection (over the whole domain).
+"""
+
+import mpmath as mp
+import numpy as np
+import pytest
+import sympy as sp
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import bisect
+
+from cavres import esd_threshold_probability, esd_time, min_esd_point
+from cavres.entanglement import closed_form_pt_eigenvalues
+from cavres.esd import (INITIAL_NEGATIVITY_STATIONARY, _bisect, _q5, _q7,
+                        initial_negativity, min_initial_negativity)
+
+E, P = sp.symbols("e p", positive=True)
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+P_STAR, KT_STAR = 0.3850407, 1.0909553   # the earliest death, to 1e-7
+
+
+def _closed_form_products():
+    """lambda5 lambda6 and lambda7 lambda8 of the closed form, times 144,
+    as expressions in e = exp(-kt) (the closed form writes u = 1/e)."""
+    u = 1 / E
+    lin_a = E * (2 - 2 * P + 3 * (1 - E) * P)
+    disc_a = (18 * u ** 3 * P * (P - 2) + 36 * P ** 2 - 108 * u * P ** 2
+              + u ** 4 * (P + 2) ** 2 + 3 * u ** 2 * P * (8 + 31 * P))
+    lin_b = 3 * (P + (1 - E) ** 3 * P + (1 - E) * (2 - 2 * P + E ** 2 * P))
+    disc_b = (36 * (u ** 4 + P ** 2 - u ** 3 * (P + 2) - u * P * (P + 2))
+              + u ** 2 * (68 + 44 * P + 41 * P ** 2))
+    return lin_a ** 2 - E ** 6 * disc_a, lin_b ** 2 - E ** 4 * disc_b
+
+
+class TestPolynomials:
+    @pytest.mark.parametrize("p", [0.26, 0.385, 0.5, 0.9, 0.99999])
+    def test_q5_and_q7_expand_the_closed_forms(self, p):
+        prod5, prod7 = _closed_form_products()
+        # lambda5 lambda6 = -12 e^3 p Q5 / 144 and lambda7 lambda8 = 4 e^2 Q7 / 144
+        q5 = sp.Poly(sp.cancel(prod5 / (-12 * E ** 3 * P)), E)
+        q7 = sp.Poly(sp.cancel(prod7 / (4 * E ** 2)), E)
+        for poly, coeffs in ((q5, _q5(p)), (q7, _q7(p))):
+            expected = [float(c.subs(P, p)) for c in poly.all_coeffs()]
+            np.testing.assert_allclose(coeffs, expected, rtol=1e-14, atol=1e-14)
+
+    def test_stationary_polynomial_of_the_initial_negativity(self):
+        # 6 N(p, 0) = sqrt(f1) + sqrt(f2) - 2 - p, so 6 N' = 0 reads
+        # g1 / sqrt(f1) + g2 / sqrt(f2) = 1; clear both roots by squaring
+        f1, f2 = 40 * P ** 2 - 8 * P + 4, 41 * P ** 2 - 64 * P + 32
+        g1, g2 = 40 * P - 4, 41 * P - 32
+        n0 = (sp.sqrt(f1) + sp.sqrt(f2) - 2 - P) / 6
+        assert sp.simplify(sp.diff(n0, P) - (g1 / sp.sqrt(f1) + g2 / sp.sqrt(f2) - 1) / 6) == 0
+        poly = sp.Poly(sp.expand((f1 * f2 - g1 ** 2 * f2 - g2 ** 2 * f1) ** 2
+                                 - 4 * g1 ** 2 * g2 ** 2 * f1 * f2), P)
+        coeffs = poly.all_coeffs()
+        ratio = sp.Rational(coeffs[0], INITIAL_NEGATIVITY_STATIONARY[0])
+        assert [sp.Rational(c) for c in coeffs] == [
+            ratio * c for c in INITIAL_NEGATIVITY_STATIONARY]
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.4647, 0.8, 1.0])
+    def test_initial_negativity_closed_form(self, p):
+        expected = (np.sqrt(40 * p * p - 8 * p + 4) + np.sqrt(41 * p * p - 64 * p + 32)
+                    - 2.0 - p) / 6.0
+        assert abs(initial_negativity(p) - expected) < 1e-15
+
+    def test_spurious_root_is_discarded(self):
+        roots = np.roots(INITIAL_NEGATIVITY_STATIONARY)
+        real = sorted(r.real for r in roots
+                      if abs(r.imag) <= 1e-9 and 0.0 <= r.real <= 1.0)
+        assert len(real) == 2 and abs(real[0] - 0.3214) < 1e-4
+        p, n = min_initial_negativity()
+        assert abs(p - real[1]) < 1e-15
+        assert n < initial_negativity(real[0])
+
+
+def _bisect_death(p):
+    """Death time by scipy's bisection on the closed-form eigenvalues."""
+    crossing = lambda which: bisect(
+        lambda kt: getattr(closed_form_pt_eigenvalues(p, kt), which),
+        0.0, 12.0, xtol=1e-13, maxiter=500)
+    return max(crossing("lambda5"), crossing("lambda7"))
+
+
+def _mp_death(p):
+    """Death time by 60-digit bisection on the closed-form eigenvalues."""
+    with mp.workdps(60):
+        p = mp.mpf(p)
+
+        def lambdas(kt):
+            e = mp.exp(-kt)
+            u = 1 / e
+            lin_a = e * (2 - 2 * p + 3 * (1 - e) * p)
+            disc_a = (18 * u ** 3 * p * (p - 2) + 36 * p ** 2 - 108 * u * p ** 2
+                      + u ** 4 * (p + 2) ** 2 + 3 * u ** 2 * p * (8 + 31 * p))
+            lin_b = 3 * (p + (1 - e) ** 3 * p + (1 - e) * (2 - 2 * p + e ** 2 * p))
+            disc_b = (36 * (u ** 4 + p ** 2 - u ** 3 * (p + 2) - u * p * (p + 2))
+                      + u ** 2 * (68 + 44 * p + 41 * p ** 2))
+            return lin_a - e ** 3 * mp.sqrt(disc_a), lin_b - e ** 2 * mp.sqrt(disc_b)
+
+        crossings = []
+        for index in (0, 1):
+            lo, hi = mp.mpf(0), mp.mpf(40)
+            for _ in range(80):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if lambdas(mid)[index] < 0 else (lo, mid)
+            crossings.append((lo + hi) / 2)
+        return float(max(crossings))
+
+
+class TestEsdTime:
+    @SETTINGS
+    @given(st.floats(0.26, 0.99))
+    def test_agrees_with_bisection(self, p):
+        # past these edges the double-precision closed form no longer
+        # resolves the sign change to 1e-9 (the 60-digit test below does)
+        t = esd_time(p)
+        assert np.isfinite(t) and t > 0.0
+        assert abs(t - _bisect_death(p)) <= 1e-9
+
+    @pytest.mark.parametrize("p", [0.25 + 1e-12, 0.2500001, 0.25011, 0.2502,
+                                   0.385, 0.9999, 0.99999, 1.0 - 1e-12])
+    def test_exact_to_rounding_over_the_whole_domain(self, p):
+        t = esd_time(p)
+        assert abs(t - _mp_death(p)) <= 1e-13 * t
+
+    @SETTINGS
+    @given(st.floats(0.25, 1.0, exclude_min=True, exclude_max=True))
+    def test_finite_and_past_both_crossings(self, p):
+        t = esd_time(p)
+        assert t is not None and np.isfinite(t) and t >= min_esd_point()[1] - 1e-12
+        # 144 lambda5 lambda6 = -12 e^3 p Q5 and 144 lambda7 lambda8 = 4 e^2 Q7
+        e = np.exp(-t)
+        assert max(np.polyval(_q5(p), e), -np.polyval(_q7(p), e)) < 1e-12
+
+    @SETTINGS
+    @given(st.floats(0.25, 1.0, exclude_min=True, exclude_max=True),
+           st.floats(0.25, 1.0, exclude_min=True, exclude_max=True))
+    def test_monotone_on_each_side_of_the_minimum(self, p1, p2):
+        p1, p2 = sorted((p1, p2))
+        t1, t2 = esd_time(p1), esd_time(p2)
+        p_star = min_esd_point()[0]
+        if p2 <= p_star:
+            assert t1 >= t2 - 1e-12
+        elif p1 >= p_star:
+            assert t1 <= t2 + 1e-12
+
+    @SETTINGS
+    @given(st.floats(0.0, 0.25))
+    def test_no_death_up_to_the_onset(self, p):
+        assert esd_time(p) is None
+
+
+class TestLandmarks:
+    def test_min_esd_point(self):
+        p, kt = min_esd_point()
+        assert abs(p - P_STAR) < 1e-7 and abs(kt - KT_STAR) < 1e-7
+        # the earliest death sits where both eigenvalues vanish together
+        assert abs(esd_time(p) - kt) < 1e-7
+
+    def test_onset_is_exactly_a_quarter(self):
+        assert esd_threshold_probability() == 0.25
+
+
+class TestBisect:
+    def test_reports_its_iterations(self):
+        root, iterations = _bisect(lambda x: x * x - 2.0, 0.0, 2.0, 1e-12)
+        assert abs(root - np.sqrt(2.0)) < 1e-12
+        assert iterations == int(np.ceil(np.log2(2.0 / 1e-12)))
+
+    def test_needs_a_sign_change(self):
+        with pytest.raises(RuntimeError, match="no sign change"):
+            _bisect(lambda x: x + 1.0, 0.0, 1.0, 1e-6)
