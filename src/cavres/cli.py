@@ -2,31 +2,28 @@
 suites, landmark reproduction, and point queries.
 
 Exit codes: 0 on success, 1 when a verification or landmark check fails
-or a computation fails on valid input, 2 on usage errors.  Output files
-are byte-identical for identical configurations regardless of worker
-count.
+or a computation fails on valid input, 2 on usage errors.  Identical
+configurations give byte-identical files.
 """
 
 import argparse
 import json
-import os
+import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .entanglement import (closed_form_grid_deviation, gghz_grid_deviation,
-                           gghz_negativity_closed, monogamy_chain,
-                           monogamy_grid_audit, negativity,
-                           negativity_from_spectrum,
-                           closed_form_pt_eigenvalues)
+from .entanglement import (cavity_negativity, closed_form_grid_deviation,
+                           closed_form_pt_eigenvalues, gghz_negativity_closed,
+                           grid_worst, monogamy_chain, monogamy_grid_audit,
+                           negativity_from_spectrum)
 from .esd import (esb_grid_deviation, esd_threshold_probability, esd_time,
                   equal_entanglement_range, gghz_esd_time,
                   min_esd_point, min_initial_negativity, region_grid_audit,
                   sample_boundary, swap_grid_deviation)
-from .states import gghz_output_state, global_output_state, reduce
+from .states import gghz_output_state, global_output_state
 
 CSV_HEADER = "param,kt,negativity"
 
@@ -77,6 +74,9 @@ class SweepConfig:
     output_path: str
 
     def __post_init__(self):
+        bounds = (self.param_min, self.param_max, self.kt_min, self.kt_max)
+        if not all(math.isfinite(b) for b in bounds):
+            raise ValueError("range bounds must be finite")
         if self.family not in ("mixed", "gghz"):
             raise ValueError(f"unknown family {self.family!r}")
         if self.format not in ("csv", "json"):
@@ -95,35 +95,9 @@ def _fmt(x):
     return format(float(x), ".12g")
 
 
-def _surface_chunk(task):
-    """Rows for a single parameter value; runs inside worker processes."""
-    family, param, kts, oracle = task
-    rows = []
-    worst = (0.0, None)
-    for kt in kts:
-        if family == "mixed":
-            n = negativity_from_spectrum(closed_form_pt_eigenvalues(param, kt))
-        else:
-            n = gghz_negativity_closed(param, kt)
-        if oracle:
-            if family == "mixed":
-                cav = reduce(global_output_state(param, kt), ["c1", "c2", "c3"])
-            else:
-                cav = reduce(gghz_output_state(param, kt), ["c1", "c2", "c3"])
-            dev = abs(negativity(cav, ["c1"]) - n)
-            if dev > worst[0]:
-                worst = (dev, kt)
-        rows.append((param, kt, n))
-    return rows, worst
-
-
 def _write_rows(config, rows):
-    lines = []
     if config.format == "csv":
-        lines.append(CSV_HEADER)
-        for param, kt, n in rows:
-            lines.append(f"{_fmt(param)},{_fmt(kt)},{_fmt(n)}")
-        payload = "\n".join(lines) + "\n"
+        payload = "\n".join([CSV_HEADER] + [",".join(map(_fmt, row)) for row in rows]) + "\n"
     else:
         doc = {
             "meta": {
@@ -132,7 +106,7 @@ def _write_rows(config, rows):
                 "kt_range": [config.kt_min, config.kt_max, config.kt_steps],
                 "conventions": CONVENTIONS,
             },
-            "rows": [[p, kt, n] for p, kt, n in rows],
+            "rows": rows,
         }
         payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     with open(config.output_path, "w", newline="") as fh:
@@ -151,34 +125,31 @@ def cmd_surface(args):
         return 2
     params = np.linspace(config.param_min, config.param_max, config.param_steps)
     kts = np.linspace(config.kt_min, config.kt_max, config.kt_steps)
-    tasks = [(config.family, float(p), [float(kt) for kt in kts], args.oracle)
-             for p in params]
-    workers = args.workers or os.cpu_count() or 1
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_surface_chunk, tasks))
+    mixed = config.family == "mixed"
+    if mixed:
+        grid = negativity_from_spectrum(closed_form_pt_eigenvalues(params[:, None], kts))
     else:
-        chunks = [_surface_chunk(t) for t in tasks]
-    rows = [row for chunk, _ in chunks for row in chunk]
+        grid = gghz_negativity_closed(params[:, None], kts)
+    rows = [(p, kt, n) for p, line in zip(params.tolist(), grid.tolist())
+            for kt, n in zip(kts.tolist(), line)]
     _write_rows(config, rows)
     print(f"wrote {len(rows)} rows to {config.output_path}")
     if args.oracle:
         tolerance = args.tolerance if args.tolerance is not None else 1e-10
-        dev, at = 0.0, (float(params[0]), float(kts[0]))
-        for task, (_, (chunk_dev, chunk_kt)) in zip(tasks, chunks):
-            if chunk_dev > dev:
-                dev, at = chunk_dev, (task[1], chunk_kt)
+        state = global_output_state if mixed else gghz_output_state
+        dense = np.array([[cavity_negativity(state(p, kt)) for kt in kts] for p in params])
+        dev, at = grid_worst(np.abs(dense - grid), params, kts)
         print(f"oracle check: max |closed form - numeric| = {dev:.3e} "
               f"at (param={at[0]:.6g}, kt={at[1]:.6g})")
-        if dev > tolerance:
+        if not dev <= tolerance:  # a nan cell fails
             print(f"oracle mismatch beyond tolerance {tolerance:.3e}", file=sys.stderr)
             return 1
     return 0
 
 
 def cmd_boundary(args):
-    if args.kt_min <= 0.0 or args.kt_min >= args.kt_max or args.kt_steps < 2:
-        print("error: boundary needs 0 < kt-min < kt-max and steps >= 2",
+    if not 0.0 < args.kt_min < args.kt_max < math.inf or args.kt_steps < 2:
+        print("error: boundary needs finite 0 < kt-min < kt-max and steps >= 2",
               file=sys.stderr)
         return 2
     kts = np.linspace(args.kt_min, args.kt_max, args.kt_steps)
@@ -324,7 +295,6 @@ def build_parser():
     surface.add_argument("--oracle", action="store_true",
                          help="recompute every cell numerically and compare")
     surface.add_argument("--tolerance", type=float, default=None)
-    surface.add_argument("--workers", type=int, default=None)
     surface.set_defaults(func=cmd_surface)
 
     boundary = sub.add_parser("boundary", help="sample one boundary curve")

@@ -24,12 +24,26 @@ _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 
+def _pow(x, n):
+    """x ** n by the scalar pow at every entry, so that an array cell
+    carries the same bits as a scalar call: numpy's vectorised pow rounds
+    differently, and the closed forms in u amplify that to 1.8e-15."""
+    if isinstance(x, np.ndarray):
+        return np.array([v ** n for v in x.flat]).reshape(x.shape)
+    return x ** n
+
+
+def _floor(value):
+    """max(value, 0) elementwise, keeping nan; a scalar comes back a float."""
+    value = np.where(value < 0.0, 0.0, value)
+    return value if value.ndim else float(value)
+
+
 def _clamp(value):
-    if value < 0.0:
-        if value < -NEGATIVITY_CLAMP:
-            raise ValueError(f"negativity {value} below the noise clamp")
-        return 0.0
-    return float(value)
+    low = value < -NEGATIVITY_CLAMP
+    if low.any() if isinstance(low, np.ndarray) else low:
+        raise ValueError(f"negativity {np.min(value)} below the noise clamp")
+    return _floor(value)
 
 
 def negativity(rho, part_a):
@@ -67,26 +81,29 @@ def closed_form_pt_eigenvalues(p, kt):
     """Exact eigenvalues of the partial transpose of the evolved cavity state.
 
     Evaluates the closed forms for the mixture weight p and dimensionless
-    time kt.  Cross-validated against the dense eigensolver of the traced
-    seven-qubit state; the two negative-capable entries drive the
-    sudden-death analysis.
+    time kt, which may be numpy arrays that broadcast against each other;
+    each eigenvalue then has the broadcast shape.  Cross-validated against
+    the dense eigensolver of the traced seven-qubit state; the two
+    negative-capable entries drive the sudden-death analysis.
     """
     _check_probability(p)
     _check_time(kt)
     u = np.exp(kt)
     em = np.exp(-kt)
-    l1 = 0.5 * em ** 3 * p
-    l2 = 0.5 * em ** 3 * (u - 1.0) * p
-    l3 = 0.5 * em ** 3 * (u - 1.0) ** 2 * p
-    l4 = em * (4.0 - 4.0 * p + 3.0 * (1.0 - em) ** 2 * p) / 6.0
+    l1 = 0.5 * _pow(em, 3) * p
+    l2 = 0.5 * _pow(em, 3) * (u - 1.0) * p
+    l3 = 0.5 * _pow(em, 3) * _pow(u - 1.0, 2) * p
+    l4 = em * (4.0 - 4.0 * p + 3.0 * _pow(1.0 - em, 2) * p) / 6.0
     lin_a = em * (2.0 - 2.0 * p + 3.0 * (1.0 - em) * p)
-    disc_a = (18.0 * u ** 3 * p * (p - 2.0) + 36.0 * p ** 2 - 108.0 * u * p ** 2
-              + u ** 4 * (p + 2.0) ** 2 + 3.0 * u ** 2 * p * (8.0 + 31.0 * p))
-    lin_b = 3.0 * (p + (1.0 - em) ** 3 * p + (1.0 - em) * (2.0 - 2.0 * p + em ** 2 * p))
-    disc_b = (36.0 * (u ** 4 + p ** 2 - u ** 3 * (p + 2.0) - u * p * (p + 2.0))
-              + u ** 2 * (68.0 + 44.0 * p + 41.0 * p ** 2))
-    rad_a = em ** 3 * np.sqrt(max(disc_a, 0.0))
-    rad_b = em ** 2 * np.sqrt(max(disc_b, 0.0))
+    disc_a = (18.0 * _pow(u, 3) * p * (p - 2.0) + 36.0 * _pow(p, 2)
+              - 108.0 * u * _pow(p, 2) + _pow(u, 4) * _pow(p + 2.0, 2)
+              + 3.0 * _pow(u, 2) * p * (8.0 + 31.0 * p))
+    lin_b = 3.0 * (p + _pow(1.0 - em, 3) * p
+                   + (1.0 - em) * (2.0 - 2.0 * p + _pow(em, 2) * p))
+    disc_b = (36.0 * (_pow(u, 4) + _pow(p, 2) - _pow(u, 3) * (p + 2.0) - u * p * (p + 2.0))
+              + _pow(u, 2) * (68.0 + 44.0 * p + 41.0 * _pow(p, 2)))
+    rad_a = _pow(em, 3) * np.sqrt(np.maximum(disc_a, 0.0))
+    rad_b = _pow(em, 2) * np.sqrt(np.maximum(disc_b, 0.0))
     l5 = (lin_a - rad_a) / 12.0
     l6 = (lin_a + rad_a) / 12.0
     l7 = (lin_b - rad_b) / 12.0
@@ -95,9 +112,10 @@ def closed_form_pt_eigenvalues(p, kt):
 
 
 def negativity_from_spectrum(spectrum):
-    """Negativity from a partial-transpose spectrum: sum |lambda_i| - 1."""
-    lam = np.asarray(spectrum.lambdas)
-    return _clamp(float(np.sum(np.abs(lam)) - 1.0))
+    """Negativity from a partial-transpose spectrum: sum |lambda_i| - 1,
+    elementwise over an array-valued spectrum."""
+    m = [abs(lam) for lam in spectrum.lambdas]  # summed pairwise, as np.sum does
+    return _clamp(((m[0] + m[1]) + (m[2] + m[3])) + ((m[4] + m[5]) + (m[6] + m[7])) - 1.0)
 
 
 def pure_bipartite_concurrence_sq(state, part_a):
@@ -137,13 +155,14 @@ def gghz_negativity_closed(a, kt):
     The radicand combines the surviving coherence with the diagonal weight
     of the opposite-parity populations; its square root exactly reproduces
     the dense partial-transpose computation.  Zero marks sudden death.
+    a and kt may be numpy arrays that broadcast against each other.
     """
     b = _partner_amplitude(a)
     _check_time(kt)
     u = np.exp(kt)
-    radicand = 4.0 * a * a * u ** 3 + b * b * (2.0 - 3.0 * u + u * u) ** 2
+    radicand = 4.0 * a * a * _pow(u, 3) + b * b * _pow(2.0 - 3.0 * u + u * u, 2)
     value = b * np.exp(-3.0 * kt) * (np.sqrt(radicand) - b * u * (u - 1.0))
-    return max(float(value), 0.0)
+    return _floor(value)
 
 
 @dataclass(frozen=True)
@@ -230,51 +249,54 @@ def monogamy_chain(p, kt):
                                n_cav_sq=n_cav * n_cav, n_res_sq=n_res * n_res)
 
 
+def grid_worst(values, params, kts, pick=np.argmax):
+    """The extreme of a param-major grid of values and its (param, kt)
+    point.  pick is np.argmax or np.argmin: the first grid point wins a
+    tie, and a nan wins over any number."""
+    i, j = np.unravel_index(pick(values), np.shape(values))
+    return float(values[i, j]), (float(params[i]), float(kts[j]))
+
+
+def _grid_axes(p_steps, kt_steps, kt_max):
+    return np.linspace(0.0, 1.0, p_steps), np.linspace(0.0, kt_max, kt_steps)
+
+
+def cavity_negativity(state):
+    """Dense negativity of c1 versus (c2 c3) in the cavity marginal."""
+    return negativity(reduce(state, ["c1", "c2", "c3"]), ["c1"])
+
+
 def closed_form_grid_deviation(p_steps=25, kt_steps=25, kt_max=3.0):
     """Worst disagreement between the closed-form spectrum and the dense
     eigensolver over a (p, kt) grid; returns (max deviation, worst point)."""
-    worst = 0.0
-    worst_point = (0.0, 0.0)
-    for p in np.linspace(0.0, 1.0, p_steps):
-        for kt in np.linspace(0.0, kt_max, kt_steps):
-            lam = np.sort(np.asarray(closed_form_pt_eigenvalues(p, kt).lambdas))
-            cav = reduce(global_output_state(p, kt), ["c1", "c2", "c3"])
-            num = np.sort(hermitian_eigenvalues(partial_transpose(cav, ["c1"])))
-            dev = float(np.max(np.abs(lam - num)))
-            if dev > worst:
-                worst, worst_point = dev, (float(p), float(kt))
-    return worst, worst_point
+    ps, kts = _grid_axes(p_steps, kt_steps, kt_max)
+    spec = closed_form_pt_eigenvalues(ps[:, None], kts)
+    lam = np.sort(np.stack(spec.lambdas, axis=-1), axis=-1)
+    num = np.array([[np.sort(hermitian_eigenvalues(partial_transpose(
+        reduce(global_output_state(p, kt), ["c1", "c2", "c3"]), ["c1"])))
+        for kt in kts] for p in ps])
+    return grid_worst(np.max(np.abs(lam - num), axis=-1), ps, kts)
 
 
 def monogamy_grid_audit(p_steps=25, kt_steps=25, kt_max=3.0):
     """Chain statistics over a grid: (max equality deviation, min pair slack,
     min tail slack, worst points for each)."""
-    max_eq, min_pair, min_tail = 0.0, np.inf, np.inf
-    where_eq = where_pair = where_tail = (0.0, 0.0)
-    for p in np.linspace(0.0, 1.0, p_steps):
-        for kt in np.linspace(0.0, kt_max, kt_steps):
-            rec = monogamy_chain(p, kt)
-            if rec.equality_deviation > max_eq:
-                max_eq, where_eq = rec.equality_deviation, (float(p), float(kt))
-            if rec.pair_slack < min_pair:
-                min_pair, where_pair = rec.pair_slack, (float(p), float(kt))
-            if rec.tail_slack < min_tail:
-                min_tail, where_tail = rec.tail_slack, (float(p), float(kt))
-    return {"max_equality_deviation": (max_eq, where_eq),
-            "min_pair_slack": (min_pair, where_pair),
-            "min_tail_slack": (min_tail, where_tail)}
+    ps, kts = _grid_axes(p_steps, kt_steps, kt_max)
+    recs = [[monogamy_chain(p, kt) for kt in kts] for p in ps]
+
+    def worst(member, pick):
+        values = np.array([[getattr(rec, member) for rec in row] for row in recs])
+        return grid_worst(values, ps, kts, pick)
+
+    return {"max_equality_deviation": worst("equality_deviation", np.argmax),
+            "min_pair_slack": worst("pair_slack", np.argmin),
+            "min_tail_slack": worst("tail_slack", np.argmin)}
 
 
 def gghz_grid_deviation(a_steps=25, kt_steps=25, kt_max=3.0):
     """Worst disagreement between the generalized-GHZ closed form and the
     dense computation over an (a, kt) grid."""
-    worst = 0.0
-    worst_point = (0.0, 0.0)
-    for a in np.linspace(0.0, 1.0, a_steps):
-        for kt in np.linspace(0.0, kt_max, kt_steps):
-            cav = reduce(gghz_output_state(a, kt), ["c1", "c2", "c3"])
-            num = negativity(cav, ["c1"])
-            dev = abs(num - gghz_negativity_closed(a, kt))
-            if dev > worst:
-                worst, worst_point = dev, (float(a), float(kt))
-    return worst, worst_point
+    a_s, kts = _grid_axes(a_steps, kt_steps, kt_max)
+    num = np.array([[cavity_negativity(gghz_output_state(a, kt)) for kt in kts]
+                    for a in a_s])
+    return grid_worst(np.abs(num - gghz_negativity_closed(a_s[:, None], kts)), a_s, kts)

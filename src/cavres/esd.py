@@ -11,8 +11,9 @@ from enum import Enum
 
 import numpy as np
 
-from .entanglement import (ZERO_ENTANGLEMENT, closed_form_pt_eigenvalues,
-                           negativity, negativity_from_spectrum)
+from .entanglement import (ZERO_ENTANGLEMENT, _grid_axes, cavity_negativity,
+                           closed_form_pt_eigenvalues, grid_worst, negativity,
+                           negativity_from_spectrum)
 from .states import (_check_probability, amplitudes, global_output_state,
                      global_output_state_from_amplitudes, reduce)
 
@@ -53,7 +54,7 @@ def _q7(p):
 
 def _chi_sq(kt):
     """The leaked weight chi^2 = 1 - e, exact as kt -> 0 and as kt -> inf."""
-    if kt <= 0.0:
+    if not kt > 0.0:  # nan fails too
         raise ValueError(f"boundary curves need kt > 0, got {kt}")
     return -np.expm1(-kt)
 
@@ -255,7 +256,7 @@ def esb_time(t_esd):
     the leaked amplitude reaches the value the surviving amplitude had at
     death, giving kt_birth = -ln(1 - exp(-kt_death)).
     """
-    if t_esd <= 0.0:
+    if not t_esd > 0.0:  # nan fails too
         raise ValueError(f"death time must be positive, got {t_esd}")
     # -ln(1 - e^-t), in the branch of log1mexp that keeps full precision
     if t_esd < np.log(2.0):
@@ -320,13 +321,9 @@ def lambda7_formula_audit(kt_values=None):
 
 def swap_grid_deviation(p_steps=20, kt_steps=20, kt_max=3.0):
     """Worst entrywise swap-relation deviation over a (p, kt) grid."""
-    worst, worst_point = 0.0, (0.0, 0.0)
-    for p in np.linspace(0.0, 1.0, p_steps):
-        for kt in np.linspace(0.0, kt_max, kt_steps):
-            _, dev = swap_check(p, kt)
-            if dev > worst:
-                worst, worst_point = dev, (float(p), float(kt))
-    return worst, worst_point
+    ps, kts = _grid_axes(p_steps, kt_steps, kt_max)
+    devs = np.array([[swap_check(p, kt)[1] for kt in kts] for p in ps])
+    return grid_worst(devs, ps, kts)
 
 
 def esb_grid_deviation(p_values=None):
@@ -354,10 +351,10 @@ def region_grid_audit(p_steps=40, kt_steps=40, kt_max=3.0):
     """
     violations = []
     min_entangled, max_separable = np.inf, 0.0
-    for p in np.linspace(0.0, 1.0, p_steps):
-        for kt in np.linspace(0.0, kt_max, kt_steps):
-            cav = reduce(global_output_state(p, kt), ["c1", "c2", "c3"])
-            n = negativity(cav, ["c1"])
+    ps, kts = _grid_axes(p_steps, kt_steps, kt_max)
+    for p in ps:
+        for kt in kts:
+            n = cavity_negativity(global_output_state(p, kt))
             region = classify_region(p, kt)
             if region is RegionClass.IV:
                 max_separable = max(max_separable, n)

@@ -43,20 +43,26 @@ def generalized_ghz(a):
     return PureState(CAVITY_LAYOUT, a * _basis(3, 0b000) + b * _basis(3, 0b111))
 
 
+def _require(ok, value, message):
+    """Refuse value unless the comparison ok holds at every entry; a nan
+    compares false.  The message names the first entry that fails."""
+    if ok.all() if isinstance(ok, np.ndarray) else ok:
+        return
+    bad = np.broadcast_to(value, np.shape(ok))[np.logical_not(ok)]
+    raise ValueError(message.format(bad.flat[0]))
+
+
 def _partner_amplitude(a):
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"amplitude a={a} outside [0, 1]")
+    _require((a >= 0.0) & (a <= 1.0), a, "amplitude a={} outside [0, 1]")
     return np.sqrt(1.0 - a * a)
 
 
 def _check_probability(p):
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mix probability p={p} outside [0, 1]")
+    _require((p >= 0.0) & (p <= 1.0), p, "mix probability p={} outside [0, 1]")
 
 
 def _check_time(kt):
-    if kt < 0.0:
-        raise ValueError(f"dimensionless time kt={kt} must be nonnegative")
+    _require(kt >= 0.0, kt, "dimensionless time kt={} must be nonnegative")
 
 
 def mixed_ghz_w(p):

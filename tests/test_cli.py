@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from cavres import cli
+from cavres.entanglement import (closed_form_pt_eigenvalues, gghz_negativity_closed,
+                                 negativity_from_spectrum)
 
 
 def run_cli(args):
@@ -19,7 +21,7 @@ class TestSurface:
     def test_row_count_and_first_row(self, tmp_path):
         out = tmp_path / "surf.csv"
         rc = run_cli(["surface", "--family", "mixed", "--param-steps", "11",
-                      "--kt-steps", "31", "--out", str(out), "--workers", "1"])
+                      "--kt-steps", "31", "--out", str(out)])
         assert rc == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "param,kt,negativity"
@@ -31,7 +33,7 @@ class TestSurface:
     def test_param_major_ordering(self, tmp_path):
         out = tmp_path / "surf.csv"
         run_cli(["surface", "--family", "mixed", "--param-steps", "3",
-                 "--kt-steps", "4", "--out", str(out), "--workers", "1"])
+                 "--kt-steps", "4", "--out", str(out)])
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         params = [float(r[0]) for r in rows]
         assert params == sorted(params)
@@ -42,12 +44,12 @@ class TestSurface:
         out = tmp_path / "gghz.csv"
         rc = run_cli(["surface", "--family", "gghz", "--param-min", "1.0",
                       "--param-max", "1.0", "--param-steps", "2",
-                      "--kt-steps", "5", "--out", str(out), "--workers", "1"])
+                      "--kt-steps", "5", "--out", str(out)])
         # param-min == param-max is a usage error; use a full column instead
         assert rc == 2
         rc = run_cli(["surface", "--family", "gghz", "--param-min", "0.0",
                       "--param-max", "1.0", "--param-steps", "3",
-                      "--kt-steps", "5", "--out", str(out), "--workers", "1"])
+                      "--kt-steps", "5", "--out", str(out)])
         assert rc == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         last_column = [float(r[2]) for r in rows if float(r[0]) == 1.0]
@@ -58,23 +60,58 @@ class TestSurface:
         args = ["surface", "--family", "mixed", "--param-steps", "5",
                 "--kt-steps", "7"]
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run_cli(args + ["--out", str(out1), "--workers", "1"]) == 0
-        assert run_cli(args + ["--out", str(out2), "--workers", "1"]) == 0
+        assert run_cli(args + ["--out", str(out1)]) == 0
+        assert run_cli(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_worker_count_does_not_change_output(self, tmp_path):
-        args = ["surface", "--family", "gghz", "--param-steps", "4",
-                "--kt-steps", "5"]
-        serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-        assert run_cli(args + ["--out", str(serial), "--workers", "1"]) == 0
-        assert run_cli(args + ["--out", str(parallel), "--workers", "2"]) == 0
-        assert serial.read_bytes() == parallel.read_bytes()
+    @pytest.mark.parametrize("family", ["mixed", "gghz"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_cells_match_scalar_closed_forms(self, tmp_path, family, fmt):
+        out = tmp_path / f"surf.{fmt}"
+        rc = run_cli(["surface", "--family", family, "--param-steps", "9",
+                      "--kt-min", "0", "--kt-max", "3.7", "--kt-steps", "23",
+                      "--format", fmt, "--out", str(out)])
+        assert rc == 0
+        if fmt == "csv":
+            rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        else:
+            rows = json.loads(out.read_text())["rows"]
+        params, kts = np.linspace(0.0, 1.0, 9), np.linspace(0.0, 3.7, 23)
+        assert len(rows) == 9 * 23
+        for (param, kt, n), (p_ref, kt_ref) in zip(
+                rows, [(p, kt) for p in params for kt in kts]):
+            if family == "mixed":
+                ref = negativity_from_spectrum(closed_form_pt_eigenvalues(p_ref, kt_ref))
+            else:
+                ref = gghz_negativity_closed(p_ref, kt_ref)
+            if fmt == "csv":
+                assert (param, kt) == (cli._fmt(p_ref), cli._fmt(kt_ref))
+                # 12 significant digits: half a unit in the last one
+                assert abs(float(n) - ref) <= 1e-15 + 5e-12 * abs(ref)
+            else:
+                assert (param, kt) == (p_ref, kt_ref)
+                assert abs(n - ref) <= 1e-15
+
+    def test_workers_option_is_gone(self, tmp_path):
+        rc = run_cli(["surface", "--family", "mixed", "--param-steps", "3",
+                      "--kt-steps", "3", "--out", str(tmp_path / "x.csv"),
+                      "--workers", "1"])
+        assert rc == 2
+
+    @pytest.mark.parametrize("flag, value", [("--kt-max", "inf"), ("--kt-min", "nan"),
+                                             ("--param-max", "nan")])
+    def test_non_finite_range_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.csv"
+        rc = run_cli(["surface", "--family", "mixed", "--param-steps", "3",
+                      "--kt-steps", "3", flag, value, "--out", str(out)])
+        assert rc == 2
+        assert "range bounds must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_json_format_carries_conventions(self, tmp_path):
         out = tmp_path / "surf.json"
         rc = run_cli(["surface", "--family", "mixed", "--param-steps", "3",
-                      "--kt-steps", "3", "--format", "json", "--out", str(out),
-                      "--workers", "1"])
+                      "--kt-steps", "3", "--format", "json", "--out", str(out)])
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc["meta"]["family"] == "mixed"
@@ -84,22 +121,27 @@ class TestSurface:
     def test_oracle_agrees(self, tmp_path):
         out = tmp_path / "surf.csv"
         rc = run_cli(["surface", "--family", "mixed", "--param-steps", "4",
-                      "--kt-steps", "4", "--out", str(out), "--oracle",
-                      "--workers", "1"])
+                      "--kt-steps", "4", "--out", str(out), "--oracle"])
         assert rc == 0
+
+    def test_gghz_oracle_agrees(self, tmp_path, capsys):
+        out = tmp_path / "surf.csv"
+        rc = run_cli(["surface", "--family", "gghz", "--param-steps", "4",
+                      "--kt-steps", "4", "--out", str(out), "--oracle"])
+        assert rc == 0
+        assert "oracle check: max |closed form - numeric|" in capsys.readouterr().out
 
     def test_oracle_mismatch_exit_code(self, tmp_path):
         # an impossible tolerance forces the mismatch path
         out = tmp_path / "surf.csv"
         rc = run_cli(["surface", "--family", "mixed", "--param-steps", "3",
                       "--kt-steps", "3", "--out", str(out), "--oracle",
-                      "--tolerance", "1e-30", "--workers", "1"])
+                      "--tolerance", "1e-30"])
         assert rc == 1
 
     def test_invalid_steps_usage_error(self, tmp_path):
         rc = run_cli(["surface", "--family", "mixed", "--param-steps", "1",
-                      "--kt-steps", "5", "--out", str(tmp_path / "x.csv"),
-                      "--workers", "1"])
+                      "--kt-steps", "5", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
     def test_unknown_flag_usage_error(self, tmp_path):
@@ -150,6 +192,14 @@ class TestBoundary:
         values = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
         assert len(values) == 40 and all(0.25 <= v <= 1.0 for v in values)
         assert values[-1] == 0.25
+
+    @pytest.mark.parametrize("flag, value", [("--kt-max", "inf"), ("--kt-min", "nan")])
+    def test_non_finite_range_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "b.csv"
+        rc = run_cli(["boundary", "lambda5", flag, value, "--out", str(out)])
+        assert rc == 2
+        assert "boundary needs finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_range_usage_error(self, tmp_path):
         rc = run_cli(["boundary", "lambda5", "--kt-min", "0.0",
@@ -242,8 +292,7 @@ class TestEntryPoint:
         out = tmp_path / "surf.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "cavres", "surface", "--family", "mixed",
-             "--param-steps", "3", "--kt-steps", "3", "--out", str(out),
-             "--workers", "1"],
+             "--param-steps", "3", "--kt-steps", "3", "--out", str(out)],
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert out.exists()

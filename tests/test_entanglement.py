@@ -7,7 +7,8 @@ from cavres import (DensityMatrix, SystemLayout, closed_form_pt_eigenvalues,
                     negativity, negativity_from_spectrum,
                     pure_bipartite_concurrence_sq, reduce, w,
                     wootters_concurrence)
-from cavres.entanglement import PtSpectrum, _qubit_block_concurrence_sq
+from cavres.entanglement import (PtSpectrum, _qubit_block_concurrence_sq,
+                                 grid_worst)
 from cavres.esd import reservoir_negativity, swap_check
 from cavres.linalg import hermitian_eigenvalues, partial_trace, partial_transpose
 from cavres.states import ghz, purified_initial
@@ -92,6 +93,88 @@ class TestClosedFormSpectrum:
             closed_form_pt_eigenvalues(1.2, 0.0)
         with pytest.raises(ValueError):
             closed_form_pt_eigenvalues(0.5, -0.5)
+
+
+class TestArrayValuedClosedForms:
+    P = np.linspace(0.0, 1.0, 11)
+    KT = np.concatenate([np.linspace(0.0, 4.0, 41), [10.0, 30.0, 100.0]])
+
+    def test_mixed_cells_are_the_scalar_calls(self):
+        spec = closed_form_pt_eigenvalues(self.P[:, None], self.KT)
+        grid = negativity_from_spectrum(spec)
+        assert grid.shape == (len(self.P), len(self.KT))
+        assert all(lam.shape == grid.shape for lam in spec.lambdas)
+        for i, p in enumerate(self.P):
+            for j, kt in enumerate(self.KT):
+                scalar = closed_form_pt_eigenvalues(float(p), float(kt))
+                # the same bits, not merely close: the powers go through the
+                # scalar pow and the sum keeps np.sum's pairwise order
+                assert [lam[i, j] for lam in spec.lambdas] == list(scalar.lambdas)
+                assert grid[i, j] == negativity_from_spectrum(scalar)
+
+    def test_gghz_cells_are_the_scalar_calls(self):
+        grid = gghz_negativity_closed(self.P[:, None], self.KT)
+        assert grid.shape == (len(self.P), len(self.KT))
+        for i, a in enumerate(self.P):
+            for j, kt in enumerate(self.KT):
+                assert grid[i, j] == gghz_negativity_closed(float(a), float(kt))
+
+    def test_one_array_argument_broadcasts(self):
+        n_kt = negativity_from_spectrum(closed_form_pt_eigenvalues(0.5, self.KT))
+        n_p = negativity_from_spectrum(closed_form_pt_eigenvalues(self.P, 1.0))
+        assert n_kt.shape == self.KT.shape and n_p.shape == self.P.shape
+        assert n_p[5] == negativity_from_spectrum(closed_form_pt_eigenvalues(0.5, 1.0))
+        assert gghz_negativity_closed(0.5, self.KT).shape == self.KT.shape
+        assert gghz_negativity_closed(self.P, 1.0).shape == self.P.shape
+
+    @pytest.mark.parametrize("p, kt", [(0.5, 1.0), (np.float64(0.3), np.float64(2.0)),
+                                       (1, 0), (0.0, 40.0)])
+    def test_scalar_calls_keep_their_types(self, p, kt):
+        spec = closed_form_pt_eigenvalues(p, kt)
+        assert isinstance(spec, PtSpectrum)
+        assert all(isinstance(lam, float) for lam in spec.lambdas)
+        assert type(negativity_from_spectrum(spec)) is float
+        assert type(gghz_negativity_closed(p, kt)) is float
+
+    def test_array_domain_names_the_offender(self):
+        with pytest.raises(ValueError, match="p=1.5 outside"):
+            closed_form_pt_eigenvalues(np.array([0.5, 1.5]), 1.0)
+        with pytest.raises(ValueError, match="kt=-1.0 must"):
+            closed_form_pt_eigenvalues(0.5, np.array([[0.0], [-1.0]]))
+        with pytest.raises(ValueError, match="a=nan outside"):
+            gghz_negativity_closed(np.array([0.2, np.nan]), 1.0)
+        with pytest.raises(ValueError, match="kt=nan must"):
+            gghz_negativity_closed(0.5, np.array([1.0, np.nan]))
+
+    def test_noise_clamp_applies_per_cell(self):
+        small = np.array([0.0, -5e-13, 0.25])
+        spec = PtSpectrum(lambdas=(1.0 + small, 0, 0, 0, 0, 0, 0, 0), p=0.0, kt=0.0)
+        assert negativity_from_spectrum(spec).tolist() == [0.0, 0.0, 0.25]
+        spec = PtSpectrum(lambdas=(np.array([1.0, 0.5]), 0, 0, 0, 0, 0, 0, 0),
+                          p=0.0, kt=0.0)
+        with pytest.raises(ValueError, match="below the noise clamp"):
+            negativity_from_spectrum(spec)
+
+
+class TestGridWorst:
+    PARAMS, KTS = np.array([0.0, 0.5, 1.0]), np.array([0.0, 3.0])
+
+    def test_first_grid_point_wins_a_tie(self):
+        values = np.array([[0.0, 2.0], [2.0, -1.0], [-1.0, 0.0]])
+        assert grid_worst(values, self.PARAMS, self.KTS) == (2.0, (0.0, 3.0))
+        assert grid_worst(values, self.PARAMS, self.KTS, np.argmin) == (-1.0, (0.5, 3.0))
+        assert grid_worst(np.zeros((3, 2)), self.PARAMS, self.KTS) == (0.0, (0.0, 0.0))
+
+    def test_nan_is_the_worst_point(self):
+        values = np.array([[0.0, 2.0], [2.0, np.nan], [-1.0, 0.0]])
+        value, at = grid_worst(values, self.PARAMS, self.KTS)
+        assert np.isnan(value) and at == (0.5, 3.0)
+        value, at = grid_worst(values, self.PARAMS, self.KTS, np.argmin)
+        assert np.isnan(value) and at == (0.5, 3.0)
+
+    def test_types(self):
+        value, at = grid_worst(np.ones((3, 2)), self.PARAMS, self.KTS)
+        assert type(value) is float and all(type(x) is float for x in at)
 
 
 class TestNegativityFromSpectrum:

@@ -93,6 +93,31 @@ class TestBoundariesAtLongTimes:
         assert abs(gghz_esd_boundary(kt) / kt ** 1.5 - 1.0) < 1e-10
 
 
+NAN = float("nan")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    lambda: closed_form_pt_eigenvalues(0.5, NAN),
+    lambda: closed_form_pt_eigenvalues(NAN, 1.0),
+    lambda: gghz_negativity_closed(0.5, NAN),
+    lambda: gghz_negativity_closed(NAN, 1.0),
+    lambda: classify_region(0.5, NAN),
+    lambda: amplitudes(NAN),
+    lambda: esb_time(NAN),
+    lambda: esd_time(NAN),
+    lambda: gghz_esd_time(NAN),
+    lambda: lambda5_boundary(NAN),
+    lambda: lambda7_boundary(NAN),
+    lambda: gghz_esd_boundary(NAN),
+    lambda: global_output_state(0.5, NAN),
+], ids=["spectrum-kt", "spectrum-p", "gghz-kt", "gghz-a", "region", "amplitudes",
+        "esb", "esd", "gghz-esd", "lambda5", "lambda7", "gghz-boundary", "state"])
+def test_nan_arguments_are_refused(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 class TestRegionClassification:
     def test_ghz_start_has_negative_lambda5(self):
         spec = closed_form_pt_eigenvalues(1.0, 0.0)
