@@ -18,7 +18,7 @@ from . import __version__
 from .entanglement import (cavity_negativity, closed_form_grid_deviation,
                            closed_form_pt_eigenvalues, gghz_negativity_closed,
                            grid_worst, monogamy_chain, monogamy_grid_audit,
-                           negativity_from_spectrum)
+                           negativity_from_spectrum, on_grid)
 from .esd import (esb_grid_deviation, esd_threshold_probability, esd_time,
                   equal_entanglement_range, gghz_esd_time,
                   min_esd_point, min_initial_negativity, region_grid_audit,
@@ -50,12 +50,13 @@ LANDMARKS = {
     "max_gghz_esd_kt": (0.763, 0.005),
 }
 
-DEFAULT_TOLERANCES = {
-    "closedform": 1e-10,
-    "monogamy": 1e-10,
-    "swap": 1e-12,
-    "esb": 1e-3,
-    "regions": 1e-10,
+# each audit takes its tolerance first and defaults it
+SUITES = {
+    "closedform": closed_form_grid_deviation,
+    "monogamy": monogamy_grid_audit,
+    "swap": swap_grid_deviation,
+    "esb": esb_grid_deviation,
+    "regions": region_grid_audit,
 }
 
 
@@ -95,25 +96,31 @@ def _fmt(x):
     return format(float(x), ".12g")
 
 
-def _write_rows(config, rows):
-    if config.format == "csv":
-        payload = "\n".join([CSV_HEADER] + [",".join(map(_fmt, row)) for row in rows]) + "\n"
+def _tolerance(text):
+    """argparse type of --tolerance: a finite number of at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:  # nan fails too
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text!r}")
+    return value
+
+
+def _write_table(path, fmt, header, rows, meta, key):
+    """Write rows as CSV under header, or as JSON {"meta": meta, key: rows}."""
+    if fmt == "csv":
+        payload = "\n".join([header] + [",".join(map(_fmt, row)) for row in rows]) + "\n"
     else:
-        doc = {
-            "meta": {
-                "family": config.family,
-                "param_range": [config.param_min, config.param_max, config.param_steps],
-                "kt_range": [config.kt_min, config.kt_max, config.kt_steps],
-                "conventions": CONVENTIONS,
-            },
-            "rows": rows,
-        }
-        payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    with open(config.output_path, "w", newline="") as fh:
+        payload = json.dumps({"meta": meta, key: rows}, indent=2, sort_keys=True) + "\n"
+    with open(path, "w", newline="") as fh:
         fh.write(payload)
 
 
 def cmd_surface(args):
+    if args.tolerance is not None and not args.oracle:
+        print("error: --tolerance needs --oracle", file=sys.stderr)
+        return 2
     try:
         config = SweepConfig(family=args.family, param_min=args.param_min,
                              param_max=args.param_max, param_steps=args.param_steps,
@@ -132,12 +139,16 @@ def cmd_surface(args):
         grid = gghz_negativity_closed(params[:, None], kts)
     rows = [(p, kt, n) for p, line in zip(params.tolist(), grid.tolist())
             for kt, n in zip(kts.tolist(), line)]
-    _write_rows(config, rows)
+    meta = {"family": config.family,
+            "param_range": [config.param_min, config.param_max, config.param_steps],
+            "kt_range": [config.kt_min, config.kt_max, config.kt_steps],
+            "conventions": CONVENTIONS}
+    _write_table(config.output_path, config.format, CSV_HEADER, rows, meta, "rows")
     print(f"wrote {len(rows)} rows to {config.output_path}")
     if args.oracle:
         tolerance = args.tolerance if args.tolerance is not None else 1e-10
         state = global_output_state if mixed else gghz_output_state
-        dense = np.array([[cavity_negativity(state(p, kt)) for kt in kts] for p in params])
+        dense = on_grid(lambda p, kt: cavity_negativity(state(p, kt)), params, kts)
         dev, at = grid_worst(np.abs(dense - grid), params, kts)
         print(f"oracle check: max |closed form - numeric| = {dev:.3e} "
               f"at (param={at[0]:.6g}, kt={at[1]:.6g})")
@@ -154,67 +165,25 @@ def cmd_boundary(args):
         return 2
     kts = np.linspace(args.kt_min, args.kt_max, args.kt_steps)
     samples = sample_boundary(args.kind, kts)
-    lines = ["kt,param"]
-    for kt, value in samples:
-        lines.append(f"{_fmt(kt)},{_fmt(value)}")
-    payload = "\n".join(lines) + "\n"
-    if args.format == "json":
-        doc = {"meta": {"kind": args.kind, "conventions": CONVENTIONS},
-               "samples": [[kt, v] for kt, v in samples]}
-        payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    with open(args.out, "w", newline="") as fh:
-        fh.write(payload)
+    _write_table(args.out, args.format, "kt,param", samples,
+                 {"kind": args.kind, "conventions": CONVENTIONS}, "samples")
     print(f"wrote {len(samples)} samples to {args.out}")
     return 0
 
 
-def _run_suite(suite, tolerance):
-    """Returns (description, deviation, threshold, ok)."""
-    if suite == "closedform":
-        dev, at = closed_form_grid_deviation()
-        return [(f"spectrum vs eigensolver, worst at (p={at[0]:.4g}, kt={at[1]:.4g})",
-                 dev, tolerance, dev <= tolerance)]
-    if suite == "monogamy":
-        audit = monogamy_grid_audit()
-        eq, at_eq = audit["max_equality_deviation"]
-        pair, at_pair = audit["min_pair_slack"]
-        tail, at_tail = audit["min_tail_slack"]
-        return [
-            (f"pair-equality deviation, worst at (p={at_eq[0]:.4g}, kt={at_eq[1]:.4g})",
-             eq, tolerance, eq <= tolerance),
-            (f"pair bound slack, worst at (p={at_pair[0]:.4g}, kt={at_pair[1]:.4g})",
-             pair, -tolerance, pair >= -tolerance),
-            (f"negativity tail slack, worst at (p={at_tail[0]:.4g}, kt={at_tail[1]:.4g})",
-             tail, -tolerance, tail >= -tolerance),
-        ]
-    if suite == "swap":
-        dev, at = swap_grid_deviation()
-        return [(f"cavity/reservoir swap, worst at (p={at[0]:.4g}, kt={at[1]:.4g})",
-                 dev, tolerance, dev <= tolerance)]
-    if suite == "esb":
-        dev, at_p = esb_grid_deviation()
-        return [(f"birth-time formula vs bisection, worst at p={at_p:.4g}",
-                 dev, tolerance, dev <= tolerance)]
-    if suite == "regions":
-        violations, min_ent, max_sep = region_grid_audit()
-        ok = not violations
-        desc = (f"region soundness: min N outside IV = {min_ent:.3e}, "
-                f"max N inside IV = {max_sep:.3e}, violations = {len(violations)}")
-        for p, kt, region, n in violations[:5]:
-            desc += f"\n  violated at (p={p:.4g}, kt={kt:.4g}) region {region} N={n:.3e}"
-        return [(desc, max_sep, tolerance, ok)]
-    raise ValueError(f"unknown suite {suite!r}")
+def _worst_at(at):
+    if len(at) == 2:
+        return f", worst at (p={at[0]:.4g}, kt={at[1]:.4g})"
+    return f", worst at p={at[0]:.4g}" if at else ""
 
 
 def cmd_verify(args):
-    tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCES[args.suite]
-    checks = _run_suite(args.suite, tolerance)
-    failed = False
-    for desc, value, threshold, ok in checks:
-        status = "PASS" if ok else "FAIL"
-        print(f"[{status}] {args.suite}: {desc}: value {value:.3e} vs {threshold:.3e}")
-        failed = failed or not ok
-    return 1 if failed else 0
+    audit = SUITES[args.suite]
+    checks = audit() if args.tolerance is None else audit(args.tolerance)
+    for c in checks:
+        print(f"[{'PASS' if c.ok else 'FAIL'}] {args.suite}: {c.label}{_worst_at(c.at)}: "
+              f"value {c.value:.3e} vs {c.threshold:.3e}")
+    return 0 if all(c.ok for c in checks) else 1
 
 
 def cmd_landmarks(_args):
@@ -294,7 +263,7 @@ def build_parser():
     surface.add_argument("--out", required=True)
     surface.add_argument("--oracle", action="store_true",
                          help="recompute every cell numerically and compare")
-    surface.add_argument("--tolerance", type=float, default=None)
+    surface.add_argument("--tolerance", type=_tolerance, default=None)
     surface.set_defaults(func=cmd_surface)
 
     boundary = sub.add_parser("boundary", help="sample one boundary curve")
@@ -307,8 +276,8 @@ def build_parser():
     boundary.set_defaults(func=cmd_boundary)
 
     verify = sub.add_parser("verify", help="run one verification suite")
-    verify.add_argument("suite", choices=tuple(DEFAULT_TOLERANCES))
-    verify.add_argument("--tolerance", type=float, default=None)
+    verify.add_argument("suite", choices=tuple(SUITES))
+    verify.add_argument("--tolerance", type=_tolerance, default=None)
     verify.set_defaults(func=cmd_verify)
 
     landmarks = sub.add_parser("landmarks",

@@ -249,12 +249,30 @@ def monogamy_chain(p, kt):
                                n_cav_sq=n_cav * n_cav, n_res_sq=n_res * n_res)
 
 
-def grid_worst(values, params, kts, pick=np.argmax):
+@dataclass(frozen=True)
+class Check:
+    """One audit verdict: value against threshold, with the grid point
+    where the value was found: (p, kt), (p,) or () when it has none."""
+
+    label: str
+    value: float
+    threshold: float
+    ok: bool
+    at: tuple = ()
+
+
+def grid_worst(values, params, kts=(), pick=np.argmax):
     """The extreme of a param-major grid of values and its (param, kt)
-    point.  pick is np.argmax or np.argmin: the first grid point wins a
-    tie, and a nan wins over any number."""
-    i, j = np.unravel_index(pick(values), np.shape(values))
-    return float(values[i, j]), (float(params[i]), float(kts[j]))
+    point, or its (param,) point on a 1-D grid.  pick is np.argmax or
+    np.argmin: the first grid point wins a tie, and a nan wins over any
+    number."""
+    idx = np.unravel_index(pick(values), np.shape(values))
+    return float(values[idx]), tuple(float(ax[i]) for ax, i in zip((params, kts), idx))
+
+
+def on_grid(f, ps, kts):
+    """[[f(p, kt) for kt in kts] for p in ps] as an array."""
+    return np.array([[f(p, kt) for kt in kts] for p in ps])
 
 
 def _grid_axes(p_steps, kt_steps, kt_max):
@@ -266,37 +284,44 @@ def cavity_negativity(state):
     return negativity(reduce(state, ["c1", "c2", "c3"]), ["c1"])
 
 
-def closed_form_grid_deviation(p_steps=25, kt_steps=25, kt_max=3.0):
-    """Worst disagreement between the closed-form spectrum and the dense
-    eigensolver over a (p, kt) grid; returns (max deviation, worst point)."""
+def _at_most(label, tolerance, values, ps, kts):
+    value, at = grid_worst(values, ps, kts)
+    return Check(label, value, tolerance, value <= tolerance, at)  # a nan fails
+
+
+def closed_form_grid_deviation(tolerance=1e-10, p_steps=25, kt_steps=25, kt_max=3.0):
+    """The closed-form spectrum against the dense eigensolver over a
+    (p, kt) grid: one Check of the worst entrywise deviation."""
     ps, kts = _grid_axes(p_steps, kt_steps, kt_max)
     spec = closed_form_pt_eigenvalues(ps[:, None], kts)
     lam = np.sort(np.stack(spec.lambdas, axis=-1), axis=-1)
-    num = np.array([[np.sort(hermitian_eigenvalues(partial_transpose(
-        reduce(global_output_state(p, kt), ["c1", "c2", "c3"]), ["c1"])))
-        for kt in kts] for p in ps])
-    return grid_worst(np.max(np.abs(lam - num), axis=-1), ps, kts)
+    num = on_grid(lambda p, kt: np.sort(hermitian_eigenvalues(partial_transpose(
+        reduce(global_output_state(p, kt), ["c1", "c2", "c3"]), ["c1"]))), ps, kts)
+    return [_at_most("spectrum vs eigensolver", tolerance,
+                     np.max(np.abs(lam - num), axis=-1), ps, kts)]
 
 
-def monogamy_grid_audit(p_steps=25, kt_steps=25, kt_max=3.0):
-    """Chain statistics over a grid: (max equality deviation, min pair slack,
-    min tail slack, worst points for each)."""
+def _chain_members(p, kt):
+    rec = monogamy_chain(p, kt)
+    return rec.equality_deviation, rec.pair_slack, rec.tail_slack
+
+
+def monogamy_grid_audit(tolerance=1e-10, p_steps=25, kt_steps=25, kt_max=3.0):
+    """The monogamy chain over a (p, kt) grid: the pair equality holds to
+    tolerance, and the pair and tail slacks are at least -tolerance."""
     ps, kts = _grid_axes(p_steps, kt_steps, kt_max)
-    recs = [[monogamy_chain(p, kt) for kt in kts] for p in ps]
-
-    def worst(member, pick):
-        values = np.array([[getattr(rec, member) for rec in row] for row in recs])
-        return grid_worst(values, ps, kts, pick)
-
-    return {"max_equality_deviation": worst("equality_deviation", np.argmax),
-            "min_pair_slack": worst("pair_slack", np.argmin),
-            "min_tail_slack": worst("tail_slack", np.argmin)}
+    eq, pair, tail = np.moveaxis(on_grid(_chain_members, ps, kts), -1, 0)
+    checks = [_at_most("pair-equality deviation", tolerance, eq, ps, kts)]
+    for label, slack in (("pair bound slack", pair), ("negativity tail slack", tail)):
+        value, at = grid_worst(slack, ps, kts, np.argmin)
+        checks.append(Check(label, value, -tolerance, value >= -tolerance, at))
+    return checks
 
 
-def gghz_grid_deviation(a_steps=25, kt_steps=25, kt_max=3.0):
-    """Worst disagreement between the generalized-GHZ closed form and the
-    dense computation over an (a, kt) grid."""
+def gghz_grid_deviation(tolerance=1e-10, a_steps=25, kt_steps=25, kt_max=3.0):
+    """The generalized-GHZ closed form against the dense computation over
+    an (a, kt) grid: one Check of the worst deviation."""
     a_s, kts = _grid_axes(a_steps, kt_steps, kt_max)
-    num = np.array([[cavity_negativity(gghz_output_state(a, kt)) for kt in kts]
-                    for a in a_s])
-    return grid_worst(np.abs(num - gghz_negativity_closed(a_s[:, None], kts)), a_s, kts)
+    num = on_grid(lambda a, kt: cavity_negativity(gghz_output_state(a, kt)), a_s, kts)
+    return [_at_most("generalized GHZ vs eigensolver", tolerance,
+                     np.abs(num - gghz_negativity_closed(a_s[:, None], kts)), a_s, kts)]

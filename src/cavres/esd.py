@@ -11,9 +11,10 @@ from enum import Enum
 
 import numpy as np
 
-from .entanglement import (ZERO_ENTANGLEMENT, _grid_axes, cavity_negativity,
-                           closed_form_pt_eigenvalues, grid_worst, negativity,
-                           negativity_from_spectrum)
+from .entanglement import (ZERO_ENTANGLEMENT, Check, _at_most, _grid_axes,
+                           cavity_negativity, closed_form_pt_eigenvalues,
+                           grid_worst, negativity, negativity_from_spectrum,
+                           on_grid)
 from .states import (_check_probability, amplitudes, global_output_state,
                      global_output_state_from_amplitudes, reduce)
 
@@ -319,49 +320,46 @@ def lambda7_formula_audit(kt_values=None):
     return worst, samples
 
 
-def swap_grid_deviation(p_steps=20, kt_steps=20, kt_max=3.0):
-    """Worst entrywise swap-relation deviation over a (p, kt) grid."""
+def swap_grid_deviation(tolerance=1e-12, p_steps=20, kt_steps=20, kt_max=3.0):
+    """The swap relation over a (p, kt) grid: one Check of the worst
+    entrywise deviation."""
     ps, kts = _grid_axes(p_steps, kt_steps, kt_max)
-    devs = np.array([[swap_check(p, kt)[1] for kt in kts] for p in ps])
-    return grid_worst(devs, ps, kts)
+    devs = on_grid(lambda p, kt: swap_check(p, kt)[1], ps, kts)
+    return [_at_most("cavity/reservoir swap", tolerance, devs, ps, kts)]
 
 
-def esb_grid_deviation(p_values=None):
-    """Worst gap between the closed-form birth time and the bisection-located
-    one over probabilities with a finite death time."""
+def esb_grid_deviation(tolerance=1e-3, p_values=None):
+    """The closed-form birth time against the bisection-located one over
+    probabilities with a finite death time: one Check of the worst gap."""
     if p_values is None:
         p_values = np.linspace(0.30, 0.95, 10)
-    worst, worst_p = 0.0, None
+    gaps = []
     for p in p_values:
         t_death = esd_time(p)
         if t_death is None:
             raise ValueError(f"p={p} has no finite death time")
-        gap = abs(esb_time(t_death) - esb_time_numeric(p))
-        if gap > worst:
-            worst, worst_p = gap, float(p)
-    return worst, worst_p
+        gaps.append(abs(esb_time(t_death) - esb_time_numeric(p)))
+    return [_at_most("birth-time formula vs bisection", tolerance,
+                     np.array(gaps), p_values, ())]
 
 
-def region_grid_audit(p_steps=40, kt_steps=40, kt_max=3.0):
-    """Check region IV means zero numeric negativity and regions I-III mean
-    nonzero, over a (p, kt) grid.
+def region_grid_audit(tolerance=ZERO_ENTANGLEMENT, p_steps=40, kt_steps=40, kt_max=3.0):
+    """Check that region IV means numeric negativity below tolerance and
+    regions I-III mean negativity above it, over a (p, kt) grid.
 
-    Returns (violations, smallest negativity seen outside IV, largest
-    negativity seen inside IV).
+    One Check: its value is the largest negativity inside IV, and its
+    verdict needs both sides to hold.  A failure points at the extreme of
+    a failing side, inside IV first.
     """
-    violations = []
-    min_entangled, max_separable = np.inf, 0.0
     ps, kts = _grid_axes(p_steps, kt_steps, kt_max)
-    for p in ps:
-        for kt in kts:
-            n = cavity_negativity(global_output_state(p, kt))
-            region = classify_region(p, kt)
-            if region is RegionClass.IV:
-                max_separable = max(max_separable, n)
-                if n >= ZERO_ENTANGLEMENT:
-                    violations.append((float(p), float(kt), region.value, n))
-            else:
-                min_entangled = min(min_entangled, n)
-                if n <= ZERO_ENTANGLEMENT:
-                    violations.append((float(p), float(kt), region.value, n))
-    return violations, float(min_entangled), float(max_separable)
+    n = on_grid(lambda p, kt: cavity_negativity(global_output_state(p, kt)), ps, kts)
+    sep = on_grid(lambda p, kt: classify_region(p, kt) is RegionClass.IV, ps, kts)
+    sound = np.where(sep, n < tolerance, n > tolerance)  # a nan fails
+    max_sep, at_sep = grid_worst(np.where(sep, n, -np.inf), ps, kts)
+    min_ent, at_ent = grid_worst(np.where(sep, np.inf, n), ps, kts, np.argmin)
+    max_sep = max(max_sep, 0.0)
+    label = (f"region soundness: min N outside IV = {min_ent:.3e}, "
+             f"max N inside IV = {max_sep:.3e}, violations = {np.count_nonzero(~sound)}")
+    ok = bool(sound.all())
+    at = () if ok else at_sep if (sep & ~sound).any() else at_ent
+    return [Check(label, max_sep, tolerance, ok, at)]

@@ -90,6 +90,12 @@ def _as_complex_array(data, ndim):
     return arr
 
 
+def _check_hermitian(mat):
+    dev = np.max(np.abs(mat - mat.conj().T))
+    if dev > HERMITICITY_TOL:
+        raise ValueError(f"matrix deviates from Hermitian by {dev}")
+
+
 class PureState:
     """Unit-norm complex amplitude vector over a SystemLayout."""
 
@@ -133,9 +139,7 @@ class DensityMatrix:
         if mat.shape != (layout.dim, layout.dim):
             raise ValueError(f"matrix shape {mat.shape} does not match layout "
                              f"dimension {layout.dim}")
-        dev = np.max(np.abs(mat - mat.conj().T))
-        if dev > HERMITICITY_TOL:
-            raise ValueError(f"matrix deviates from Hermitian by {dev}")
+        _check_hermitian(mat)
         tr = mat.trace().real
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
@@ -229,9 +233,7 @@ def partial_transpose_matrix(mat, layout, subsystem):
 def hermitian_eigenvalues(h):
     """Real eigenvalues of a Hermitian matrix, sorted descending."""
     mat = _as_complex_array(h, 2)
-    dev = np.max(np.abs(mat - mat.conj().T))
-    if dev > HERMITICITY_TOL:
-        raise ValueError(f"matrix deviates from Hermitian by {dev}")
+    _check_hermitian(mat)
     return np.sort(np.linalg.eigvalsh(mat))[::-1]
 
 
@@ -244,9 +246,7 @@ def trace_norm(m):
 def psd_sqrt(m):
     """Positive-semidefinite square root of a PSD Hermitian matrix."""
     mat = _as_complex_array(m, 2)
-    dev = np.max(np.abs(mat - mat.conj().T))
-    if dev > HERMITICITY_TOL:
-        raise ValueError(f"matrix deviates from Hermitian by {dev}")
+    _check_hermitian(mat)
     w, v = np.linalg.eigh(mat)
     if w[0] < -PSD_TOL:
         raise ValueError(f"matrix has negative eigenvalue {w[0]}")

@@ -36,11 +36,11 @@ def report(criterion, ok, detail):
 
 def test_criterion_1_closed_form_spectrum_equivalence():
     start = time.perf_counter()
-    dev, at = closed_form_grid_deviation(p_steps=25, kt_steps=25, kt_max=3.0)
+    (c,) = closed_form_grid_deviation(1e-10, p_steps=25, kt_steps=25, kt_max=3.0)
     elapsed = time.perf_counter() - start
-    ok = dev <= 1e-10 and elapsed < 10.0
-    detail = (f"spectrum vs eigensolver on 25x25 grid: max dev {dev:.3e} "
-              f"(tol 1e-10) at {at}, runtime {elapsed:.2f}s (< 10s)")
+    ok = c.value <= 1e-10 and elapsed < 10.0
+    detail = (f"spectrum vs eigensolver on 25x25 grid: max dev {c.value:.3e} "
+              f"(tol 1e-10) at {c.at}, runtime {elapsed:.2f}s (< 10s)")
     assert report(1, ok, detail), detail
 
 
@@ -70,9 +70,9 @@ def test_criterion_2_landmark_reproduction():
 
 def test_criterion_3_generalized_ghz_branch():
     parts = []
-    dev, at = gghz_grid_deviation(a_steps=25, kt_steps=25, kt_max=3.0)
-    parts.append((dev <= 1e-10,
-                  f"closed form vs eigensolver 25x25: max dev {dev:.3e} at {at}"))
+    (c,) = gghz_grid_deviation(1e-10, a_steps=25, kt_steps=25, kt_max=3.0)
+    parts.append((c.value <= 1e-10,
+                  f"closed form vs eigensolver 25x25: max dev {c.value:.3e} at {c.at}"))
     boundary_gap = abs(gghz_esd_boundary(20.0) - np.sqrt(0.5))
     parts.append((boundary_gap <= 1e-4,
                   f"boundary limit at kt=20: |a - sqrt(2)/2| = {boundary_gap:.3e}"))
@@ -101,34 +101,29 @@ def test_criterion_3_generalized_ghz_branch():
 
 
 def test_criterion_4_monogamy_suite():
-    audit = monogamy_grid_audit(p_steps=25, kt_steps=25, kt_max=3.0)
-    eq, at_eq = audit["max_equality_deviation"]
-    pair, at_pair = audit["min_pair_slack"]
-    tail, at_tail = audit["min_tail_slack"]
-    ok = eq <= 1e-10 and pair >= -1e-10 and tail >= -1e-10
-    detail = (f"25x25 grid: pair equality dev {eq:.3e} at {at_eq}, "
-              f"pair-bound slack {pair:.3e} at {at_pair}, "
-              f"negativity-tail slack {tail:.3e} at {at_tail} (tol 1e-10)")
+    eq, pair, tail = monogamy_grid_audit(1e-10, p_steps=25, kt_steps=25, kt_max=3.0)
+    ok = eq.value <= 1e-10 and pair.value >= -1e-10 and tail.value >= -1e-10
+    detail = (f"25x25 grid: pair equality dev {eq.value:.3e} at {eq.at}, "
+              f"pair-bound slack {pair.value:.3e} at {pair.at}, "
+              f"negativity-tail slack {tail.value:.3e} at {tail.at} (tol 1e-10)")
     assert report(4, ok, detail), detail
 
 
 def test_criterion_5_swap_and_birth_times():
-    swap_dev, at = swap_grid_deviation(p_steps=20, kt_steps=20, kt_max=3.0)
-    esb_dev, at_p = esb_grid_deviation(np.linspace(0.30, 0.95, 10))
-    ok = swap_dev < 1e-12 and esb_dev < 1e-3
-    detail = (f"swap identity on 20x20 grid: max entrywise dev {swap_dev:.3e} "
-              f"(tol 1e-12) at {at}; birth-time formula vs bisection over 10 "
-              f"probabilities: max gap {esb_dev:.3e} (tol 1e-3) at p={at_p}")
+    (swap,) = swap_grid_deviation(1e-12, p_steps=20, kt_steps=20, kt_max=3.0)
+    (esb,) = esb_grid_deviation(1e-3, np.linspace(0.30, 0.95, 10))
+    ok = swap.value < 1e-12 and esb.value < 1e-3
+    detail = (f"swap identity on 20x20 grid: max entrywise dev {swap.value:.3e} "
+              f"(tol 1e-12) at {swap.at}; birth-time formula vs bisection over 10 "
+              f"probabilities: max gap {esb.value:.3e} (tol 1e-3) at p={esb.at[0]}")
     assert report(5, ok, detail), detail
 
 
 def test_criterion_6_region_soundness():
-    violations, min_entangled, max_separable = region_grid_audit(
-        p_steps=40, kt_steps=40, kt_max=3.0)
-    ok = not violations
-    detail = (f"40x40 grid: separable region max negativity {max_separable:.3e}, "
-              f"entangled regions min negativity {min_entangled:.3e}, "
-              f"violations {len(violations)}")
+    # the zero-entanglement threshold 1e-10 on both sides of the IV boundary
+    (c,) = region_grid_audit(1e-10, p_steps=40, kt_steps=40, kt_max=3.0)
+    ok = c.ok
+    detail = f"40x40 grid: {c.label}"
     assert report(6, ok, detail), detail
 
 

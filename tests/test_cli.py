@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -207,6 +208,19 @@ class TestBoundary:
         assert rc == 2
 
 
+_NUM = r"[-+0-9.eE]+|nan|inf"
+VERIFY_LINE = re.compile(rf"^\[(PASS|FAIL)\] (\w+): (.*): value ({_NUM}) vs ({_NUM})$")
+
+# each suite's documented default grid: (p axis, kt axis)
+DEFAULT_GRIDS = {
+    "closedform": (np.linspace(0.0, 1.0, 25), np.linspace(0.0, 3.0, 25)),
+    "monogamy": (np.linspace(0.0, 1.0, 25), np.linspace(0.0, 3.0, 25)),
+    "swap": (np.linspace(0.0, 1.0, 20), np.linspace(0.0, 3.0, 20)),
+    "esb": (np.linspace(0.30, 0.95, 10), ()),
+    "regions": (np.linspace(0.0, 1.0, 40), np.linspace(0.0, 3.0, 40)),
+}
+
+
 class TestVerify:
     @pytest.mark.parametrize("suite", ["closedform", "swap", "regions"])
     def test_suites_pass(self, suite, capsys):
@@ -227,6 +241,41 @@ class TestVerify:
 
     def test_unknown_suite_usage_error(self):
         assert run_cli(["verify", "bogus"]) == 2
+
+    def test_regions_tolerance_sets_the_threshold(self, capsys):
+        assert run_cli(["verify", "regions", "--tolerance", "1e-30"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("[FAIL] regions:") and out.endswith("vs 1.000e-30\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "swap", "--tolerance", "nan"],
+        ["verify", "swap", "--tolerance", "-1"],
+        ["verify", "swap", "--tolerance", "inf"],
+        ["surface", "--family", "mixed", "--oracle", "--tolerance", "nan"],
+        ["surface", "--family", "mixed", "--tolerance", "1e-30"],
+    ], ids=["nan", "negative", "inf", "surface-nan", "surface-without-oracle"])
+    def test_bad_tolerance_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "surf.csv"
+        if argv[0] == "surface":
+            argv = argv + ["--out", str(out)]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("suite", list(DEFAULT_GRIDS))
+    def test_report_format(self, suite, capsys):
+        assert run_cli(["verify", suite]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == (3 if suite == "monogamy" else 1)
+        ps, kts = ({format(x, ".4g") for x in axis} for axis in DEFAULT_GRIDS[suite])
+        for line in lines:
+            m = VERIFY_LINE.match(line)
+            assert m and m[1] == "PASS" and m[2] == suite, line
+            points = re.findall(r"worst at \(p=([^,]+), kt=([^)]+)\)$", m[3])
+            if suite == "esb":
+                points = [(p, None) for p in re.findall(r"worst at p=(\S+)$", m[3])]
+            assert len(points) == (0 if suite == "regions" else 1), line
+            assert all(p in ps and (kt is None or kt in kts) for p, kt in points), line
 
 
 class TestLandmarks:

@@ -10,6 +10,7 @@ from cavres import (RegionClass, classify_region, equal_entanglement_range,
                     min_initial_negativity, reservoir_negativity,
                     sample_boundary, swap_check)
 from cavres.entanglement import closed_form_pt_eigenvalues
+from cavres.esd import region_grid_audit
 from cavres.states import amplitudes, global_output_state, reduce
 from cavres.entanglement import negativity
 
@@ -138,6 +139,25 @@ class TestRegionClassification:
         assert classify_region(0.5, 3.0) is RegionClass.IV
         cav = reduce(global_output_state(0.5, 3.0), ["c1", "c2", "c3"])
         assert negativity(cav, ["c1"]) < 1e-10
+
+
+class TestRegionGridAudit:
+    def test_default_threshold_passes(self):
+        (c,) = region_grid_audit(p_steps=5, kt_steps=5)
+        assert c.ok and c.threshold == 1e-10 and c.at == ()
+        assert c.label.endswith("violations = 0")
+
+    def test_threshold_binds_inside_region_iv(self):
+        # no negativity lies strictly below 0, so every IV point violates
+        (c,) = region_grid_audit(0.0, p_steps=5, kt_steps=5)
+        assert not c.ok and c.value >= 0.0
+        assert classify_region(*c.at) is RegionClass.IV
+
+    def test_threshold_binds_outside_region_iv(self):
+        # no negativity exceeds 2, so every entangled point violates
+        (c,) = region_grid_audit(2.0, p_steps=5, kt_steps=5)
+        assert not c.ok and c.value < 2.0
+        assert classify_region(*c.at) is not RegionClass.IV
 
 
 class TestEsdTime:
