@@ -10,20 +10,19 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .entanglement import (cavity_negativity, closed_form_grid_deviation,
-                           closed_form_pt_eigenvalues, gghz_negativity_closed,
-                           grid_worst, monogamy_chain, monogamy_grid_audit,
+from .entanglement import (closed_form_grid_deviation, closed_form_pt_eigenvalues,
+                           gghz_negativity_closed, grid_worst, marginal_negativity,
+                           monogamy_chain, monogamy_grid_audit,
                            negativity_from_spectrum, on_grid)
 from .esd import (esb_grid_deviation, esd_threshold_probability, esd_time,
                   equal_entanglement_range, gghz_esd_time,
                   min_esd_point, min_initial_negativity, region_grid_audit,
                   sample_boundary, swap_grid_deviation)
-from .states import gghz_output_state, global_output_state
+from .states import CAVITY_LAYOUT, gghz_output_state, global_output_state
 
 CSV_HEADER = "param,kt,negativity"
 
@@ -60,38 +59,6 @@ SUITES = {
 }
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Validated settings for one negativity-surface sweep."""
-
-    family: str
-    param_min: float
-    param_max: float
-    param_steps: int
-    kt_min: float
-    kt_max: float
-    kt_steps: int
-    format: str
-    output_path: str
-
-    def __post_init__(self):
-        bounds = (self.param_min, self.param_max, self.kt_min, self.kt_max)
-        if not all(math.isfinite(b) for b in bounds):
-            raise ValueError("range bounds must be finite")
-        if self.family not in ("mixed", "gghz"):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"unknown format {self.format!r}")
-        if not (self.param_min < self.param_max and self.kt_min < self.kt_max):
-            raise ValueError("min must be strictly below max")
-        if self.param_steps < 2 or self.kt_steps < 2:
-            raise ValueError("steps must be at least 2")
-        if not (0.0 <= self.param_min and self.param_max <= 1.0):
-            raise ValueError("parameter range must lie inside [0, 1]")
-        if self.kt_min < 0.0:
-            raise ValueError("kt range must be nonnegative")
-
-
 def _fmt(x):
     return format(float(x), ".12g")
 
@@ -118,37 +85,40 @@ def _write_table(path, fmt, header, rows, meta, key):
 
 
 def cmd_surface(args):
+    # main reports each ValueError as a usage error (exit 2)
     if args.tolerance is not None and not args.oracle:
-        print("error: --tolerance needs --oracle", file=sys.stderr)
-        return 2
-    try:
-        config = SweepConfig(family=args.family, param_min=args.param_min,
-                             param_max=args.param_max, param_steps=args.param_steps,
-                             kt_min=args.kt_min, kt_max=args.kt_max,
-                             kt_steps=args.kt_steps, format=args.format,
-                             output_path=args.out)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    params = np.linspace(config.param_min, config.param_max, config.param_steps)
-    kts = np.linspace(config.kt_min, config.kt_max, config.kt_steps)
-    mixed = config.family == "mixed"
+        raise ValueError("--tolerance needs --oracle")
+    bounds = (args.param_min, args.param_max, args.kt_min, args.kt_max)
+    if not all(map(math.isfinite, bounds)):
+        raise ValueError("range bounds must be finite")
+    if not (args.param_min < args.param_max and args.kt_min < args.kt_max):
+        raise ValueError("min must be strictly below max")
+    if args.param_steps < 2 or args.kt_steps < 2:
+        raise ValueError("steps must be at least 2")
+    if not (0.0 <= args.param_min and args.param_max <= 1.0):
+        raise ValueError("parameter range must lie inside [0, 1]")
+    if args.kt_min < 0.0:
+        raise ValueError("kt range must be nonnegative")
+    params = np.linspace(args.param_min, args.param_max, args.param_steps)
+    kts = np.linspace(args.kt_min, args.kt_max, args.kt_steps)
+    mixed = args.family == "mixed"
     if mixed:
         grid = negativity_from_spectrum(closed_form_pt_eigenvalues(params[:, None], kts))
     else:
         grid = gghz_negativity_closed(params[:, None], kts)
     rows = [(p, kt, n) for p, line in zip(params.tolist(), grid.tolist())
             for kt, n in zip(kts.tolist(), line)]
-    meta = {"family": config.family,
-            "param_range": [config.param_min, config.param_max, config.param_steps],
-            "kt_range": [config.kt_min, config.kt_max, config.kt_steps],
+    meta = {"family": args.family,
+            "param_range": [args.param_min, args.param_max, args.param_steps],
+            "kt_range": [args.kt_min, args.kt_max, args.kt_steps],
             "conventions": CONVENTIONS}
-    _write_table(config.output_path, config.format, CSV_HEADER, rows, meta, "rows")
-    print(f"wrote {len(rows)} rows to {config.output_path}")
+    _write_table(args.out, args.format, CSV_HEADER, rows, meta, "rows")
+    print(f"wrote {len(rows)} rows to {args.out}")
     if args.oracle:
         tolerance = args.tolerance if args.tolerance is not None else 1e-10
         state = global_output_state if mixed else gghz_output_state
-        dense = on_grid(lambda p, kt: cavity_negativity(state(p, kt)), params, kts)
+        cavity = CAVITY_LAYOUT.labels
+        dense = on_grid(lambda p, kt: marginal_negativity(state(p, kt), cavity), params, kts)
         dev, at = grid_worst(np.abs(dense - grid), params, kts)
         print(f"oracle check: max |closed form - numeric| = {dev:.3e} "
               f"at (param={at[0]:.6g}, kt={at[1]:.6g})")

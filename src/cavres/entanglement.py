@@ -12,10 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (DensityMatrix, hermitian_eigenvalues, partial_transpose,
-                     psd_sqrt, trace_norm)
-from .states import (_amplitude_matrix, _check_probability, _check_time,
-                     _partner_amplitude, gghz_output_state, global_output_state,
-                     reduce)
+                     psd_sqrt)
+from .states import (CAVITY_LAYOUT, RESERVOIR_LAYOUT, _amplitude_matrix,
+                     _check_probability, _check_time, _partner_amplitude,
+                     gghz_output_state, global_output_state, reduce)
 
 NEGATIVITY_CLAMP = 1e-12   # float noise below this reports as exactly 0
 ZERO_ENTANGLEMENT = 1e-10  # decision threshold for "no entanglement"
@@ -47,8 +47,19 @@ def _clamp(value):
 
 
 def negativity(rho, part_a):
-    """Negativity across the bipartition part_a | rest: ||rho^T_A||_1 - 1."""
-    return _clamp(trace_norm(partial_transpose(rho, part_a)) - 1.0)
+    """Negativity across the bipartition part_a | rest: ||rho^T_A||_1 - 1.
+
+    The partial transpose is Hermitian, so its trace norm is the sum of the
+    absolute values of its eigenvalues.
+    """
+    spectrum = np.linalg.eigvalsh(partial_transpose(rho, part_a))
+    return _clamp(float(np.sum(np.abs(spectrum))) - 1.0)
+
+
+def marginal_negativity(state, qubits):
+    """Dense negativity of the first of the given qubits against the others,
+    in the marginal of a pure state on them."""
+    return negativity(reduce(state, qubits), qubits[:1])
 
 
 @dataclass(frozen=True)
@@ -130,13 +141,13 @@ def pure_bipartite_concurrence_sq(state, part_a):
 
 
 def wootters_concurrence(rho):
-    """Concurrence of a two-qubit density matrix.
+    """Concurrence of a two-qubit DensityMatrix.
 
     Uses max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)) with l_i the
     descending eigenvalues of rho (sy x sy) rho* (sy x sy), obtained from
     the Hermitian product sqrt(rho) rho~ sqrt(rho) which shares them.
     """
-    mat = rho.data if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    mat = rho.data
     if mat.shape != (4, 4):
         raise ValueError(f"expected a 4x4 two-qubit density matrix, got {mat.shape}")
     flipped = _YY @ mat.conj() @ _YY
@@ -231,18 +242,14 @@ def _qubit_block_concurrence_sq(state, qubit, partner):
 
 def monogamy_chain(p, kt):
     """Evaluate the computable chain members on the evolved global state."""
-    _check_probability(p)
-    _check_time(kt)
     state0 = global_output_state(p, 0.0)
     state = global_output_state(p, kt)
     c_init = pure_bipartite_concurrence_sq(state0, ["c1"])
     c_pair = pure_bipartite_concurrence_sq(state, ["c1", "r1"])
     c_c1 = _qubit_block_concurrence_sq(state, "c1", "r1")
     c_r1 = _qubit_block_concurrence_sq(state, "r1", "c1")
-    cav = reduce(state, ["c1", "c2", "c3"])
-    res = reduce(state, ["r1", "r2", "r3"])
-    n_cav = negativity(cav, ["c1"])
-    n_res = negativity(res, ["r1"])
+    n_cav = marginal_negativity(state, CAVITY_LAYOUT.labels)
+    n_res = marginal_negativity(state, RESERVOIR_LAYOUT.labels)
     return MonogamyChainRecord(p=p, kt=kt,
                                c_init_sq=c_init, c_pair_sq=c_pair,
                                c_c1_sq=c_c1, c_r1_sq=c_r1,
@@ -279,11 +286,6 @@ def _grid_axes(p_steps, kt_steps, kt_max):
     return np.linspace(0.0, 1.0, p_steps), np.linspace(0.0, kt_max, kt_steps)
 
 
-def cavity_negativity(state):
-    """Dense negativity of c1 versus (c2 c3) in the cavity marginal."""
-    return negativity(reduce(state, ["c1", "c2", "c3"]), ["c1"])
-
-
 def _at_most(label, tolerance, values, ps, kts):
     value, at = grid_worst(values, ps, kts)
     return Check(label, value, tolerance, value <= tolerance, at)  # a nan fails
@@ -295,8 +297,8 @@ def closed_form_grid_deviation(tolerance=1e-10, p_steps=25, kt_steps=25, kt_max=
     ps, kts = _grid_axes(p_steps, kt_steps, kt_max)
     spec = closed_form_pt_eigenvalues(ps[:, None], kts)
     lam = np.sort(np.stack(spec.lambdas, axis=-1), axis=-1)
-    num = on_grid(lambda p, kt: np.sort(hermitian_eigenvalues(partial_transpose(
-        reduce(global_output_state(p, kt), ["c1", "c2", "c3"]), ["c1"]))), ps, kts)
+    num = on_grid(lambda p, kt: np.linalg.eigvalsh(partial_transpose(
+        reduce(global_output_state(p, kt), CAVITY_LAYOUT.labels), ["c1"])), ps, kts)
     return [_at_most("spectrum vs eigensolver", tolerance,
                      np.max(np.abs(lam - num), axis=-1), ps, kts)]
 
@@ -322,6 +324,7 @@ def gghz_grid_deviation(tolerance=1e-10, a_steps=25, kt_steps=25, kt_max=3.0):
     """The generalized-GHZ closed form against the dense computation over
     an (a, kt) grid: one Check of the worst deviation."""
     a_s, kts = _grid_axes(a_steps, kt_steps, kt_max)
-    num = on_grid(lambda a, kt: cavity_negativity(gghz_output_state(a, kt)), a_s, kts)
+    num = on_grid(lambda a, kt: marginal_negativity(gghz_output_state(a, kt),
+                                                    CAVITY_LAYOUT.labels), a_s, kts)
     return [_at_most("generalized GHZ vs eigensolver", tolerance,
                      np.abs(num - gghz_negativity_closed(a_s[:, None], kts)), a_s, kts)]

@@ -12,11 +12,10 @@ from enum import Enum
 import numpy as np
 
 from .entanglement import (ZERO_ENTANGLEMENT, Check, _at_most, _grid_axes,
-                           cavity_negativity, closed_form_pt_eigenvalues,
-                           grid_worst, negativity, negativity_from_spectrum,
-                           on_grid)
-from .states import (_check_probability, amplitudes, global_output_state,
-                     global_output_state_from_amplitudes, reduce)
+                           closed_form_pt_eigenvalues, grid_worst,
+                           marginal_negativity, negativity_from_spectrum, on_grid)
+from .states import (CAVITY_LAYOUT, RESERVOIR_LAYOUT, _check_probability, amplitudes,
+                     global_output_state, global_output_state_from_amplitudes, reduce)
 
 BOUNDARY_TIE_TOL = 1e-12
 
@@ -240,7 +239,6 @@ def equal_entanglement_range():
 def swap_check(p, kt):
     """Verify that the reservoir state equals the cavity state with the
     damping amplitudes interchanged; returns (ok, max entrywise deviation)."""
-    _check_probability(p)
     xi, chi = amplitudes(kt)
     res = reduce(global_output_state_from_amplitudes(p, xi, chi),
                  ["r1", "r2", "r3"])
@@ -267,10 +265,7 @@ def esb_time(t_esd):
 
 def reservoir_negativity(p, kt):
     """Negativity of r1 versus r2 r3 in the evolved reservoir state."""
-    xi, chi = amplitudes(kt)
-    res = reduce(global_output_state_from_amplitudes(p, xi, chi),
-                 ["r1", "r2", "r3"])
-    return negativity(res, ["r1"])
+    return marginal_negativity(global_output_state(p, kt), RESERVOIR_LAYOUT.labels)
 
 
 def _bisect(f, lo, hi, xtol):
@@ -352,7 +347,8 @@ def region_grid_audit(tolerance=ZERO_ENTANGLEMENT, p_steps=40, kt_steps=40, kt_m
     a failing side, inside IV first.
     """
     ps, kts = _grid_axes(p_steps, kt_steps, kt_max)
-    n = on_grid(lambda p, kt: cavity_negativity(global_output_state(p, kt)), ps, kts)
+    n = on_grid(lambda p, kt: marginal_negativity(global_output_state(p, kt),
+                                                  CAVITY_LAYOUT.labels), ps, kts)
     sep = on_grid(lambda p, kt: classify_region(p, kt) is RegionClass.IV, ps, kts)
     sound = np.where(sep, n < tolerance, n > tolerance)  # a nan fails
     max_sep, at_sep = grid_worst(np.where(sep, n, -np.inf), ps, kts)

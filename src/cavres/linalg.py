@@ -208,26 +208,17 @@ def partial_transpose(rho, subsystem):
     The result is Hermitian but generally not positive, so it is returned as
     a raw array rather than a DensityMatrix.
     """
-    return partial_transpose_matrix(rho.data, rho.layout, subsystem)
-
-
-def partial_transpose_matrix(mat, layout, subsystem):
-    """Partial transpose of a raw square matrix tagged with a layout."""
     subsystem = list(subsystem)
     if not subsystem:
         raise ValueError("subsystem must be nonempty")
-    pos = layout.positions(subsystem)
-    n = layout.n_qubits
+    pos = rho.layout.positions(subsystem)
+    n = rho.layout.n_qubits
     if len(pos) == n:
         raise ValueError("subsystem must be a proper subset of the layout")
-    mat = _as_complex_array(mat, 2)
-    if mat.shape != (layout.dim, layout.dim):
-        raise ValueError(f"matrix shape {mat.shape} does not match layout "
-                         f"dimension {layout.dim}")
-    arr = mat.reshape((2,) * (2 * n))
+    arr = rho.data.reshape((2,) * (2 * n))
     for i in pos:
         arr = np.swapaxes(arr, i, n + i)
-    return arr.reshape(layout.dim, layout.dim)
+    return arr.reshape(rho.dim, rho.dim)
 
 
 def hermitian_eigenvalues(h):

@@ -109,6 +109,24 @@ class TestSurface:
         assert "range bounds must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--param-max", "1.5"], "parameter range must lie inside [0, 1]"),
+        (["--param-min", "-0.5"], "parameter range must lie inside [0, 1]"),
+        (["--kt-min", "2", "--kt-max", "1"], "min must be strictly below max"),
+        (["--param-min", "0.5", "--param-max", "0.5"], "min must be strictly below max"),
+        (["--param-steps", "1"], "steps must be at least 2"),
+        (["--kt-steps", "1"], "steps must be at least 2"),
+        (["--kt-min", "-1"], "kt range must be nonnegative"),
+    ], ids=["param-above-1", "param-below-0", "kt-reversed", "param-empty",
+            "param-steps", "kt-steps", "negative-kt"])
+    def test_bad_range_usage_error(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "x.csv"
+        rc = run_cli(["surface", "--family", "mixed", "--param-steps", "3",
+                      "--kt-steps", "3", *flags, "--out", str(out)])
+        assert rc == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_json_format_carries_conventions(self, tmp_path):
         out = tmp_path / "surf.json"
         rc = run_cli(["surface", "--family", "mixed", "--param-steps", "3",

@@ -8,7 +8,8 @@ from cavres import (DensityMatrix, SystemLayout, closed_form_pt_eigenvalues,
                     pure_bipartite_concurrence_sq, reduce, w,
                     wootters_concurrence)
 from cavres.entanglement import (PtSpectrum, _qubit_block_concurrence_sq,
-                                 gghz_grid_deviation, grid_worst, on_grid)
+                                 gghz_grid_deviation, grid_worst, marginal_negativity,
+                                 on_grid)
 from cavres.esd import reservoir_negativity, swap_check
 from cavres.linalg import hermitian_eigenvalues, partial_trace, partial_transpose
 from cavres.states import ghz, purified_initial
@@ -52,6 +53,12 @@ class TestNegativity:
                         random_unitary(rng, 2))
             rotated = DensityMatrix(rho.layout, u @ rho.data @ u.conj().T)
             assert abs(negativity(rotated, ["c1"]) - expected) < 1e-10
+
+    def test_marginal_negativity_is_first_qubit_of_the_marginal(self):
+        state = global_output_state(0.6, 0.8)
+        for qubits in (("c1", "c2", "c3"), ("r1", "r2", "r3"), ("c2", "c3", "c1")):
+            want = negativity(reduce(state, qubits), [qubits[0]])
+            assert marginal_negativity(state, qubits) == want
 
 
 class TestClosedFormSpectrum:
@@ -354,7 +361,8 @@ def _dense_block_concurrence_sq(state, qubit, partner):
     if weights[1] < 1e-13:
         return 0.0
     iso = np.kron(np.eye(2), vecs[:, :2])
-    conc = wootters_concurrence(iso.conj().T @ rho.data @ iso)
+    compressed = DensityMatrix((qubit, partner), iso.conj().T @ rho.data @ iso)
+    conc = wootters_concurrence(compressed)
     return conc * conc
 
 
@@ -410,3 +418,22 @@ class TestLapackSizes:
         negativity(reduce(global_output_state(0.5, 1.0), ["c1", "c2", "c3"]), ["c1"])
         assert shapes, "no LAPACK call was recorded"
         assert max(shape[0] for shape in shapes) <= 8, shapes
+
+    def test_no_svd_on_the_negativity_path(self, monkeypatch):
+        # the partial transpose is Hermitian: its trace norm comes from
+        # eigvalsh, and the only SVD left is monogamy_chain's 4x32 blocks
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        state = global_output_state(0.5, 1.0)
+        negativity(reduce(state, ["c1", "c2", "c3"]), ["c1"])
+        marginal_negativity(state, ("c1", "c2", "c3"))
+        reservoir_negativity(0.5, 1.0)
+        assert shapes == []
+        monogamy_chain(0.5, 1.0)
+        assert shapes == [(4, 32), (4, 32)]

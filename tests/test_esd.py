@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import bisect, minimize_scalar
 
 from cavres import (RegionClass, classify_region, equal_entanglement_range,
+                    monogamy_chain,
                     esb_time, esb_time_numeric, esd_threshold_probability,
                     esd_time, gghz_esd_boundary, gghz_esd_time,
                     gghz_negativity_closed, initial_negativity,
@@ -112,8 +113,14 @@ NAN = float("nan")
     lambda: lambda7_boundary(NAN),
     lambda: gghz_esd_boundary(NAN),
     lambda: global_output_state(0.5, NAN),
+    # these check nothing themselves: the state builders refuse for them
+    lambda: monogamy_chain(NAN, 1.0),
+    lambda: monogamy_chain(0.5, NAN),
+    lambda: swap_check(NAN, 1.0),
+    lambda: reservoir_negativity(NAN, 1.0),
 ], ids=["spectrum-kt", "spectrum-p", "gghz-kt", "gghz-a", "region", "amplitudes",
-        "esb", "esd", "gghz-esd", "lambda5", "lambda7", "gghz-boundary", "state"])
+        "esb", "esd", "gghz-esd", "lambda5", "lambda7", "gghz-boundary", "state",
+        "monogamy-p", "monogamy-kt", "swap-p", "reservoir-p"])
 def test_nan_arguments_are_refused(call):
     with pytest.raises(ValueError):
         call()

@@ -6,7 +6,8 @@ from cavres import (DensityMatrix, PureState, SystemLayout,
                     psd_sqrt, tensor_product, trace_norm)
 from cavres.states import ghz, purified_initial, mixed_ghz_w, reduce
 
-from conftest import random_density_matrix, random_pure_state
+from conftest import (random_density_matrix, random_pure_state,
+                      random_separable_density_matrix)
 
 
 def bell_pair():
@@ -121,11 +122,25 @@ class TestPartialTranspose:
         assert abs(hermitian_eigenvalues(pt)[-1] + 0.5) < 1e-14
 
     def test_involution(self, rng):
-        from cavres.linalg import partial_transpose_matrix
-        rho = random_density_matrix(rng, ("c1", "r1", "c2"))
+        # a separable state's partial transpose is again a state, so the
+        # map can be applied to its own output
+        rho = random_separable_density_matrix(rng, ("c1", "r1", "c2"))
         pt = partial_transpose(rho, ["r1"])
-        twice = partial_transpose_matrix(pt, rho.layout, ["r1"])
+        twice = partial_transpose(DensityMatrix(rho.layout, pt), ["r1"])
         np.testing.assert_allclose(twice, rho.data, atol=1e-15)
+
+    @pytest.mark.parametrize("subsystem, positions", [(["c2"], [1]),
+                                                      (["c1", "c3"], [0, 2])])
+    def test_matches_index_loop_definition(self, rng, subsystem, positions):
+        # (rho^T_A)[i, j] = rho[i', j'], where i' and j' swap the bits of
+        # the qubits in A between the row and the column index
+        rho = random_density_matrix(rng, ("c1", "c2", "c3"))
+        mask = sum(1 << (2 - q) for q in positions)
+        want = np.empty_like(rho.data)
+        for i in range(8):
+            for j in range(8):
+                want[i, j] = rho.data[(i & ~mask) | (j & mask), (j & ~mask) | (i & mask)]
+        np.testing.assert_array_equal(partial_transpose(rho, subsystem), want)
 
     def test_preserves_trace_exactly(self, rng):
         rho = random_density_matrix(rng, ("c1", "c2", "c3"))
