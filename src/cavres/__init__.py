@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .linalg import (DensityMatrix, PureState, SystemLayout,
                      hermitian_eigenvalues, partial_trace, partial_transpose,
-                     psd_sqrt, tensor_product, trace_norm)
+                     psd_sqrt, trace_norm)
 from .states import (amplitudes, generalized_ghz, gghz_output_state,
                      gghz_output_state_from_amplitudes, ghz, global_output_state,
                      global_output_state_from_amplitudes, mixed_ghz_w,
@@ -31,7 +31,7 @@ from .esd import (RegionClass, classify_region, equal_entanglement_range,
 __all__ = [
     "__version__",
     # linear algebra
-    "SystemLayout", "PureState", "DensityMatrix", "tensor_product",
+    "SystemLayout", "PureState", "DensityMatrix",
     "partial_trace", "partial_transpose", "hermitian_eigenvalues",
     "trace_norm", "psd_sqrt",
     # states

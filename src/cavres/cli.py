@@ -14,10 +14,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .entanglement import (closed_form_grid_deviation, closed_form_pt_eigenvalues,
+from .entanglement import (by_row, closed_form_grid_deviation, closed_form_pt_eigenvalues,
                            gghz_negativity_closed, grid_worst, marginal_negativity,
                            monogamy_chain, monogamy_grid_audit,
-                           negativity_from_spectrum, on_grid)
+                           negativity_from_spectrum)
 from .esd import (esb_grid_deviation, esd_threshold_probability, esd_time,
                   equal_entanglement_range, gghz_esd_time,
                   min_esd_point, min_initial_negativity, region_grid_audit,
@@ -118,7 +118,7 @@ def cmd_surface(args):
         tolerance = args.tolerance if args.tolerance is not None else 1e-10
         state = global_output_state if mixed else gghz_output_state
         cavity = CAVITY_LAYOUT.labels
-        dense = on_grid(lambda p, kt: marginal_negativity(state(p, kt), cavity), params, kts)
+        dense = by_row(lambda p, kt: marginal_negativity(state(p, kt), cavity), params, kts)
         dev, at = grid_worst(np.abs(dense - grid), params, kts)
         print(f"oracle check: max |closed form - numeric| = {dev:.3e} "
               f"at (param={at[0]:.6g}, kt={at[1]:.6g})")

@@ -4,15 +4,15 @@ Includes the exact eight-eigenvalue spectrum of the partially transposed
 cavity state of the evolving GHZ/W mixture, the closed-form negativity of
 the evolved generalized GHZ state, Wootters concurrence, and the monogamy
 chain that constrains how entanglement distributes between cavities and
-reservoirs during dissipation.
+reservoirs during dissipation.  The dense measures act on stacks, and each
+grid audit builds one stack per parameter row, over the whole kt axis.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DensityMatrix, hermitian_eigenvalues, partial_transpose,
-                     psd_sqrt)
+from .linalg import PSD_TOL, DensityMatrix, _item, _require, partial_transpose
 from .states import (CAVITY_LAYOUT, RESERVOIR_LAYOUT, _amplitude_matrix,
                      _check_probability, _check_time, _partner_amplitude,
                      gghz_output_state, global_output_state, reduce)
@@ -35,8 +35,7 @@ def _pow(x, n):
 
 def _floor(value):
     """max(value, 0) elementwise, keeping nan; a scalar comes back a float."""
-    value = np.where(value < 0.0, 0.0, value)
-    return value if value.ndim else float(value)
+    return _item(np.where(value < 0.0, 0.0, value))
 
 
 def _clamp(value):
@@ -53,7 +52,7 @@ def negativity(rho, part_a):
     absolute values of its eigenvalues.
     """
     spectrum = np.linalg.eigvalsh(partial_transpose(rho, part_a))
-    return _clamp(float(np.sum(np.abs(spectrum))) - 1.0)
+    return _clamp(np.sum(np.abs(spectrum), axis=-1) - 1.0)
 
 
 def marginal_negativity(state, qubits):
@@ -136,28 +135,31 @@ def pure_bipartite_concurrence_sq(state, part_a):
     a single qubit.
     """
     rho_a = reduce(state, part_a).data
-    purity = float(np.trace(rho_a @ rho_a).real)
-    return max(0.0, 2.0 * (1.0 - purity))
+    purity = np.trace(rho_a @ rho_a, axis1=-2, axis2=-1).real
+    return _floor(2.0 * (1.0 - purity))
 
 
 def wootters_concurrence(rho):
-    """Concurrence of a two-qubit DensityMatrix.
+    """Concurrence of a two-qubit DensityMatrix, or of each member of a stack.
 
     Uses max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)) with l_i the
     descending eigenvalues of rho (sy x sy) rho* (sy x sy), obtained from
-    the Hermitian product sqrt(rho) rho~ sqrt(rho) which shares them.
+    the Hermitian product sqrt(rho) rho~ sqrt(rho) which shares them.  The
+    input was validated when it was built, so the eigensolves take it as is.
     """
     mat = rho.data
-    if mat.shape != (4, 4):
+    if mat.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 two-qubit density matrix, got {mat.shape}")
     flipped = _YY @ mat.conj() @ _YY
-    root = psd_sqrt(mat)
-    ev = hermitian_eigenvalues(root @ flipped @ root)
+    w, v = np.linalg.eigh(mat)
+    _require(w[..., 0] >= -PSD_TOL, w[..., 0], "matrix has negative eigenvalue {}")
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    root = (root + np.swapaxes(root.conj(), -1, -2)) / 2.0
+    ev = np.linalg.eigvalsh(root @ flipped @ root)[..., ::-1]
     # eigenvalues of the product are >= 0 up to rounding; drop the noise so
     # it cannot leak into the square roots
-    ev = np.where(ev < 1e-14, 0.0, ev)
-    r = np.sqrt(ev)
-    return max(0.0, float(r[0] - r[1] - r[2] - r[3]))
+    r = np.sqrt(np.where(ev < 1e-14, 0.0, ev))
+    return _floor(r[..., 0] - r[..., 1] - r[..., 2] - r[..., 3])
 
 
 def gghz_negativity_closed(a, kt):
@@ -226,22 +228,25 @@ def _qubit_block_concurrence_sq(state, qubit, partner):
     the top two right singular vectors span it.  Compressing the block onto
     them (M V = U S) and tracing out the partner leaves an honest two-qubit
     state whose Wootters concurrence is exact; no decomposition search is
-    needed.
+    needed.  A stacked state takes one batched SVD of its (..., 4, 32)
+    amplitude matrices.
     """
     m = _amplitude_matrix(state, [state.layout.position(qubit),
                                   state.layout.position(partner)])
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    if s[1] ** 2 < 1e-13:
-        return 0.0  # block effectively pure: product across the cut
-    amps = (u[:, :2] * s[:2]).reshape(2, 2, 2)  # (qubit, partner, support)
-    compressed = np.einsum("apj,bpk->ajbk", amps, amps.conj()).reshape(4, 4)
+    lead = m.shape[:-2]
+    # compressed amplitudes, indexed (qubit, partner, support)
+    amps = (u[..., :2] * s[..., None, :2]).reshape(lead + (2, 2, 2))
+    rho = np.einsum("...apj,...bpk->...ajbk", amps, amps.conj()).reshape(lead + (4, 4))
     # the support qubit carries the partner's label
-    conc = wootters_concurrence(DensityMatrix((qubit, partner), compressed))
-    return conc * conc
+    conc = wootters_concurrence(DensityMatrix((qubit, partner), rho))
+    # a block effectively pure is a product across the cut
+    return _item(np.where(s[..., 1] ** 2 < 1e-13, 0.0, conc * conc))
 
 
 def monogamy_chain(p, kt):
-    """Evaluate the computable chain members on the evolved global state."""
+    """Evaluate the computable chain members on the evolved global state;
+    arrays of p and kt give arrays of members."""
     state0 = global_output_state(p, 0.0)
     state = global_output_state(p, kt)
     c_init = pure_bipartite_concurrence_sq(state0, ["c1"])
@@ -277,9 +282,10 @@ def grid_worst(values, params, kts=(), pick=np.argmax):
     return float(values[idx]), tuple(float(ax[i]) for ax, i in zip((params, kts), idx))
 
 
-def on_grid(f, ps, kts):
-    """[[f(p, kt) for kt in kts] for p in ps] as an array."""
-    return np.array([[f(p, kt) for kt in kts] for p in ps])
+def by_row(f, ps, kts):
+    """[f(p, kts) for p in ps] as an array: one call per parameter row,
+    each on the whole kt axis, so the dense stacks stay one row long."""
+    return np.array([f(p, kts) for p in ps])
 
 
 def _grid_axes(p_steps, kt_steps, kt_max):
@@ -297,7 +303,7 @@ def closed_form_grid_deviation(tolerance=1e-10, p_steps=25, kt_steps=25, kt_max=
     ps, kts = _grid_axes(p_steps, kt_steps, kt_max)
     spec = closed_form_pt_eigenvalues(ps[:, None], kts)
     lam = np.sort(np.stack(spec.lambdas, axis=-1), axis=-1)
-    num = on_grid(lambda p, kt: np.linalg.eigvalsh(partial_transpose(
+    num = by_row(lambda p, kt: np.linalg.eigvalsh(partial_transpose(
         reduce(global_output_state(p, kt), CAVITY_LAYOUT.labels), ["c1"])), ps, kts)
     return [_at_most("spectrum vs eigensolver", tolerance,
                      np.max(np.abs(lam - num), axis=-1), ps, kts)]
@@ -312,7 +318,7 @@ def monogamy_grid_audit(tolerance=1e-10, p_steps=25, kt_steps=25, kt_max=3.0):
     """The monogamy chain over a (p, kt) grid: the pair equality holds to
     tolerance, and the pair and tail slacks are at least -tolerance."""
     ps, kts = _grid_axes(p_steps, kt_steps, kt_max)
-    eq, pair, tail = np.moveaxis(on_grid(_chain_members, ps, kts), -1, 0)
+    eq, pair, tail = np.moveaxis(by_row(_chain_members, ps, kts), 1, 0)
     checks = [_at_most("pair-equality deviation", tolerance, eq, ps, kts)]
     for label, slack in (("pair bound slack", pair), ("negativity tail slack", tail)):
         value, at = grid_worst(slack, ps, kts, np.argmin)
@@ -324,7 +330,7 @@ def gghz_grid_deviation(tolerance=1e-10, a_steps=25, kt_steps=25, kt_max=3.0):
     """The generalized-GHZ closed form against the dense computation over
     an (a, kt) grid: one Check of the worst deviation."""
     a_s, kts = _grid_axes(a_steps, kt_steps, kt_max)
-    num = on_grid(lambda a, kt: marginal_negativity(gghz_output_state(a, kt),
-                                                    CAVITY_LAYOUT.labels), a_s, kts)
+    num = by_row(lambda a, kt: marginal_negativity(gghz_output_state(a, kt),
+                                                   CAVITY_LAYOUT.labels), a_s, kts)
     return [_at_most("generalized GHZ vs eigensolver", tolerance,
                      np.abs(num - gghz_negativity_closed(a_s[:, None], kts)), a_s, kts)]

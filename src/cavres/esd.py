@@ -11,9 +11,10 @@ from enum import Enum
 
 import numpy as np
 
-from .entanglement import (ZERO_ENTANGLEMENT, Check, _at_most, _grid_axes,
+from .entanglement import (ZERO_ENTANGLEMENT, Check, _at_most, _grid_axes, by_row,
                            closed_form_pt_eigenvalues, grid_worst,
-                           marginal_negativity, negativity_from_spectrum, on_grid)
+                           marginal_negativity, negativity_from_spectrum)
+from .linalg import _item
 from .states import (CAVITY_LAYOUT, RESERVOIR_LAYOUT, _check_probability, amplitudes,
                      global_output_state, global_output_state_from_amplitudes, reduce)
 
@@ -112,6 +113,12 @@ def sample_boundary(kind, kt_values):
     return samples
 
 
+def _clearly_negative(spec):
+    """Whether lambda5 and lambda7 lie below -BOUNDARY_TIE_TOL, elementwise;
+    within the tie tolerance of zero (or nan) counts as nonnegative."""
+    return spec.lambda5 < -BOUNDARY_TIE_TOL, spec.lambda7 < -BOUNDARY_TIE_TOL
+
+
 def classify_region(p, kt):
     """Assign (p, kt) to a sign region of (lambda5, lambda7).
 
@@ -119,9 +126,7 @@ def classify_region(p, kt):
     separability (region IV) is only declared when neither eigenvalue is
     clearly negative.
     """
-    spec = closed_form_pt_eigenvalues(p, kt)
-    neg5 = spec.lambda5 < -BOUNDARY_TIE_TOL
-    neg7 = spec.lambda7 < -BOUNDARY_TIE_TOL
+    neg5, neg7 = _clearly_negative(closed_form_pt_eigenvalues(p, kt))
     if neg5 and neg7:
         return RegionClass.I
     if neg5:
@@ -238,13 +243,14 @@ def equal_entanglement_range():
 
 def swap_check(p, kt):
     """Verify that the reservoir state equals the cavity state with the
-    damping amplitudes interchanged; returns (ok, max entrywise deviation)."""
+    damping amplitudes interchanged; returns (ok, max entrywise deviation),
+    elementwise for arrays of p and kt."""
     xi, chi = amplitudes(kt)
     res = reduce(global_output_state_from_amplitudes(p, xi, chi),
                  ["r1", "r2", "r3"])
     cav_swapped = reduce(global_output_state_from_amplitudes(p, chi, xi),
                          ["c1", "c2", "c3"])
-    dev = float(np.max(np.abs(res.data - cav_swapped.data)))
+    dev = _item(np.max(np.abs(res.data - cav_swapped.data), axis=(-2, -1)))
     return dev < 1e-12, dev
 
 
@@ -269,73 +275,59 @@ def reservoir_negativity(p, kt):
 
 
 def _bisect(f, lo, hi, xtol):
-    """Sign change of f on [lo, hi]; returns (root, iterations)."""
+    """Sign change of f on [lo, hi]; returns (root, iterations).
+
+    An array-valued f bisects each of its members in lockstep: a member
+    stops once its own interval is within xtol, so it takes the midpoints
+    and the iteration count a scalar call on it would.
+    """
     f_lo = f(lo)
-    if f_lo * f(hi) > 0.0:
+    if np.any(f_lo * f(hi) > 0.0):
         raise RuntimeError(f"no sign change on [{lo}, {hi}]")
-    iterations = 0
-    while hi - lo > xtol:
+    lo, hi, f_lo = (np.array(x) for x in np.broadcast_arrays(lo, hi, f_lo))
+    iterations = np.zeros(lo.shape, dtype=int)
+    while (active := hi - lo > xtol).any():
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
-        if f_mid * f_lo > 0.0:
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-        iterations += 1
-    return 0.5 * (lo + hi), iterations
+        up = active & (f_mid * f_lo > 0.0)
+        lo, f_lo = np.where(up, mid, lo), np.where(up, f_mid, f_lo)
+        hi = np.where(active & ~up, mid, hi)
+        iterations += active
+    return _item(0.5 * (lo + hi)), iterations if iterations.ndim else int(iterations)
 
 
 def esb_time_numeric(p, xtol=1e-6):
     """Locate the reservoir entanglement birth by bisection on the
-    reservoir negativity; independent of the closed-form relation.
+    reservoir negativity; independent of the closed-form relation.  An
+    array of p bisects in lockstep, one stack of states per step.
 
     Every birth comes before esb_time of the earliest death, kt ~ 0.41, so
     [1e-8, 1] brackets it unless the death is later than kt ~ 18.
     """
     f = lambda kt: reservoir_negativity(p, kt) - ZERO_ENTANGLEMENT
-    return float(_bisect(f, 1e-8, 1.0, xtol)[0])
-
-
-def lambda7_formula_audit(kt_values=None):
-    """Compare the printed lambda7 boundary expression against an
-    independent bisection on the eigenvalue's sign change in p.
-
-    Returns (max |formula - bisection|, samples) with one
-    (kt, formula_p, bisection_p) triple per grid point.
-    """
-    if kt_values is None:
-        kt_values = np.linspace(0.1, 4.0, 30)
-    samples, worst = [], 0.0
-    for kt in kt_values:
-        f = lambda p: closed_form_pt_eigenvalues(p, kt).lambda7
-        root, _ = _bisect(f, 0.0, 1.0, xtol=1e-12)
-        formula = lambda7_boundary(kt)
-        samples.append((float(kt), formula, root))
-        worst = max(worst, abs(formula - root))
-    return worst, samples
+    return _bisect(f, 1e-8, 1.0, xtol)[0]
 
 
 def swap_grid_deviation(tolerance=1e-12, p_steps=20, kt_steps=20, kt_max=3.0):
     """The swap relation over a (p, kt) grid: one Check of the worst
     entrywise deviation."""
     ps, kts = _grid_axes(p_steps, kt_steps, kt_max)
-    devs = on_grid(lambda p, kt: swap_check(p, kt)[1], ps, kts)
+    devs = by_row(lambda p, kt: swap_check(p, kt)[1], ps, kts)
     return [_at_most("cavity/reservoir swap", tolerance, devs, ps, kts)]
 
 
 def esb_grid_deviation(tolerance=1e-3, p_values=None):
     """The closed-form birth time against the bisection-located one over
     probabilities with a finite death time: one Check of the worst gap."""
-    if p_values is None:
-        p_values = np.linspace(0.30, 0.95, 10)
-    gaps = []
+    p_values = np.linspace(0.30, 0.95, 10) if p_values is None else np.asarray(p_values)
+    births = []
     for p in p_values:
         t_death = esd_time(p)
         if t_death is None:
             raise ValueError(f"p={p} has no finite death time")
-        gaps.append(abs(esb_time(t_death) - esb_time_numeric(p)))
-    return [_at_most("birth-time formula vs bisection", tolerance,
-                     np.array(gaps), p_values, ())]
+        births.append(esb_time(t_death))
+    gaps = np.abs(np.array(births) - esb_time_numeric(p_values))
+    return [_at_most("birth-time formula vs bisection", tolerance, gaps, p_values, ())]
 
 
 def region_grid_audit(tolerance=ZERO_ENTANGLEMENT, p_steps=40, kt_steps=40, kt_max=3.0):
@@ -347,9 +339,10 @@ def region_grid_audit(tolerance=ZERO_ENTANGLEMENT, p_steps=40, kt_steps=40, kt_m
     a failing side, inside IV first.
     """
     ps, kts = _grid_axes(p_steps, kt_steps, kt_max)
-    n = on_grid(lambda p, kt: marginal_negativity(global_output_state(p, kt),
-                                                  CAVITY_LAYOUT.labels), ps, kts)
-    sep = on_grid(lambda p, kt: classify_region(p, kt) is RegionClass.IV, ps, kts)
+    n = by_row(lambda p, kt: marginal_negativity(global_output_state(p, kt),
+                                                 CAVITY_LAYOUT.labels), ps, kts)
+    neg5, neg7 = _clearly_negative(closed_form_pt_eigenvalues(ps[:, None], kts))
+    sep = ~(neg5 | neg7)  # region IV, by classify_region's rule
     sound = np.where(sep, n < tolerance, n > tolerance)  # a nan fails
     max_sep, at_sep = grid_worst(np.where(sep, n, -np.inf), ps, kts)
     min_ent, at_ent = grid_worst(np.where(sep, np.inf, n), ps, kts, np.argmin)

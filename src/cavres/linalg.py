@@ -1,7 +1,10 @@
 """Dense complex linear algebra for small qubit registers (dimension <= 128).
 
 Qubit ordering is big-endian: the first label in a layout is the most
-significant bit of the computational-basis index.
+significant bit of the computational-basis index.  A state or density
+matrix may be a stack, `(..., dim)` or `(..., dim, dim)`, one member per
+point: it is validated member by member in one pass, and every function
+on it keeps the leading axes.
 """
 
 import numpy as np
@@ -59,9 +62,6 @@ class SystemLayout:
             raise ValueError(f"labels {sorted(missing)} not in layout {self.labels}")
         return SystemLayout(lab for lab in self.labels if lab in keep)
 
-    def __add__(self, other):
-        return SystemLayout(self.labels + other.labels)
-
     def __len__(self):
         return len(self.labels)
 
@@ -81,9 +81,24 @@ class SystemLayout:
         return f"SystemLayout({self.labels!r})"
 
 
-def _as_complex_array(data, ndim):
+def _require(ok, value, message):
+    """Refuse value unless the comparison ok holds at every entry; a nan
+    compares false.  The message names the first entry that fails."""
+    if ok.all() if isinstance(ok, np.ndarray) else ok:
+        return
+    bad = np.broadcast_to(value, np.shape(ok))[np.logical_not(ok)]
+    raise ValueError(message.format(bad.flat[0]))
+
+
+def _item(value):
+    """A 0-d result as a float; a stacked one as it is."""
+    return value if np.ndim(value) else float(value)
+
+
+def _as_complex_array(data, ndim, stack=False):
+    # stack allows leading axes in front of the ndim core axes
     arr = np.asarray(data, dtype=complex)
-    if arr.ndim != ndim:
+    if arr.ndim < ndim or arr.ndim > ndim and not stack:
         raise ValueError(f"expected a {ndim}-d array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr.view(float))):
         raise ValueError("entries must be finite")
@@ -91,26 +106,27 @@ def _as_complex_array(data, ndim):
 
 
 def _check_hermitian(mat):
-    dev = np.max(np.abs(mat - mat.conj().T))
+    dev = np.max(np.abs(mat - np.swapaxes(mat.conj(), -1, -2)))
     if dev > HERMITICITY_TOL:
         raise ValueError(f"matrix deviates from Hermitian by {dev}")
 
 
 class PureState:
-    """Unit-norm complex amplitude vector over a SystemLayout."""
+    """Unit-norm complex amplitude vector over a SystemLayout, or a stack
+    of them along leading axes."""
 
     __slots__ = ("layout", "amplitudes")
 
     def __init__(self, layout, amplitudes):
         if not isinstance(layout, SystemLayout):
             layout = SystemLayout(layout)
-        amps = _as_complex_array(amplitudes, 1)
-        if amps.shape[0] != layout.dim:
-            raise ValueError(f"amplitude vector of length {amps.shape[0]} does not "
+        amps = _as_complex_array(amplitudes, 1, stack=True)
+        if amps.shape[-1] != layout.dim:
+            raise ValueError(f"amplitude vector of length {amps.shape[-1]} does not "
                              f"match layout dimension {layout.dim}")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
+        norm = np.linalg.norm(amps, axis=-1)
+        _require(abs(norm - 1.0) <= NORM_TOL, norm,
+                 f"state norm {{}} deviates from 1 beyond {NORM_TOL}")
         amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "layout", layout)
@@ -128,24 +144,24 @@ class PureState:
 
 
 class DensityMatrix:
-    """Hermitian, positive-semidefinite, unit-trace matrix over a SystemLayout."""
+    """Hermitian, positive-semidefinite, unit-trace matrix over a
+    SystemLayout, or a stack of them along leading axes."""
 
     __slots__ = ("layout", "data")
 
     def __init__(self, layout, data):
         if not isinstance(layout, SystemLayout):
             layout = SystemLayout(layout)
-        mat = _as_complex_array(data, 2)
-        if mat.shape != (layout.dim, layout.dim):
+        mat = _as_complex_array(data, 2, stack=True)
+        if mat.shape[-2:] != (layout.dim, layout.dim):
             raise ValueError(f"matrix shape {mat.shape} does not match layout "
                              f"dimension {layout.dim}")
         _check_hermitian(mat)
-        tr = mat.trace().real
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
-        lo = np.linalg.eigvalsh(mat)[0]
-        if lo < -PSD_TOL:
-            raise ValueError(f"matrix has negative eigenvalue {lo}")
+        tr = np.trace(mat, axis1=-2, axis2=-1).real
+        _require(abs(tr - 1.0) <= TRACE_TOL, tr,
+                 f"trace {{}} deviates from 1 beyond {TRACE_TOL}")
+        lo = np.linalg.eigvalsh(mat)[..., 0]
+        _require(lo >= -PSD_TOL, lo, "matrix has negative eigenvalue {}")
         mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "layout", layout)
@@ -162,26 +178,6 @@ class DensityMatrix:
         return f"DensityMatrix(layout={self.layout.labels}, dim={self.dim})"
 
 
-def tensor_product(a, b):
-    """Kronecker product of two states or two matrices of the same kind.
-
-    PureState x PureState and DensityMatrix x DensityMatrix concatenate their
-    layouts in argument order; plain arrays must both be vectors or both be
-    square matrices. Mixing kinds is rejected.
-    """
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        return PureState(a.layout + b.layout, np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(a.layout + b.layout, np.kron(a.data, b.data))
-    if isinstance(a, (PureState, DensityMatrix)) or isinstance(b, (PureState, DensityMatrix)):
-        raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
-    am = _as_complex_array(a, np.asarray(a).ndim)
-    bm = _as_complex_array(b, np.asarray(b).ndim)
-    if am.ndim != bm.ndim or am.ndim not in (1, 2):
-        raise TypeError("operands must both be vectors or both be matrices")
-    return np.kron(am, bm)
-
-
 def partial_trace(rho, keep):
     """Trace out every qubit not listed in `keep`.
 
@@ -194,16 +190,17 @@ def partial_trace(rho, keep):
     pos = rho.layout.positions(keep)
     n = rho.layout.n_qubits
     traced = [i for i in range(n) if i not in pos]
-    arr = rho.data.reshape((2,) * (2 * n))
-    m = n
+    lead = rho.data.shape[:-2]
+    arr = rho.data.reshape(lead + (2,) * (2 * n))
+    m = n  # qubits left; their row and column axes are the last 2m
     for i in sorted(traced, reverse=True):
-        arr = np.trace(arr, axis1=i, axis2=i + m)
+        arr = np.trace(arr, axis1=i - 2 * m, axis2=i - m)
         m -= 1
-    return DensityMatrix(sub, arr.reshape(sub.dim, sub.dim))
+    return DensityMatrix(sub, arr.reshape(lead + (sub.dim, sub.dim)))
 
 
 def partial_transpose(rho, subsystem):
-    """Transpose the indices of the chosen qubits; returns a plain matrix.
+    """Transpose the indices of the chosen qubits; returns a plain array.
 
     The result is Hermitian but generally not positive, so it is returned as
     a raw array rather than a DensityMatrix.
@@ -215,10 +212,10 @@ def partial_transpose(rho, subsystem):
     n = rho.layout.n_qubits
     if len(pos) == n:
         raise ValueError("subsystem must be a proper subset of the layout")
-    arr = rho.data.reshape((2,) * (2 * n))
+    arr = rho.data.reshape(rho.data.shape[:-2] + (2,) * (2 * n))
     for i in pos:
-        arr = np.swapaxes(arr, i, n + i)
-    return arr.reshape(rho.dim, rho.dim)
+        arr = np.swapaxes(arr, i - 2 * n, i - n)
+    return arr.reshape(rho.data.shape)
 
 
 def hermitian_eigenvalues(h):

@@ -5,12 +5,13 @@ independent reservoir qubit (r1, r2, r3).  The elementary damping map sends
 |1>_c|0>_r to xi(t)|10> + chi(t)|01> with xi = exp(-kt/2) and
 chi = sqrt(1 - exp(-kt)), where kt is the dimensionless time (decay rate
 times time).  An ancilla qubit z purifies GHZ/W mixtures so every evolved
-state can be handled as a global pure state.
+state can be handled as a global pure state.  The evolved states take
+arrays of kt and of p (or a) that broadcast, and then come back stacked.
 """
 
 import numpy as np
 
-from .linalg import DensityMatrix, PureState, SystemLayout
+from .linalg import DensityMatrix, PureState, SystemLayout, _item, _require
 
 CAVITY_LAYOUT = SystemLayout(("c1", "c2", "c3"))
 RESERVOIR_LAYOUT = SystemLayout(("r1", "r2", "r3"))
@@ -43,15 +44,6 @@ def generalized_ghz(a):
     return PureState(CAVITY_LAYOUT, a * _basis(3, 0b000) + b * _basis(3, 0b111))
 
 
-def _require(ok, value, message):
-    """Refuse value unless the comparison ok holds at every entry; a nan
-    compares false.  The message names the first entry that fails."""
-    if ok.all() if isinstance(ok, np.ndarray) else ok:
-        return
-    bad = np.broadcast_to(value, np.shape(ok))[np.logical_not(ok)]
-    raise ValueError(message.format(bad.flat[0]))
-
-
 def _partner_amplitude(a):
     _require((a >= 0.0) & (a <= 1.0), a, "amplitude a={} outside [0, 1]")
     return np.sqrt(1.0 - a * a)
@@ -78,12 +70,10 @@ def amplitudes(kt):
     """Damping amplitudes (xi, chi) at dimensionless time kt.
 
     xi = exp(-kt/2) is the surviving-excitation amplitude, chi the leaked
-    one; xi^2 + chi^2 = 1 for every kt >= 0.
+    one; xi^2 + chi^2 = 1 for every kt >= 0.  An array of kt gives arrays.
     """
     _check_time(kt)
-    xi = float(np.exp(-kt / 2.0))
-    chi = float(np.sqrt(1.0 - np.exp(-kt)))
-    return xi, chi
+    return _item(np.exp(-kt / 2.0)), _item(np.sqrt(1.0 - np.exp(-kt)))
 
 
 def purified_initial(p):
@@ -100,13 +90,14 @@ def purified_initial(p):
 
 
 def _pair_state(xi, chi):
-    # one cavity-reservoir pair carrying a shared single excitation
-    return xi * _basis(2, 0b10) + chi * _basis(2, 0b01)
+    # one cavity-reservoir pair carrying a shared single excitation, per member
+    return np.multiply.outer(xi, _basis(2, 0b10)) + np.multiply.outer(chi, _basis(2, 0b01))
 
 
 def _triple(a, b, c):
-    # Kronecker product of three pair vectors, by broadcasting
-    return (a[:, None, None] * b[None, :, None] * c[None, None, :]).reshape(-1)
+    # Kronecker product of three pair vectors per member, by broadcasting
+    prod = a[..., :, None, None] * b[..., None, :, None] * c[..., None, None, :]
+    return prod.reshape(prod.shape[:-3] + (-1,))
 
 
 def global_output_state_from_amplitudes(p, xi, chi):
@@ -116,14 +107,15 @@ def global_output_state_from_amplitudes(p, xi, chi):
     the W branch by z=1, so tracing out z recovers the evolved mixture.
     """
     _check_probability(p)
+    p = np.asarray(p, dtype=float)[..., None]
     ph = _pair_state(xi, chi)
     vac = _basis(2, 0)
     ghz_branch = _basis(6, 0) + _triple(ph, ph, ph)
     w_branch = _triple(vac, vac, ph) + _triple(vac, ph, vac) + _triple(ph, vac, vac)
     # z is the last, least significant qubit: interleave the two branches
     amps = np.stack([np.sqrt(p / 2.0) * ghz_branch,
-                     np.sqrt((1.0 - p) / 3.0) * w_branch], axis=-1).reshape(-1)
-    return PureState(GLOBAL_LAYOUT, amps)
+                     np.sqrt((1.0 - p) / 3.0) * w_branch], axis=-1)
+    return PureState(GLOBAL_LAYOUT, amps.reshape(amps.shape[:-2] + (-1,)))
 
 
 def global_output_state(p, kt):
@@ -134,6 +126,7 @@ def global_output_state(p, kt):
 
 def gghz_output_state_from_amplitudes(a, xi, chi):
     """Evolved 6-qubit generalized-GHZ state at explicit amplitudes."""
+    a = np.asarray(a, dtype=float)[..., None]
     b = _partner_amplitude(a)
     ph = _pair_state(xi, chi)
     amps = a * _basis(6, 0) + b * _triple(ph, ph, ph)
@@ -147,12 +140,13 @@ def gghz_output_state(a, kt):
 
 
 def _amplitude_matrix(state, pos):
-    # psi as a matrix: rows the qubits at positions `pos`, in that order;
-    # columns the other qubits, in layout order
+    # psi as a matrix per member: rows the qubits at positions `pos`, in
+    # that order; columns the other qubits, in layout order
     n = state.layout.n_qubits
-    rest = [i for i in range(n) if i not in pos]
-    return (state.amplitudes.reshape((2,) * n).transpose(pos + rest)
-            .reshape(2 ** len(pos), -1))
+    lead = state.amplitudes.shape[:-1]
+    arr = np.moveaxis(state.amplitudes.reshape(lead + (2,) * n),
+                      [i - n for i in pos], range(-n, len(pos) - n))
+    return arr.reshape(lead + (2 ** len(pos), -1))
 
 
 def reduce(state, keep):
@@ -160,16 +154,16 @@ def reduce(state, keep):
 
     Contracts the amplitudes directly: with the kept qubits as rows (in
     layout order) and the others as columns, psi is a matrix M and the
-    marginal is M M^dagger.  The state was validated when it was built, so
-    only the small returned DensityMatrix is validated; no full-size
-    |psi><psi| is formed.
+    marginal is M M^dagger, member by member for a stacked state.  The
+    state was validated when it was built, so only the small returned
+    DensityMatrix is validated; no full-size |psi><psi| is formed.
     """
     keep = list(keep)
     if not keep:
         raise ValueError("keep set must be nonempty")
     sub = state.layout.restrict(keep)
     m = _amplitude_matrix(state, state.layout.positions(keep))
-    return DensityMatrix(sub, m @ m.conj().T)
+    return DensityMatrix(sub, m @ np.swapaxes(m.conj(), -1, -2))
 
 
 def reorder(state, new_layout):
@@ -180,6 +174,7 @@ def reorder(state, new_layout):
         raise ValueError(f"new layout {new_layout.labels} is not a permutation "
                          f"of {state.layout.labels}")
     n = state.layout.n_qubits
-    perm = [state.layout.position(lab) for lab in new_layout.labels]
-    amps = state.amplitudes.reshape((2,) * n).transpose(perm).reshape(-1)
-    return PureState(new_layout, amps)
+    perm = [state.layout.position(lab) - n for lab in new_layout.labels]
+    lead = state.amplitudes.shape[:-1]
+    amps = np.moveaxis(state.amplitudes.reshape(lead + (2,) * n), perm, range(-n, 0))
+    return PureState(new_layout, amps.reshape(lead + (-1,)))

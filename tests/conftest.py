@@ -29,6 +29,27 @@ def random_separable_density_matrix(rng, labels, terms=3):
     return DensityMatrix(SystemLayout(labels), rho)
 
 
+def tensor_product(a, b):
+    """Kronecker product of two states or two matrices of the same kind.
+
+    PureState x PureState and DensityMatrix x DensityMatrix concatenate their
+    layouts in argument order; plain arrays must both be vectors or both be
+    square matrices. Mixing kinds is rejected.
+    """
+    if isinstance(a, PureState) and isinstance(b, PureState):
+        return PureState(SystemLayout(a.layout.labels + b.layout.labels),
+                         np.kron(a.amplitudes, b.amplitudes))
+    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
+        return DensityMatrix(SystemLayout(a.layout.labels + b.layout.labels),
+                             np.kron(a.data, b.data))
+    if isinstance(a, (PureState, DensityMatrix)) or isinstance(b, (PureState, DensityMatrix)):
+        raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
+    am, bm = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if am.ndim != bm.ndim or am.ndim not in (1, 2):
+        raise TypeError("operands must both be vectors or both be matrices")
+    return np.kron(am, bm)
+
+
 def random_pure_state(rng, labels):
     layout = SystemLayout(labels)
     v = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)

@@ -19,9 +19,9 @@ from cavres import (DensityMatrix, SystemLayout, esb_time, esd_time,
                     min_initial_negativity, negativity, reduce,
                     wootters_concurrence)
 from cavres.cli import CONVENTIONS
-from cavres.entanglement import (closed_form_grid_deviation,
+from cavres.entanglement import (closed_form_grid_deviation, closed_form_pt_eigenvalues,
                                  gghz_grid_deviation, monogamy_grid_audit)
-from cavres.esd import (esb_grid_deviation, lambda7_formula_audit,
+from cavres.esd import (_bisect, esb_grid_deviation, lambda7_boundary,
                         region_grid_audit, swap_grid_deviation)
 from cavres.linalg import partial_transpose
 from cavres.states import global_output_state
@@ -183,8 +183,19 @@ def test_criterion_7_property_suite():
     assert report(7, ok, detail), detail
 
 
+def lambda7_formula_audit(kt_values):
+    """The printed lambda7 boundary expression against an independent
+    bisection on the eigenvalue's sign change in p: (max |formula -
+    bisection|, one (kt, formula_p, bisection_p) triple per grid point)."""
+    samples = []
+    for kt in kt_values:
+        root, _ = _bisect(lambda p: closed_form_pt_eigenvalues(p, kt).lambda7,
+                          0.0, 1.0, xtol=1e-12)
+        samples.append((float(kt), lambda7_boundary(kt), root))
+    return max(abs(f - r) for _, f, r in samples), samples
+
+
 def test_criterion_8_lambda7_boundary_audit():
-    from cavres.entanglement import closed_form_pt_eigenvalues
     worst, samples = lambda7_formula_audit(np.linspace(0.1, 4.0, 30))
     agreement = worst <= 1e-8
     if agreement:

@@ -296,6 +296,65 @@ class TestVerify:
             assert all(p in ps and (kt is None or kt in kts) for p, kt in points), line
 
 
+# `verify` stdout at the default tolerances, as the per-point oracle printed
+# it before the dense path was stacked
+PINNED_VERIFY = {
+    "closedform": "[PASS] closedform: spectrum vs eigensolver, worst at (p=0.9167, kt=0): "
+                  "value 6.106e-16 vs 1.000e-10",
+    "regions": "[PASS] regions: region soundness: min N outside IV = 5.363e-06, max N inside "
+               "IV = 4.441e-16, violations = 0: value 4.441e-16 vs 1.000e-10",
+    "swap": "[PASS] swap: cavity/reservoir swap, worst at (p=0, kt=0): value 0.000e+00 vs "
+            "1.000e-12",
+    "esb": "[PASS] esb: birth-time formula vs bisection, worst at p=0.95: value 7.174e-07 vs "
+           "1.000e-03",
+    "monogamy": "[PASS] monogamy: pair-equality deviation, worst at (p=0, kt=2.625): value "
+                "8.882e-16 vs 1.000e-10\n"
+                "[PASS] monogamy: pair bound slack, worst at (p=0.2083, kt=2.125): value "
+                "-2.554e-15 vs -1.000e-10\n"
+                "[PASS] monogamy: negativity tail slack, worst at (p=1, kt=0): value "
+                "-1.110e-15 vs -1.000e-10",
+}
+REPORT = re.compile(rf"^(.*?)(, worst at [^:]*)?: value ({_NUM}) vs ({_NUM})$")
+NUMBER = re.compile(r"[-+]?\d+(?:\.\d+)?(?:e[-+]\d+)?")
+
+
+def _tiny(*numbers):
+    return all(abs(float(x)) < 1e-14 for x in numbers)
+
+
+def _alike_but_tiny(got, want):
+    """The same text, where a number may differ only if it is below 1e-14
+    in both."""
+    pairs = list(zip(NUMBER.findall(got), NUMBER.findall(want)))
+    return (NUMBER.sub("#", got) == NUMBER.sub("#", want)
+            and all(a == b or _tiny(a, b) for a, b in pairs))
+
+
+class TestVerifyPinned:
+    """Each suite prints the pinned text, or differs from it only in values
+    below 1e-14 (rounding noise) and in the worst point of such a value."""
+
+    @pytest.mark.parametrize("suite", list(PINNED_VERIFY))
+    def test_output_matches_the_pinned_text(self, suite, capsys):
+        assert run_cli(["verify", suite]) == 0
+        got = capsys.readouterr().out.splitlines()
+        want = PINNED_VERIFY[suite].splitlines()
+        assert len(got) == len(want)
+        for line, pinned in zip(got, want):
+            if line == pinned:
+                continue
+            (head, at, value, thr), (p_head, p_at, p_value, p_thr) = (
+                REPORT.match(text).groups() for text in (line, pinned))
+            assert thr == p_thr and _alike_but_tiny(head, p_head), (line, pinned)
+            assert value == p_value or _tiny(value, p_value), (line, pinned)
+            assert at == p_at or _tiny(value, p_value), (line, pinned)
+
+    def test_comparison_rule(self):
+        assert _alike_but_tiny("max N = 4.441e-16, n = 0", "max N = 2.2e-16, n = 0")
+        assert not _alike_but_tiny("min N = 5.363e-06", "min N = 5.364e-06")
+        assert not _alike_but_tiny("violations = 1", "violations = 0")
+
+
 class TestLandmarks:
     def test_report_and_exit_code(self, capsys):
         rc = run_cli(["landmarks"])

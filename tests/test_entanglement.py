@@ -8,8 +8,7 @@ from cavres import (DensityMatrix, SystemLayout, closed_form_pt_eigenvalues,
                     pure_bipartite_concurrence_sq, reduce, w,
                     wootters_concurrence)
 from cavres.entanglement import (PtSpectrum, _qubit_block_concurrence_sq,
-                                 gghz_grid_deviation, grid_worst, marginal_negativity,
-                                 on_grid)
+                                 gghz_grid_deviation, grid_worst, marginal_negativity)
 from cavres.esd import reservoir_negativity, swap_check
 from cavres.linalg import hermitian_eigenvalues, partial_trace, partial_transpose
 from cavres.states import ghz, purified_initial
@@ -187,11 +186,6 @@ class TestGridWorst:
         values = np.array([1.0, 3.0, 3.0])
         assert grid_worst(values, self.PARAMS) == (3.0, (0.5,))
         assert grid_worst(values, self.PARAMS, pick=np.argmin) == (1.0, (0.0,))
-
-    def test_on_grid_is_param_major(self):
-        grid = on_grid(lambda p, kt: (p, kt), self.PARAMS, self.KTS)
-        assert grid.shape == (3, 2, 2)
-        assert grid[2, 1].tolist() == [1.0, 3.0]
 
     def test_check_verdict_is_value_against_threshold(self):
         (c,) = gghz_grid_deviation(1e-10, a_steps=3, kt_steps=3)

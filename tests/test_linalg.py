@@ -3,11 +3,11 @@ import pytest
 
 from cavres import (DensityMatrix, PureState, SystemLayout,
                     hermitian_eigenvalues, partial_trace, partial_transpose,
-                    psd_sqrt, tensor_product, trace_norm)
+                    psd_sqrt, trace_norm)
 from cavres.states import ghz, purified_initial, mixed_ghz_w, reduce
 
 from conftest import (random_density_matrix, random_pure_state,
-                      random_separable_density_matrix)
+                      random_separable_density_matrix, tensor_product)
 
 
 def bell_pair():
