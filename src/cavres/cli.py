@@ -14,15 +14,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .entanglement import (by_row, closed_form_grid_deviation, closed_form_pt_eigenvalues,
-                           gghz_negativity_closed, grid_worst, marginal_negativity,
-                           monogamy_chain, monogamy_grid_audit,
-                           negativity_from_spectrum)
+from .entanglement import (cavity_negativity_check, closed_form_grid_deviation,
+                           closed_form_pt_eigenvalues, gghz_negativity_closed,
+                           monogamy_chain, monogamy_grid_audit, negativity_from_spectrum)
 from .esd import (esb_grid_deviation, esd_threshold_probability, esd_time,
                   equal_entanglement_range, gghz_esd_time,
                   min_esd_point, min_initial_negativity, region_grid_audit,
                   sample_boundary, swap_grid_deviation)
-from .states import CAVITY_LAYOUT, gghz_output_state, global_output_state
+from .states import gghz_output_state, global_output_state
 
 CSV_HEADER = "param,kt,negativity"
 
@@ -49,7 +48,7 @@ LANDMARKS = {
     "max_gghz_esd_kt": (0.763, 0.005),
 }
 
-# each audit takes its tolerance first and defaults it
+# each audit takes only its tolerance, and defaults it
 SUITES = {
     "closedform": closed_form_grid_deviation,
     "monogamy": monogamy_grid_audit,
@@ -106,6 +105,10 @@ def cmd_surface(args):
         grid = negativity_from_spectrum(closed_form_pt_eigenvalues(params[:, None], kts))
     else:
         grid = gghz_negativity_closed(params[:, None], kts)
+    bad = ~np.isfinite(grid)
+    if bad.any():  # refused before any file is written
+        raise RuntimeError(f"{np.count_nonzero(bad)} cells are not finite; the smallest kt "
+                           f"among them is {_fmt(np.broadcast_to(kts, grid.shape)[bad].min())}")
     rows = [(p, kt, n) for p, line in zip(params.tolist(), grid.tolist())
             for kt, n in zip(kts.tolist(), line)]
     meta = {"family": args.family,
@@ -116,13 +119,12 @@ def cmd_surface(args):
     print(f"wrote {len(rows)} rows to {args.out}")
     if args.oracle:
         tolerance = args.tolerance if args.tolerance is not None else 1e-10
-        state = global_output_state if mixed else gghz_output_state
-        cavity = CAVITY_LAYOUT.labels
-        dense = by_row(lambda p, kt: marginal_negativity(state(p, kt), cavity), params, kts)
-        dev, at = grid_worst(np.abs(dense - grid), params, kts)
-        print(f"oracle check: max |closed form - numeric| = {dev:.3e} "
-              f"at (param={at[0]:.6g}, kt={at[1]:.6g})")
-        if not dev <= tolerance:  # a nan cell fails
+        c = cavity_negativity_check("closed form vs numeric", tolerance, grid,
+                                    global_output_state if mixed else gghz_output_state,
+                                    params, kts)
+        print(f"oracle check: max |closed form - numeric| = {c.value:.3e} "
+              f"at (param={c.at[0]:.6g}, kt={c.at[1]:.6g})")
+        if not c.ok:
             print(f"oracle mismatch beyond tolerance {tolerance:.3e}", file=sys.stderr)
             return 1
     return 0
@@ -130,9 +132,7 @@ def cmd_surface(args):
 
 def cmd_boundary(args):
     if not 0.0 < args.kt_min < args.kt_max < math.inf or args.kt_steps < 2:
-        print("error: boundary needs finite 0 < kt-min < kt-max and steps >= 2",
-              file=sys.stderr)
-        return 2
+        raise ValueError("boundary needs finite 0 < kt-min < kt-max and steps >= 2")
     kts = np.linspace(args.kt_min, args.kt_max, args.kt_steps)
     samples = sample_boundary(args.kind, kts)
     _write_table(args.out, args.format, "kt,param", samples,
@@ -185,9 +185,6 @@ def cmd_landmarks(_args):
 
 
 def cmd_esd_time(args):
-    if (args.p is None) == (args.a is None):
-        print("error: give exactly one of --p or --a", file=sys.stderr)
-        return 2
     if args.p is not None:
         t = esd_time(args.p)
         label = f"mixed family, p = {_fmt(args.p)}"
@@ -255,8 +252,9 @@ def build_parser():
     landmarks.set_defaults(func=cmd_landmarks)
 
     esd = sub.add_parser("esd-time", help="death time for one family member")
-    esd.add_argument("--p", type=float, default=None, help="mixture probability")
-    esd.add_argument("--a", type=float, default=None, help="generalized-GHZ amplitude")
+    family = esd.add_mutually_exclusive_group(required=True)
+    family.add_argument("--p", type=float, help="mixture probability")
+    family.add_argument("--a", type=float, help="generalized-GHZ amplitude")
     esd.set_defaults(func=cmd_esd_time)
 
     mono = sub.add_parser("monogamy", help="monogamy chain at one (p, kt) point")

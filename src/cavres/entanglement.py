@@ -282,14 +282,9 @@ def grid_worst(values, params, kts=(), pick=np.argmax):
     return float(values[idx]), tuple(float(ax[i]) for ax, i in zip((params, kts), idx))
 
 
-def by_row(f, ps, kts):
-    """[f(p, kts) for p in ps] as an array: one call per parameter row,
-    each on the whole kt axis, so the dense stacks stay one row long."""
-    return np.array([f(p, kts) for p in ps])
-
-
-def _grid_axes(p_steps, kt_steps, kt_max):
-    return np.linspace(0.0, 1.0, p_steps), np.linspace(0.0, kt_max, kt_steps)
+def _square_grid(steps):
+    """The audit axes: steps values of p (or a) in [0, 1] and of kt in [0, 3]."""
+    return np.linspace(0.0, 1.0, steps), np.linspace(0.0, 3.0, steps)
 
 
 def _at_most(label, tolerance, values, ps, kts):
@@ -297,28 +292,39 @@ def _at_most(label, tolerance, values, ps, kts):
     return Check(label, value, tolerance, value <= tolerance, at)  # a nan fails
 
 
-def closed_form_grid_deviation(tolerance=1e-10, p_steps=25, kt_steps=25, kt_max=3.0):
-    """The closed-form spectrum against the dense eigensolver over a
+def dense_cavity_negativity(state, params, kts):
+    """The dense cavity negativity of state(param, kts) for each param, one
+    stack per parameter row: a param-major grid."""
+    return np.array([marginal_negativity(state(p, kts), CAVITY_LAYOUT.labels) for p in params])
+
+
+def cavity_negativity_check(label, tolerance, closed, state, params, kts):
+    """A param-major grid of closed-form cavity negativities against the
+    dense negativity of state(param, kt): one Check of the worst deviation."""
+    dense = dense_cavity_negativity(state, params, kts)
+    return _at_most(label, tolerance, np.abs(dense - closed), params, kts)
+
+
+def closed_form_grid_deviation(tolerance=1e-10):
+    """The closed-form spectrum against the dense eigensolver over a 25x25
     (p, kt) grid: one Check of the worst entrywise deviation."""
-    ps, kts = _grid_axes(p_steps, kt_steps, kt_max)
+    ps, kts = _square_grid(25)
     spec = closed_form_pt_eigenvalues(ps[:, None], kts)
     lam = np.sort(np.stack(spec.lambdas, axis=-1), axis=-1)
-    num = by_row(lambda p, kt: np.linalg.eigvalsh(partial_transpose(
-        reduce(global_output_state(p, kt), CAVITY_LAYOUT.labels), ["c1"])), ps, kts)
+    num = np.array([np.linalg.eigvalsh(partial_transpose(
+        reduce(global_output_state(p, kts), CAVITY_LAYOUT.labels), ["c1"])) for p in ps])
     return [_at_most("spectrum vs eigensolver", tolerance,
                      np.max(np.abs(lam - num), axis=-1), ps, kts)]
 
 
-def _chain_members(p, kt):
-    rec = monogamy_chain(p, kt)
-    return rec.equality_deviation, rec.pair_slack, rec.tail_slack
-
-
-def monogamy_grid_audit(tolerance=1e-10, p_steps=25, kt_steps=25, kt_max=3.0):
-    """The monogamy chain over a (p, kt) grid: the pair equality holds to
-    tolerance, and the pair and tail slacks are at least -tolerance."""
-    ps, kts = _grid_axes(p_steps, kt_steps, kt_max)
-    eq, pair, tail = np.moveaxis(by_row(_chain_members, ps, kts), 1, 0)
+def monogamy_grid_audit(tolerance=1e-10):
+    """The monogamy chain over a 25x25 (p, kt) grid: the pair equality
+    holds to tolerance, and the pair and tail slacks are at least
+    -tolerance."""
+    ps, kts = _square_grid(25)
+    recs = [monogamy_chain(p, kts) for p in ps]
+    eq, pair, tail = (np.array([getattr(r, name) for r in recs])
+                      for name in ("equality_deviation", "pair_slack", "tail_slack"))
     checks = [_at_most("pair-equality deviation", tolerance, eq, ps, kts)]
     for label, slack in (("pair bound slack", pair), ("negativity tail slack", tail)):
         value, at = grid_worst(slack, ps, kts, np.argmin)
@@ -326,11 +332,10 @@ def monogamy_grid_audit(tolerance=1e-10, p_steps=25, kt_steps=25, kt_max=3.0):
     return checks
 
 
-def gghz_grid_deviation(tolerance=1e-10, a_steps=25, kt_steps=25, kt_max=3.0):
+def gghz_grid_deviation(tolerance=1e-10):
     """The generalized-GHZ closed form against the dense computation over
-    an (a, kt) grid: one Check of the worst deviation."""
-    a_s, kts = _grid_axes(a_steps, kt_steps, kt_max)
-    num = by_row(lambda a, kt: marginal_negativity(gghz_output_state(a, kt),
-                                                   CAVITY_LAYOUT.labels), a_s, kts)
-    return [_at_most("generalized GHZ vs eigensolver", tolerance,
-                     np.abs(num - gghz_negativity_closed(a_s[:, None], kts)), a_s, kts)]
+    a 25x25 (a, kt) grid: one Check of the worst deviation."""
+    a_s, kts = _square_grid(25)
+    return [cavity_negativity_check("generalized GHZ vs eigensolver", tolerance,
+                                    gghz_negativity_closed(a_s[:, None], kts),
+                                    gghz_output_state, a_s, kts)]

@@ -11,11 +11,11 @@ from enum import Enum
 
 import numpy as np
 
-from .entanglement import (ZERO_ENTANGLEMENT, Check, _at_most, _grid_axes, by_row,
-                           closed_form_pt_eigenvalues, grid_worst,
+from .entanglement import (ZERO_ENTANGLEMENT, Check, _at_most, _square_grid,
+                           closed_form_pt_eigenvalues, dense_cavity_negativity, grid_worst,
                            marginal_negativity, negativity_from_spectrum)
 from .linalg import _item
-from .states import (CAVITY_LAYOUT, RESERVOIR_LAYOUT, _check_probability, amplitudes,
+from .states import (RESERVOIR_LAYOUT, _check_probability, amplitudes,
                      global_output_state, global_output_state_from_amplitudes, reduce)
 
 BOUNDARY_TIE_TOL = 1e-12
@@ -296,51 +296,46 @@ def _bisect(f, lo, hi, xtol):
     return _item(0.5 * (lo + hi)), iterations if iterations.ndim else int(iterations)
 
 
-def esb_time_numeric(p, xtol=1e-6):
-    """Locate the reservoir entanglement birth by bisection on the
-    reservoir negativity; independent of the closed-form relation.  An
-    array of p bisects in lockstep, one stack of states per step.
+def esb_time_numeric(p):
+    """Locate the reservoir entanglement birth, to 1e-6 in kt, by bisection
+    on the reservoir negativity; independent of the closed-form relation.
+    An array of p bisects in lockstep, one stack of states per step.
 
     Every birth comes before esb_time of the earliest death, kt ~ 0.41, so
     [1e-8, 1] brackets it unless the death is later than kt ~ 18.
     """
     f = lambda kt: reservoir_negativity(p, kt) - ZERO_ENTANGLEMENT
-    return _bisect(f, 1e-8, 1.0, xtol)[0]
+    return _bisect(f, 1e-8, 1.0, 1e-6)[0]
 
 
-def swap_grid_deviation(tolerance=1e-12, p_steps=20, kt_steps=20, kt_max=3.0):
-    """The swap relation over a (p, kt) grid: one Check of the worst
+def swap_grid_deviation(tolerance=1e-12):
+    """The swap relation over a 20x20 (p, kt) grid: one Check of the worst
     entrywise deviation."""
-    ps, kts = _grid_axes(p_steps, kt_steps, kt_max)
-    devs = by_row(lambda p, kt: swap_check(p, kt)[1], ps, kts)
+    ps, kts = _square_grid(20)
+    devs = np.array([swap_check(p, kts)[1] for p in ps])
     return [_at_most("cavity/reservoir swap", tolerance, devs, ps, kts)]
 
 
-def esb_grid_deviation(tolerance=1e-3, p_values=None):
-    """The closed-form birth time against the bisection-located one over
-    probabilities with a finite death time: one Check of the worst gap."""
-    p_values = np.linspace(0.30, 0.95, 10) if p_values is None else np.asarray(p_values)
-    births = []
-    for p in p_values:
-        t_death = esd_time(p)
-        if t_death is None:
-            raise ValueError(f"p={p} has no finite death time")
-        births.append(esb_time(t_death))
+def esb_grid_deviation(tolerance=1e-3):
+    """The closed-form birth time against the bisection-located one over ten
+    probabilities in [0.30, 0.95], each with a finite death time: one Check
+    of the worst gap."""
+    p_values = np.linspace(0.30, 0.95, 10)
+    births = [esb_time(esd_time(p)) for p in p_values]
     gaps = np.abs(np.array(births) - esb_time_numeric(p_values))
     return [_at_most("birth-time formula vs bisection", tolerance, gaps, p_values, ())]
 
 
-def region_grid_audit(tolerance=ZERO_ENTANGLEMENT, p_steps=40, kt_steps=40, kt_max=3.0):
+def region_grid_audit(tolerance=ZERO_ENTANGLEMENT):
     """Check that region IV means numeric negativity below tolerance and
-    regions I-III mean negativity above it, over a (p, kt) grid.
+    regions I-III mean negativity above it, over a 40x40 (p, kt) grid.
 
     One Check: its value is the largest negativity inside IV, and its
     verdict needs both sides to hold.  A failure points at the extreme of
     a failing side, inside IV first.
     """
-    ps, kts = _grid_axes(p_steps, kt_steps, kt_max)
-    n = by_row(lambda p, kt: marginal_negativity(global_output_state(p, kt),
-                                                 CAVITY_LAYOUT.labels), ps, kts)
+    ps, kts = _square_grid(40)
+    n = dense_cavity_negativity(global_output_state, ps, kts)
     neg5, neg7 = _clearly_negative(closed_form_pt_eigenvalues(ps[:, None], kts))
     sep = ~(neg5 | neg7)  # region IV, by classify_region's rule
     sound = np.where(sep, n < tolerance, n > tolerance)  # a nan fails

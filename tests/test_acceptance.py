@@ -37,7 +37,7 @@ def report(criterion, ok, detail):
 
 def test_criterion_1_closed_form_spectrum_equivalence():
     start = time.perf_counter()
-    (c,) = closed_form_grid_deviation(1e-10, p_steps=25, kt_steps=25, kt_max=3.0)
+    (c,) = closed_form_grid_deviation(1e-10)
     elapsed = time.perf_counter() - start
     ok = c.value <= 1e-10 and elapsed < 10.0
     detail = (f"spectrum vs eigensolver on 25x25 grid: max dev {c.value:.3e} "
@@ -71,7 +71,7 @@ def test_criterion_2_landmark_reproduction():
 
 def test_criterion_3_generalized_ghz_branch():
     parts = []
-    (c,) = gghz_grid_deviation(1e-10, a_steps=25, kt_steps=25, kt_max=3.0)
+    (c,) = gghz_grid_deviation(1e-10)
     parts.append((c.value <= 1e-10,
                   f"closed form vs eigensolver 25x25: max dev {c.value:.3e} at {c.at}"))
     boundary_gap = abs(gghz_esd_boundary(20.0) - np.sqrt(0.5))
@@ -102,7 +102,7 @@ def test_criterion_3_generalized_ghz_branch():
 
 
 def test_criterion_4_monogamy_suite():
-    eq, pair, tail = monogamy_grid_audit(1e-10, p_steps=25, kt_steps=25, kt_max=3.0)
+    eq, pair, tail = monogamy_grid_audit(1e-10)
     ok = eq.value <= 1e-10 and pair.value >= -1e-10 and tail.value >= -1e-10
     detail = (f"25x25 grid: pair equality dev {eq.value:.3e} at {eq.at}, "
               f"pair-bound slack {pair.value:.3e} at {pair.at}, "
@@ -111,8 +111,8 @@ def test_criterion_4_monogamy_suite():
 
 
 def test_criterion_5_swap_and_birth_times():
-    (swap,) = swap_grid_deviation(1e-12, p_steps=20, kt_steps=20, kt_max=3.0)
-    (esb,) = esb_grid_deviation(1e-3, np.linspace(0.30, 0.95, 10))
+    (swap,) = swap_grid_deviation(1e-12)
+    (esb,) = esb_grid_deviation(1e-3)
     ok = swap.value < 1e-12 and esb.value < 1e-3
     detail = (f"swap identity on 20x20 grid: max entrywise dev {swap.value:.3e} "
               f"(tol 1e-12) at {swap.at}; birth-time formula vs bisection over 10 "
@@ -122,7 +122,7 @@ def test_criterion_5_swap_and_birth_times():
 
 def test_criterion_6_region_soundness():
     # the zero-entanglement threshold 1e-10 on both sides of the IV boundary
-    (c,) = region_grid_audit(1e-10, p_steps=40, kt_steps=40, kt_max=3.0)
+    (c,) = region_grid_audit(1e-10)
     ok = c.ok
     detail = f"40x40 grid: {c.label}"
     assert report(6, ok, detail), detail

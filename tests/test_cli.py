@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 import subprocess
@@ -6,9 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from cavres import cli
-from cavres.entanglement import (closed_form_pt_eigenvalues, gghz_negativity_closed,
-                                 negativity_from_spectrum)
+from cavres import cli, esb_time_numeric
+from cavres.entanglement import (closed_form_pt_eigenvalues, gghz_grid_deviation,
+                                 gghz_negativity_closed, negativity_from_spectrum)
 
 
 def run_cli(args):
@@ -158,6 +159,20 @@ class TestSurface:
                       "--tolerance", "1e-30"])
         assert rc == 1
 
+    @pytest.mark.parametrize("family, count", [("mixed", 1554), ("gghz", 1533)])
+    def test_non_finite_cells_are_refused(self, tmp_path, capsys, family, count):
+        # exp(kt) overflows in the closed forms from kt ~ 177, with a warning
+        out = tmp_path / "long.csv"
+        with pytest.warns(RuntimeWarning):
+            rc = run_cli(["surface", "--family", family, "--param-steps", "21",
+                          "--kt-max", "250", "--kt-steps", "251", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {count} cells are not finite; the smallest kt "
+                                f"among them is {177 if family == 'mixed' else 178}\n")
+        assert not out.exists()
+
     def test_invalid_steps_usage_error(self, tmp_path):
         rc = run_cli(["surface", "--family", "mixed", "--param-steps", "1",
                       "--kt-steps", "5", "--out", str(tmp_path / "x.csv")])
@@ -220,10 +235,14 @@ class TestBoundary:
         assert "boundary needs finite" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_range_usage_error(self, tmp_path):
+    def test_bad_range_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
         rc = run_cli(["boundary", "lambda5", "--kt-min", "0.0",
-                      "--kt-max", "2.0", "--out", str(tmp_path / "b.csv")])
+                      "--kt-max", "2.0", "--out", str(out)])
         assert rc == 2
+        assert capsys.readouterr().err == ("error: boundary needs finite 0 < kt-min < kt-max "
+                                           "and steps >= 2\n")
+        assert not out.exists()
 
 
 _NUM = r"[-+0-9.eE]+|nan|inf"
@@ -256,6 +275,15 @@ class TestVerify:
     def test_forced_failure_with_absurd_tolerance(self, capsys):
         assert run_cli(["verify", "monogamy", "--tolerance", "1e-30"]) == 1
         assert "[FAIL]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("audit", [*cli.SUITES.values(), gghz_grid_deviation],
+                             ids=[*cli.SUITES, "gghz"])
+    def test_audits_take_only_a_tolerance(self, audit):
+        # each grid is fixed, and pinned by DEFAULT_GRIDS and TestVerifyPinned
+        assert list(inspect.signature(audit).parameters) == ["tolerance"]
+
+    def test_birth_bisection_takes_only_p(self):
+        assert list(inspect.signature(esb_time_numeric).parameters) == ["p"]
 
     def test_unknown_suite_usage_error(self):
         assert run_cli(["verify", "bogus"]) == 2
@@ -355,6 +383,32 @@ class TestVerifyPinned:
         assert not _alike_but_tiny("violations = 1", "violations = 0")
 
 
+# the `surface --oracle` check line on a 21x31 grid, as printed before the
+# oracle shared the generalized-GHZ audit's check
+PINNED_ORACLE = {
+    "mixed": "oracle check: max |closed form - numeric| = 8.882e-16 at (param=0.05, kt=0.2)",
+    "gghz": "oracle check: max |closed form - numeric| = 7.772e-16 at (param=0.5, kt=0.2)",
+}
+ORACLE_LINE = re.compile(rf"^(oracle check: .* = )({_NUM})( at .*)$")
+
+
+class TestSurfaceOraclePinned:
+    """The oracle check prints the pinned line, or differs from it only in a
+    deviation below 1e-14 and in the point where such a deviation lies."""
+
+    @pytest.mark.parametrize("family", list(PINNED_ORACLE))
+    def test_oracle_line_matches_the_pinned_text(self, tmp_path, capsys, family):
+        out = tmp_path / "surf.csv"
+        assert run_cli(["surface", "--family", family, "--param-steps", "21",
+                        "--kt-steps", "31", "--oracle", "--out", str(out)]) == 0
+        wrote, line = capsys.readouterr().out.splitlines()
+        assert wrote == f"wrote 651 rows to {out}"
+        (head, value, at), (p_head, p_value, p_at) = (
+            ORACLE_LINE.match(text).groups() for text in (line, PINNED_ORACLE[family]))
+        assert head == p_head and _alike_but_tiny(value, p_value), line
+        assert at == p_at or _tiny(value, p_value), line
+
+
 class TestLandmarks:
     def test_report_and_exit_code(self, capsys):
         rc = run_cli(["landmarks"])
@@ -389,9 +443,11 @@ class TestPointQueries:
         assert run_cli(["esd-time", "--a", "0.5"]) == 0
         assert "death at kt" in capsys.readouterr().out
 
-    def test_esd_time_needs_exactly_one_parameter(self):
+    def test_esd_time_needs_exactly_one_parameter(self, capsys):
         assert run_cli(["esd-time"]) == 2
+        assert "one of the arguments --p --a is required" in capsys.readouterr().err
         assert run_cli(["esd-time", "--p", "0.5", "--a", "0.5"]) == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_esd_time_domain_error(self):
         assert run_cli(["esd-time", "--p", "1.5"]) == 2

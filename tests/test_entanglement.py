@@ -188,9 +188,9 @@ class TestGridWorst:
         assert grid_worst(values, self.PARAMS, pick=np.argmin) == (1.0, (0.0,))
 
     def test_check_verdict_is_value_against_threshold(self):
-        (c,) = gghz_grid_deviation(1e-10, a_steps=3, kt_steps=3)
+        (c,) = gghz_grid_deviation(1e-10)
         assert c.ok and c.value <= c.threshold == 1e-10 and len(c.at) == 2
-        (c,) = gghz_grid_deviation(0.0, a_steps=3, kt_steps=3)
+        (c,) = gghz_grid_deviation(0.0)
         assert c.ok is (c.value <= 0.0)
 
 

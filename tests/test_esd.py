@@ -147,22 +147,29 @@ class TestRegionClassification:
         cav = reduce(global_output_state(0.5, 3.0), ["c1", "c2", "c3"])
         assert negativity(cav, ["c1"]) < 1e-10
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="exp(kt) overflows in the closed forms from kt ~ 177: lambda5 "
+                              "and lambda7 come out -inf, so this returns region I")
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_long_time_is_separable(self):
+        assert classify_region(0.9, 200) is RegionClass.IV
+
 
 class TestRegionGridAudit:
     def test_default_threshold_passes(self):
-        (c,) = region_grid_audit(p_steps=5, kt_steps=5)
+        (c,) = region_grid_audit()
         assert c.ok and c.threshold == 1e-10 and c.at == ()
         assert c.label.endswith("violations = 0")
 
     def test_threshold_binds_inside_region_iv(self):
         # no negativity lies strictly below 0, so every IV point violates
-        (c,) = region_grid_audit(0.0, p_steps=5, kt_steps=5)
+        (c,) = region_grid_audit(0.0)
         assert not c.ok and c.value >= 0.0
         assert classify_region(*c.at) is RegionClass.IV
 
     def test_threshold_binds_outside_region_iv(self):
         # no negativity exceeds 2, so every entangled point violates
-        (c,) = region_grid_audit(2.0, p_steps=5, kt_steps=5)
+        (c,) = region_grid_audit(2.0)
         assert not c.ok and c.value < 2.0
         assert classify_region(*c.at) is not RegionClass.IV
 

@@ -3,8 +3,8 @@
 A state or density matrix with leading axes goes through the same code as a
 single one; these tests hold the two to 1e-15 on small grids that include
 p = 0, p = 1 and kt = 0, check that a stack with one bad member is refused
-with the scalar message, and count the LAPACK calls each grid audit makes:
-one stack per parameter row, whatever the number of kt points.
+with the scalar message, and count the LAPACK calls each grid audit makes
+on its fixed grid: one stack per parameter row, not one per grid point.
 """
 
 import numpy as np
@@ -194,31 +194,32 @@ def _lapack_calls(monkeypatch, run):
     return len(every)
 
 
-# per parameter row: monogamy makes 14 calls (a marginal check each for the
-# two pure-cut concurrences, SVD, check, eigh and eigvalsh for each block,
-# check and partial-transpose eigvalsh for each negativity); the others 2
+# each audit on its fixed grid: (audit, LAPACK calls per parameter row, rows).
+# Per row, monogamy makes 14 calls (a marginal check each for the two
+# pure-cut concurrences, SVD, check, eigh and eigvalsh for each block, check
+# and partial-transpose eigvalsh for each negativity); the others 2.  One
+# call per grid point would make at least as many calls as the grid has
+# points, 625 for the 25x25 grids.
 AUDITS = {
-    "closedform": (lambda n: closed_form_grid_deviation(p_steps=3, kt_steps=n), 2),
-    "monogamy": (lambda n: monogamy_grid_audit(p_steps=3, kt_steps=n), 14),
-    "swap": (lambda n: swap_grid_deviation(p_steps=3, kt_steps=n), 2),
-    "regions": (lambda n: region_grid_audit(p_steps=3, kt_steps=n), 2),
-    "gghz": (lambda n: gghz_grid_deviation(a_steps=3, kt_steps=n), 2),
+    "closedform": (closed_form_grid_deviation, 2, 25),
+    "monogamy": (monogamy_grid_audit, 14, 25),
+    "swap": (swap_grid_deviation, 2, 20),
+    "regions": (region_grid_audit, 2, 40),
+    "gghz": (gghz_grid_deviation, 2, 25),
 }
 
 
 class TestLapackCallsPerRow:
     @pytest.mark.parametrize("audit", list(AUDITS))
     def test_grid_audits(self, monkeypatch, audit):
-        run, per_row = AUDITS[audit]
-        few = _lapack_calls(monkeypatch, lambda: run(4))
-        many = _lapack_calls(monkeypatch, lambda: run(30))
-        assert few == many <= per_row * 3
+        run, per_row, rows = AUDITS[audit]
+        assert _lapack_calls(monkeypatch, run) <= per_row * rows
 
     def test_esb_bisects_in_lockstep(self, monkeypatch):
         # two evaluations per bisection step (state check and negativity),
         # plus the two bracket ends: 2 (20 + 2), however many p values
-        few = _lapack_calls(monkeypatch, lambda: esb_grid_deviation(p_values=[0.3, 0.6]))
-        many = _lapack_calls(monkeypatch, lambda: esb_grid_deviation())
+        few = _lapack_calls(monkeypatch, lambda: esb_time_numeric(np.array([0.3, 0.6])))
+        many = _lapack_calls(monkeypatch, esb_grid_deviation)
         assert few == many == 44
 
     @pytest.mark.parametrize("family", ["mixed", "gghz"])
