@@ -71,8 +71,6 @@ class PtSpectrum:
     """
 
     lambdas: tuple
-    p: float
-    kt: float
 
     def __post_init__(self):
         if len(self.lambdas) != 8:
@@ -118,7 +116,7 @@ def closed_form_pt_eigenvalues(p, kt):
     l6 = (lin_a + rad_a) / 12.0
     l7 = (lin_b - rad_b) / 12.0
     l8 = (lin_b + rad_b) / 12.0
-    return PtSpectrum(lambdas=(l1, l2, l3, l4, l5, l6, l7, l8), p=p, kt=kt)
+    return PtSpectrum(lambdas=(l1, l2, l3, l4, l5, l6, l7, l8))
 
 
 def negativity_from_spectrum(spectrum):
@@ -195,8 +193,6 @@ class MonogamyChainRecord:
     decompositions and is deliberately not evaluated.
     """
 
-    p: float
-    kt: float
     c_init_sq: float
     c_pair_sq: float
     c_c1_sq: float
@@ -255,10 +251,8 @@ def monogamy_chain(p, kt):
     c_r1 = _qubit_block_concurrence_sq(state, "r1", "c1")
     n_cav = marginal_negativity(state, CAVITY_LAYOUT.labels)
     n_res = marginal_negativity(state, RESERVOIR_LAYOUT.labels)
-    return MonogamyChainRecord(p=p, kt=kt,
-                               c_init_sq=c_init, c_pair_sq=c_pair,
-                               c_c1_sq=c_c1, c_r1_sq=c_r1,
-                               n_cav_sq=n_cav * n_cav, n_res_sq=n_res * n_res)
+    return MonogamyChainRecord(c_init_sq=c_init, c_pair_sq=c_pair, c_c1_sq=c_c1,
+                               c_r1_sq=c_r1, n_cav_sq=n_cav * n_cav, n_res_sq=n_res * n_res)
 
 
 @dataclass(frozen=True)

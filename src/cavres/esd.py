@@ -197,9 +197,9 @@ def min_initial_negativity(lo=0.0, hi=1.0):
 
 
 def esd_threshold_probability():
-    """Mix probability below which the decay is asymptotic: at e = 0, Q7 is
-    -2(4p - 1)(4 - p), so lambda7's boundary ends at 1/4."""
-    return ESD_ONSET_PROBABILITY
+    """Mix probability below which the decay is asymptotic: lambda7's
+    boundary at kt = inf, where e = 0 and Q7 is -2(4p - 1)(4 - p), so 1/4."""
+    return lambda7_boundary(np.inf)
 
 
 def gghz_esd_time(a):

@@ -7,6 +7,8 @@ point: it is validated member by member in one pass, and every function
 on it keeps the leading axes.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 QUBIT_LABELS = ("c1", "c2", "c3", "r1", "r2", "r3", "z")
@@ -17,13 +19,14 @@ TRACE_TOL = 1e-10
 NORM_TOL = 1e-12
 
 
+@dataclass(frozen=True, slots=True)
 class SystemLayout:
     """Ordered register of named qubits defining the tensor-factor order."""
 
-    __slots__ = ("labels",)
+    labels: tuple
 
-    def __init__(self, labels):
-        labels = tuple(labels)
+    def __post_init__(self):
+        labels = tuple(self.labels)
         if not labels:
             raise ValueError("layout needs at least one qubit")
         for lab in labels:
@@ -32,9 +35,6 @@ class SystemLayout:
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate qubit labels in {labels}")
         object.__setattr__(self, "labels", labels)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SystemLayout is immutable")
 
     @property
     def n_qubits(self):
@@ -62,23 +62,8 @@ class SystemLayout:
             raise ValueError(f"labels {sorted(missing)} not in layout {self.labels}")
         return SystemLayout(lab for lab in self.labels if lab in keep)
 
-    def __len__(self):
-        return len(self.labels)
-
     def __iter__(self):
         return iter(self.labels)
-
-    def __contains__(self, label):
-        return label in self.labels
-
-    def __eq__(self, other):
-        return isinstance(other, SystemLayout) and self.labels == other.labels
-
-    def __hash__(self):
-        return hash(self.labels)
-
-    def __repr__(self):
-        return f"SystemLayout({self.labels!r})"
 
 
 def _require(ok, value, message):
@@ -100,7 +85,7 @@ def _as_complex_array(data, ndim, stack=False):
     arr = np.asarray(data, dtype=complex)
     if arr.ndim < ndim or arr.ndim > ndim and not stack:
         raise ValueError(f"expected a {ndim}-d array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.view(float))):
+    if not np.isfinite(arr).all():
         raise ValueError("entries must be finite")
     return arr
 
@@ -111,16 +96,19 @@ def _check_hermitian(mat):
         raise ValueError(f"matrix deviates from Hermitian by {dev}")
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class PureState:
     """Unit-norm complex amplitude vector over a SystemLayout, or a stack
     of them along leading axes."""
 
-    __slots__ = ("layout", "amplitudes")
+    layout: SystemLayout
+    amplitudes: np.ndarray
 
-    def __init__(self, layout, amplitudes):
+    def __post_init__(self):
+        layout = self.layout
         if not isinstance(layout, SystemLayout):
             layout = SystemLayout(layout)
-        amps = _as_complex_array(amplitudes, 1, stack=True)
+        amps = _as_complex_array(self.amplitudes, 1, stack=True)
         if amps.shape[-1] != layout.dim:
             raise ValueError(f"amplitude vector of length {amps.shape[-1]} does not "
                              f"match layout dimension {layout.dim}")
@@ -132,27 +120,23 @@ class PureState:
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "amplitudes", amps)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PureState is immutable")
-
-    @property
-    def dim(self):
-        return self.layout.dim
-
     def __repr__(self):
-        return f"PureState(layout={self.layout.labels}, dim={self.dim})"
+        return f"PureState(layout={self.layout.labels}, dim={self.layout.dim})"
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace matrix over a
     SystemLayout, or a stack of them along leading axes."""
 
-    __slots__ = ("layout", "data")
+    layout: SystemLayout
+    data: np.ndarray
 
-    def __init__(self, layout, data):
+    def __post_init__(self):
+        layout = self.layout
         if not isinstance(layout, SystemLayout):
             layout = SystemLayout(layout)
-        mat = _as_complex_array(data, 2, stack=True)
+        mat = _as_complex_array(self.data, 2, stack=True)
         if mat.shape[-2:] != (layout.dim, layout.dim):
             raise ValueError(f"matrix shape {mat.shape} does not match layout "
                              f"dimension {layout.dim}")
@@ -167,15 +151,8 @@ class DensityMatrix:
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "data", mat)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DensityMatrix is immutable")
-
-    @property
-    def dim(self):
-        return self.layout.dim
-
     def __repr__(self):
-        return f"DensityMatrix(layout={self.layout.labels}, dim={self.dim})"
+        return f"DensityMatrix(layout={self.layout.labels}, dim={self.layout.dim})"
 
 
 def partial_trace(rho, keep):

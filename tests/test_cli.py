@@ -429,6 +429,14 @@ class TestLandmarks:
         assert len(fails) == 1 and "equal_entanglement_a_low" in fails[0]
         assert "conventions" in captured.err
 
+    def test_onset_follows_the_lambda7_boundary(self, capsys, monkeypatch):
+        monkeypatch.setattr("cavres.esd.lambda7_boundary", lambda kt: 0.3)
+        rc = run_cli(["landmarks"])
+        fails = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("[FAIL]")]
+        assert rc == 1
+        assert len(fails) == 1 and "esd_onset_probability" in fails[0]
+
 
 class TestPointQueries:
     def test_esd_time_mixed(self, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -154,10 +156,9 @@ class TestArrayValuedClosedForms:
 
     def test_noise_clamp_applies_per_cell(self):
         small = np.array([0.0, -5e-13, 0.25])
-        spec = PtSpectrum(lambdas=(1.0 + small, 0, 0, 0, 0, 0, 0, 0), p=0.0, kt=0.0)
+        spec = PtSpectrum(lambdas=(1.0 + small, 0, 0, 0, 0, 0, 0, 0))
         assert negativity_from_spectrum(spec).tolist() == [0.0, 0.0, 0.25]
-        spec = PtSpectrum(lambdas=(np.array([1.0, 0.5]), 0, 0, 0, 0, 0, 0, 0),
-                          p=0.0, kt=0.0)
+        spec = PtSpectrum(lambdas=(np.array([1.0, 0.5]), 0, 0, 0, 0, 0, 0, 0))
         with pytest.raises(ValueError, match="below the noise clamp"):
             negativity_from_spectrum(spec)
 
@@ -204,13 +205,11 @@ class TestNegativityFromSpectrum:
         assert abs(negativity_from_spectrum(spec) - W_NEGATIVITY) < 1e-12
 
     def test_all_nonnegative_gives_zero(self):
-        spec = PtSpectrum(lambdas=(0.5, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0),
-                          p=0.0, kt=0.0)
+        spec = PtSpectrum(lambdas=(0.5, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0))
         assert negativity_from_spectrum(spec) == 0.0
 
     def test_counts_negative_part_twice(self):
-        spec = PtSpectrum(lambdas=(0.6, 0.5, 0.0, 0.0, -0.1, 0.0, 0.0, 0.0),
-                          p=0.0, kt=0.0)
+        spec = PtSpectrum(lambdas=(0.6, 0.5, 0.0, 0.0, -0.1, 0.0, 0.0, 0.0))
         assert abs(negativity_from_spectrum(spec) - 0.2) < 1e-15
 
 
@@ -302,6 +301,11 @@ class TestGghzClosedForm:
 
 
 class TestMonogamyChain:
+    def test_records_hold_only_computed_values(self):
+        assert [f.name for f in fields(PtSpectrum)] == ["lambdas"]
+        assert [f.name for f in fields(monogamy_chain(0.5, 1.0))] == [
+            "c_init_sq", "c_pair_sq", "c_c1_sq", "c_r1_sq", "n_cav_sq", "n_res_sq"]
+
     def test_ghz_endpoint(self):
         rec = monogamy_chain(1.0, 0.0)
         assert abs(rec.c_init_sq - 1.0) < 1e-12

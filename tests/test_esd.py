@@ -291,6 +291,29 @@ class TestEqualEntanglementRange:
         assert abs(max_kt - 0.763) < 5e-3
 
 
+def _matching_amplitude(p):
+    """The generalized-GHZ amplitude a <= sqrt(2)/2 with 2ab = N(p, 0)."""
+    n = initial_negativity(p)
+    return float(np.sqrt((1.0 - np.sqrt(1.0 - n * n)) / 2.0))
+
+
+class TestMixtureOutlivesItsPartner:
+    """The abstract's headline claim: a mixture dies later than the
+    generalized GHZ with the same initial entanglement, or not at all."""
+
+    def test_death_comes_later(self):
+        ps = np.linspace(0.2501, 0.9999, 2000)
+        margin = np.array([esd_time(p) - gghz_esd_time(_matching_amplitude(p)) for p in ps])
+        assert margin.min() > 0.36
+        # the narrowest margin sits at the mixture's earliest death
+        assert abs(ps[np.argmin(margin)] - min_esd_point()[0]) < 0.01
+
+    def test_no_death_below_the_onset(self):
+        for p in np.linspace(0.0, 0.25, 26):
+            assert esd_time(p) is None
+            assert np.isfinite(gghz_esd_time(_matching_amplitude(p)))
+
+
 class TestSwapRelation:
     def test_self_dual_point(self):
         ok, dev = swap_check(0.5, np.log(2.0))

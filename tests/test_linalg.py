@@ -43,6 +43,12 @@ class TestSystemLayout:
         with pytest.raises(AttributeError):
             layout.labels = ("c2",)
 
+    def test_equal_layouts_share_a_dict_entry(self):
+        a, b = SystemLayout(("c1", "r1")), SystemLayout(["c1", "r1"])
+        assert a == b and hash(a) == hash(b)
+        assert len({a: 0, b: 1}) == 1
+        assert a != SystemLayout(("r1", "c1"))
+
 
 class TestTensorProduct:
     def test_basis_kets(self):
@@ -230,6 +236,23 @@ class TestStateTypes:
             state.amplitudes = np.zeros(8)
         with pytest.raises(ValueError):
             state.amplitudes[0] = 1.0  # read-only buffer
+        rho = mixed_ghz_w(0.5)
+        with pytest.raises(AttributeError):
+            rho.data = np.eye(8) / 8.0
+        with pytest.raises(AttributeError):
+            rho.layout = SystemLayout(("r1", "r2", "r3"))
+        with pytest.raises(ValueError):
+            rho.data[0, 0] = 1.0
+
+    def test_short_reprs(self):
+        assert repr(ghz()) == "PureState(layout=('c1', 'c2', 'c3'), dim=8)"
+        assert repr(mixed_ghz_w(0.5)) == "DensityMatrix(layout=('c1', 'c2', 'c3'), dim=8)"
+
+    def test_states_compare_by_identity(self):
+        rho = mixed_ghz_w(0.5)
+        assert rho == rho and rho != DensityMatrix(rho.layout, rho.data)
+        state = ghz()
+        assert state != PureState(state.layout, state.amplitudes)
 
     def test_schmidt_symmetry(self, rng):
         # both sides of a pure-state cut share their nonzero spectrum
@@ -238,3 +261,45 @@ class TestStateTypes:
         right = hermitian_eigenvalues(reduce(state, ["c2", "r2", "c3"]).data)
         np.testing.assert_allclose(right[:4], left, atol=1e-10)
         np.testing.assert_allclose(right[4:], 0.0, atol=1e-10)
+
+
+def _strided(m):
+    """m as a view whose last axis is strided."""
+    wide = np.zeros(m.shape[:-1] + (2 * m.shape[-1],), dtype=complex)
+    wide[..., ::2] = m
+    return wide[..., ::2]
+
+
+class TestStridedInput:
+    """A transposed or strided array is taken as its contiguous copy is."""
+
+    def test_density_matrix(self, rng):
+        rho = random_density_matrix(rng, ("c1", "r1", "c2"))
+        for view in (rho.data.conj().T, _strided(rho.data)):
+            assert not view.flags.c_contiguous
+            got = DensityMatrix(rho.layout, view)
+            assert np.array_equal(got.data, np.ascontiguousarray(view))
+
+    def test_pure_state(self, rng):
+        amps = random_pure_state(rng, ("c1", "r1")).amplitudes
+        got = PureState(SystemLayout(("c1", "r1")), _strided(amps))
+        assert np.array_equal(got.amplitudes, amps)
+
+    @pytest.mark.parametrize("fn", [hermitian_eigenvalues, psd_sqrt, trace_norm])
+    def test_matrix_helpers(self, rng, fn):
+        m = random_density_matrix(rng, ("c1", "r1", "c2")).data
+        for view in (m.T, _strided(m)):
+            np.testing.assert_array_equal(fn(view), fn(np.ascontiguousarray(view)))
+
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.nan),
+                                     complex(np.inf, 0.0), complex(0.0, -np.inf)])
+    def test_non_finite_part_refused(self, bad):
+        m = np.eye(2, dtype=complex) / 2.0
+        m[0, 1] = bad
+        for fn in (hermitian_eigenvalues, psd_sqrt, trace_norm,
+                   lambda x: DensityMatrix(("c1",), x)):
+            for view in (m, m.T):
+                with pytest.raises(ValueError, match="entries must be finite"):
+                    fn(view)
+        with pytest.raises(ValueError, match="entries must be finite"):
+            PureState(("c1",), _strided(np.array([bad, 1.0])))

@@ -15,8 +15,8 @@ from scipy.optimize import bisect
 
 from cavres import esd_threshold_probability, esd_time, min_esd_point
 from cavres.entanglement import closed_form_pt_eigenvalues
-from cavres.esd import (INITIAL_NEGATIVITY_STATIONARY, _bisect, _q5, _q7,
-                        initial_negativity, min_initial_negativity)
+from cavres.esd import (ESD_ONSET_PROBABILITY, INITIAL_NEGATIVITY_STATIONARY, _bisect,
+                        _q5, _q7, initial_negativity, min_initial_negativity)
 
 E, P = sp.symbols("e p", positive=True)
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -163,6 +163,7 @@ class TestLandmarks:
 
     def test_onset_is_exactly_a_quarter(self):
         assert esd_threshold_probability() == 0.25
+        assert esd_threshold_probability() == ESD_ONSET_PROBABILITY
 
 
 class TestBisect:
