@@ -76,7 +76,8 @@ def _tolerance(text):
 def _write_table(path, fmt, header, rows, meta, key):
     """Write rows as CSV under header, or as JSON {"meta": meta, key: rows}."""
     if fmt == "csv":
-        payload = "\n".join([header] + [",".join(map(_fmt, row)) for row in rows]) + "\n"
+        line = ",".join(["%.12g"] * (header.count(",") + 1)) + "\n"
+        payload = header + "\n" + "".join(line % row for row in rows)
     else:
         payload = json.dumps({"meta": meta, key: rows}, indent=2, sort_keys=True) + "\n"
     with open(path, "w", newline="") as fh:

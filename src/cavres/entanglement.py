@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PSD_TOL, DensityMatrix, _item, _require, partial_transpose
+from .linalg import _item, partial_transpose
 from .states import (CAVITY_LAYOUT, RESERVOIR_LAYOUT, _amplitude_matrix,
                      _check_probability, _check_time, _partner_amplitude,
                      gghz_output_state, global_output_state, reduce)
@@ -48,11 +48,11 @@ def _clamp(value):
 def negativity(rho, part_a):
     """Negativity across the bipartition part_a | rest: ||rho^T_A||_1 - 1.
 
-    The partial transpose is Hermitian, so its trace norm is the sum of the
-    absolute values of its eigenvalues.
+    The partial transpose has trace Tr rho, so that is sum(|l| - l) over its
+    eigenvalues l: nonnegative term by term, and blind to trace rounding.
     """
     spectrum = np.linalg.eigvalsh(partial_transpose(rho, part_a))
-    return _clamp(np.sum(np.abs(spectrum), axis=-1) - 1.0)
+    return _item(np.sum(np.abs(spectrum) - spectrum, axis=-1))
 
 
 def marginal_negativity(state, qubits):
@@ -150,7 +150,6 @@ def wootters_concurrence(rho):
         raise ValueError(f"expected a 4x4 two-qubit density matrix, got {mat.shape}")
     flipped = _YY @ mat.conj() @ _YY
     w, v = np.linalg.eigh(mat)
-    _require(w[..., 0] >= -PSD_TOL, w[..., 0], "matrix has negative eigenvalue {}")
     root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
     root = (root + np.swapaxes(root.conj(), -1, -2)) / 2.0
     ev = np.linalg.eigvalsh(root @ flipped @ root)[..., ::-1]
@@ -213,31 +212,28 @@ class MonogamyChainRecord:
         return self.c_c1_sq + self.c_r1_sq - self.n_cav_sq - self.n_res_sq
 
 
-def _qubit_block_concurrence_sq(state, qubit, partner):
-    """Squared concurrence between one qubit and the block of every qubit
-    but it and its partner.
-
-    The global state is supported on a 2x2 product of subspaces across the
-    (qubit, partner) | block cut, so the block marginal has rank at most
-    two.  The amplitudes, arranged as a matrix M with rows (qubit, partner)
-    and columns the block, give that support by SVD: M = U S V^dagger, and
-    the top two right singular vectors span it.  Compressing the block onto
-    them (M V = U S) and tracing out the partner leaves an honest two-qubit
-    state whose Wootters concurrence is exact; no decomposition search is
-    needed.  A stacked state takes one batched SVD of its (..., 4, 32)
-    amplitude matrices.
+def _pair_block_concurrences_sq(state, qubit, partner):
+    """(C^2 of qubit | block, C^2 of partner | block), the block being every
+    other qubit, from one SVD of the amplitudes as a (..., 4, 32) matrix M
+    with rows (qubit, partner).  The block marginal has rank two at most:
+    with M = U S V^dagger, U S indexed (qubit, partner, support) is a factor
+    A A^dagger = rho of the (qubit, support) state, A with rows (qubit,
+    support) and columns the partner; the partner's side swaps the first
+    two axes.  Wootters' lambda are the singular values of tau = A^T (sy x
+    sy) A for any factor (Uhlmann, PRA 62, 032307, 2000), so C^2 =
+    (l1 - l2)^2 = ||tau||_F^2 - 2 |det tau|.
     """
     m = _amplitude_matrix(state, [state.layout.position(qubit),
                                   state.layout.position(partner)])
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    lead = m.shape[:-2]
-    # compressed amplitudes, indexed (qubit, partner, support)
-    amps = (u[..., :2] * s[..., None, :2]).reshape(lead + (2, 2, 2))
-    rho = np.einsum("...apj,...bpk->...ajbk", amps, amps.conj()).reshape(lead + (4, 4))
-    # the support qubit carries the partner's label
-    conc = wootters_concurrence(DensityMatrix((qubit, partner), rho))
-    # a block effectively pure is a product across the cut
-    return _item(np.where(s[..., 1] ** 2 < 1e-13, 0.0, conc * conc))
+    amps = (u[..., :2] * s[..., None, :2]).reshape(m.shape[:-2] + (2, 2, 2))
+    squares = []
+    for side in (amps, np.swapaxes(amps, -3, -2)):
+        a = np.swapaxes(side, -2, -1).reshape(m.shape[:-2] + (4, 2))
+        tau = np.swapaxes(a, -2, -1) @ _YY @ a
+        det = tau[..., 0, 0] * tau[..., 1, 1] - tau[..., 0, 1] * tau[..., 1, 0]
+        squares.append(_floor(np.sum(np.abs(tau) ** 2, axis=(-2, -1)) - 2.0 * np.abs(det)))
+    return tuple(squares)
 
 
 def monogamy_chain(p, kt):
@@ -247,8 +243,7 @@ def monogamy_chain(p, kt):
     state = global_output_state(p, kt)
     c_init = pure_bipartite_concurrence_sq(state0, ["c1"])
     c_pair = pure_bipartite_concurrence_sq(state, ["c1", "r1"])
-    c_c1 = _qubit_block_concurrence_sq(state, "c1", "r1")
-    c_r1 = _qubit_block_concurrence_sq(state, "r1", "c1")
+    c_c1, c_r1 = _pair_block_concurrences_sq(state, "c1", "r1")
     n_cav = marginal_negativity(state, CAVITY_LAYOUT.labels)
     n_res = marginal_negativity(state, RESERVOIR_LAYOUT.labels)
     return MonogamyChainRecord(c_init_sq=c_init, c_pair_sq=c_pair, c_c1_sq=c_c1,

@@ -113,27 +113,22 @@ def sample_boundary(kind, kt_values):
     return samples
 
 
-def _clearly_negative(spec):
-    """Whether lambda5 and lambda7 lie below -BOUNDARY_TIE_TOL, elementwise;
-    within the tie tolerance of zero (or nan) counts as nonnegative."""
-    return spec.lambda5 < -BOUNDARY_TIE_TOL, spec.lambda7 < -BOUNDARY_TIE_TOL
+# indexed by (lambda5 clearly negative, lambda7 clearly negative)
+_REGIONS = np.array([[RegionClass.IV, RegionClass.III],
+                     [RegionClass.II, RegionClass.I]], dtype=object)
 
 
 def classify_region(p, kt):
-    """Assign (p, kt) to a sign region of (lambda5, lambda7).
+    """Assign (p, kt) to a sign region of (lambda5, lambda7), elementwise
+    for arrays; a scalar call returns the RegionClass member itself.
 
     Eigenvalues within the tie tolerance of zero count as nonnegative, so
     separability (region IV) is only declared when neither eigenvalue is
     clearly negative.
     """
-    neg5, neg7 = _clearly_negative(closed_form_pt_eigenvalues(p, kt))
-    if neg5 and neg7:
-        return RegionClass.I
-    if neg5:
-        return RegionClass.II
-    if neg7:
-        return RegionClass.III
-    return RegionClass.IV
+    spec = closed_form_pt_eigenvalues(p, kt)
+    return _REGIONS[np.less(spec.lambda5, -BOUNDARY_TIE_TOL).astype(int),
+                    np.less(spec.lambda7, -BOUNDARY_TIE_TOL).astype(int)]
 
 
 def _decay_root(coeffs, what):
@@ -336,8 +331,7 @@ def region_grid_audit(tolerance=ZERO_ENTANGLEMENT):
     """
     ps, kts = _square_grid(40)
     n = dense_cavity_negativity(global_output_state, ps, kts)
-    neg5, neg7 = _clearly_negative(closed_form_pt_eigenvalues(ps[:, None], kts))
-    sep = ~(neg5 | neg7)  # region IV, by classify_region's rule
+    sep = classify_region(ps[:, None], kts) == RegionClass.IV
     sound = np.where(sep, n < tolerance, n > tolerance)  # a nan fails
     max_sep, at_sep = grid_worst(np.where(sep, n, -np.inf), ps, kts)
     min_ent, at_ent = grid_worst(np.where(sep, np.inf, n), ps, kts, np.argmin)

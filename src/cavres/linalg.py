@@ -120,6 +120,10 @@ class PureState:
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "amplitudes", amps)
 
+    def __reduce__(self):
+        # a copy or an unpickled state is rebuilt, so validated and read-only
+        return PureState, (self.layout, self.amplitudes)
+
     def __repr__(self):
         return f"PureState(layout={self.layout.labels}, dim={self.layout.dim})"
 
@@ -150,6 +154,9 @@ class DensityMatrix:
         mat.setflags(write=False)
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "data", mat)
+
+    def __reduce__(self):
+        return DensityMatrix, (self.layout, self.data)
 
     def __repr__(self):
         return f"DensityMatrix(layout={self.layout.labels}, dim={self.layout.dim})"

@@ -289,9 +289,14 @@ class TestVerify:
         assert run_cli(["verify", "bogus"]) == 2
 
     def test_regions_tolerance_sets_the_threshold(self, capsys):
-        assert run_cli(["verify", "regions", "--tolerance", "1e-30"]) == 1
+        # the dense negativity inside region IV is exactly 0, so any positive
+        # threshold holds there; 1e-3 lies above the smallest N outside IV
+        assert run_cli(["verify", "regions", "--tolerance", "1e-30"]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("[FAIL] regions:") and out.endswith("vs 1.000e-30\n")
+        assert out.startswith("[PASS] regions:") and out.endswith("vs 1.000e-30\n")
+        assert run_cli(["verify", "regions", "--tolerance", "1e-3"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("[FAIL] regions:") and out.endswith("vs 1.000e-03\n")
 
     @pytest.mark.parametrize("argv", [
         ["verify", "swap", "--tolerance", "nan"],

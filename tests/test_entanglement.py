@@ -9,7 +9,7 @@ from cavres import (DensityMatrix, SystemLayout, closed_form_pt_eigenvalues,
                     negativity, negativity_from_spectrum,
                     pure_bipartite_concurrence_sq, reduce, w,
                     wootters_concurrence)
-from cavres.entanglement import (PtSpectrum, _qubit_block_concurrence_sq,
+from cavres.entanglement import (PtSpectrum, _pair_block_concurrences_sq,
                                  gghz_grid_deviation, grid_worst, marginal_negativity)
 from cavres.esd import reservoir_negativity, swap_check
 from cavres.linalg import hermitian_eigenvalues, partial_trace, partial_transpose
@@ -41,6 +41,15 @@ class TestNegativity:
     def test_product_state(self):
         rho = DensityMatrix(SystemLayout(("c1", "c2")), np.diag([1.0, 0, 0, 0]))
         assert negativity(rho, ["c1"]) == 0.0
+
+    def test_trace_within_tolerance_gives_no_bias(self):
+        # both pass the trace check; ||rho^T||_1 - 1 would refuse the first
+        # and report the second's excess trace as negativity
+        layout = SystemLayout(("c1", "c2"))
+        product = DensityMatrix(layout, np.diag([1.0 - 5e-11, 0, 0, 0]))
+        assert negativity(product, ["c1"]) == 0.0
+        mixed = DensityMatrix(layout, np.eye(4) * (1.0 + 8e-11) / 4.0)
+        assert negativity(mixed, ["c1"]) == 0.0
 
     def test_complementary_cuts_agree(self):
         rho = mixed_ghz_w(0.37)
@@ -372,17 +381,18 @@ class TestBlockConcurrenceFastPath:
         worst = 0.0
         for p, kt in GRID_9x9:
             state = global_output_state(p, kt)
-            for qubit, partner in (("c1", "r1"), ("r1", "c1")):
-                got = _qubit_block_concurrence_sq(state, qubit, partner)
-                want = _dense_block_concurrence_sq(state, qubit, partner)
-                worst = max(worst, abs(got - want))
+            got = _pair_block_concurrences_sq(state, "c1", "r1")
+            want = (_dense_block_concurrence_sq(state, "c1", "r1"),
+                    _dense_block_concurrence_sq(state, "r1", "c1"))
+            worst = max(worst, *np.abs(np.subtract(got, want)))
         assert worst < 1e-14
 
     def test_qubit_need_not_come_first(self):
-        # the SVD route takes any qubit; c2 against the block left without r2
+        # the SVD route takes any pair; c2 and r2 against the block of the rest
         state = global_output_state(0.6, 0.8)
-        got = _qubit_block_concurrence_sq(state, "c2", "r2")
-        assert abs(got - _qubit_block_concurrence_sq(state, "c1", "r1")) < 1e-14
+        got = _pair_block_concurrences_sq(state, "c2", "r2")
+        want = _pair_block_concurrences_sq(state, "c1", "r1")
+        assert np.max(np.abs(np.subtract(got, want))) < 1e-14
 
     def test_chain_members_match_closed_forms(self):
         # e = exp(-kt); C0^2 = 4 (p/2 + 2(1-p)/3) (p/2 + (1-p)/3)
@@ -419,7 +429,7 @@ class TestLapackSizes:
 
     def test_no_svd_on_the_negativity_path(self, monkeypatch):
         # the partial transpose is Hermitian: its trace norm comes from
-        # eigvalsh, and the only SVD left is monogamy_chain's 4x32 blocks
+        # eigvalsh, and the only SVD left is monogamy_chain's one 4x32 block
         shapes = []
         svd = np.linalg.svd
 
@@ -434,4 +444,4 @@ class TestLapackSizes:
         reservoir_negativity(0.5, 1.0)
         assert shapes == []
         monogamy_chain(0.5, 1.0)
-        assert shapes == [(4, 32), (4, 32)]
+        assert shapes == [(4, 32)]

@@ -142,6 +142,15 @@ class TestRegionClassification:
         assert spec.lambda5 < -1e-12 and spec.lambda7 < -1e-12
         assert classify_region(0.5, 0.1) is RegionClass.I
 
+    def test_array_call_is_the_scalar_calls(self):
+        # demo 03's region map
+        ps, kts = np.linspace(1.0, 0.0, 26), np.linspace(0.02, 3.0, 60)
+        grid = classify_region(ps[:, None], kts)
+        assert grid.shape == (26, 60)
+        want = [[classify_region(p, kt) for kt in kts] for p in ps]
+        assert grid.tolist() == want
+        assert {r.value for row in want for r in row} == {"I", "II", "III", "IV"}
+
     def test_decayed_region_is_separable(self):
         assert classify_region(0.5, 3.0) is RegionClass.IV
         cav = reduce(global_output_state(0.5, 3.0), ["c1", "c2", "c3"])

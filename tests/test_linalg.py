@@ -1,10 +1,13 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from cavres import (DensityMatrix, PureState, SystemLayout,
                     hermitian_eigenvalues, partial_trace, partial_transpose,
                     psd_sqrt, trace_norm)
-from cavres.states import ghz, purified_initial, mixed_ghz_w, reduce
+from cavres.states import ghz, global_output_state, purified_initial, mixed_ghz_w, reduce
 
 from conftest import (random_density_matrix, random_pure_state,
                       random_separable_density_matrix, tensor_product)
@@ -243,6 +246,18 @@ class TestStateTypes:
             rho.layout = SystemLayout(("r1", "r2", "r3"))
         with pytest.raises(ValueError):
             rho.data[0, 0] = 1.0
+
+    @pytest.mark.parametrize("copier", [
+        copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_copies_are_validated_and_read_only(self, copier):
+        stack = global_output_state(np.array([[0.2], [0.7]]), np.array([0.0, 0.5, 2.0]))
+        for obj, field in ((stack, "amplitudes"), (mixed_ghz_w(0.3), "data")):
+            dup = copier(obj)
+            got, want = getattr(dup, field), getattr(obj, field)
+            assert type(dup) is type(obj) and dup.layout == obj.layout
+            assert not got.flags.writeable
+            assert got.shape == want.shape and np.array_equal(got, want)
 
     def test_short_reprs(self):
         assert repr(ghz()) == "PureState(layout=('c1', 'c2', 'c3'), dim=8)"

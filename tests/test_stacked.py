@@ -195,14 +195,14 @@ def _lapack_calls(monkeypatch, run):
 
 
 # each audit on its fixed grid: (audit, LAPACK calls per parameter row, rows).
-# Per row, monogamy makes 14 calls (a marginal check each for the two
-# pure-cut concurrences, SVD, check, eigh and eigvalsh for each block, check
-# and partial-transpose eigvalsh for each negativity); the others 2.  One
+# Per row, monogamy makes 7 calls (a marginal check each for the two
+# pure-cut concurrences, one SVD for both blocks, check and
+# partial-transpose eigvalsh for each negativity); the others 2.  One
 # call per grid point would make at least as many calls as the grid has
 # points, 625 for the 25x25 grids.
 AUDITS = {
     "closedform": (closed_form_grid_deviation, 2, 25),
-    "monogamy": (monogamy_grid_audit, 14, 25),
+    "monogamy": (monogamy_grid_audit, 7, 25),
     "swap": (swap_grid_deviation, 2, 20),
     "regions": (region_grid_audit, 2, 40),
     "gghz": (gghz_grid_deviation, 2, 25),
