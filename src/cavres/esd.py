@@ -108,8 +108,8 @@ def sample_boundary(kind, kt_values):
     if any(b <= a for a, b in zip(kts, kts[1:])):
         raise ValueError("kt samples must be strictly increasing")
     samples = tuple((kt, fn(kt)) for kt in kts)
-    if any(not 0.0 <= v <= 1.0 for _, v in samples):
-        raise ValueError("boundary parameter values must lie in [0, 1]")
+    if any(not 0.0 <= v <= 1.0 for _, v in samples):  # a numerical failure
+        raise RuntimeError("boundary parameter values must lie in [0, 1]")
     return samples
 
 
@@ -322,7 +322,7 @@ def esb_grid_deviation(tolerance=1e-3):
 
 
 def region_grid_audit(tolerance=ZERO_ENTANGLEMENT):
-    """Check that region IV means numeric negativity below tolerance and
+    """Check that region IV means numeric negativity at most tolerance and
     regions I-III mean negativity above it, over a 40x40 (p, kt) grid.
 
     One Check: its value is the largest negativity inside IV, and its
@@ -332,7 +332,7 @@ def region_grid_audit(tolerance=ZERO_ENTANGLEMENT):
     ps, kts = _square_grid(40)
     n = dense_cavity_negativity(global_output_state, ps, kts)
     sep = classify_region(ps[:, None], kts) == RegionClass.IV
-    sound = np.where(sep, n < tolerance, n > tolerance)  # a nan fails
+    sound = np.where(sep, n <= tolerance, n > tolerance)  # a nan fails
     max_sep, at_sep = grid_worst(np.where(sep, n, -np.inf), ps, kts)
     min_ent, at_ent = grid_worst(np.where(sep, np.inf, n), ps, kts, np.argmin)
     max_sep = max(max_sep, 0.0)

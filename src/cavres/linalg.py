@@ -131,7 +131,8 @@ class PureState:
 @dataclass(frozen=True, slots=True, eq=False)
 class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace matrix over a
-    SystemLayout, or a stack of them along leading axes."""
+    SystemLayout, or a stack of them along leading axes.  Data from outside,
+    copies and pickles are checked; `reduce`'s marginals are not."""
 
     layout: SystemLayout
     data: np.ndarray
@@ -154,6 +155,15 @@ class DensityMatrix:
         mat.setflags(write=False)
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "data", mat)
+
+    @classmethod
+    def _derived(cls, layout, data):
+        # from validated data (a Gram marginal): read-only, no checks to fail
+        rho = object.__new__(cls)
+        data.setflags(write=False)
+        object.__setattr__(rho, "layout", layout)
+        object.__setattr__(rho, "data", data)
+        return rho
 
     def __reduce__(self):
         return DensityMatrix, (self.layout, self.data)

@@ -154,16 +154,16 @@ def reduce(state, keep):
 
     Contracts the amplitudes directly: with the kept qubits as rows (in
     layout order) and the others as columns, psi is a matrix M and the
-    marginal is M M^dagger, member by member for a stacked state.  The
-    state was validated when it was built, so only the small returned
-    DensityMatrix is validated; no full-size |psi><psi| is formed.
+    marginal is M M^dagger, member by member for a stacked state; no
+    full-size |psi><psi| is formed.  The state was validated when it was
+    built, so its Gram marginal is returned read-only and not checked again.
     """
     keep = list(keep)
     if not keep:
         raise ValueError("keep set must be nonempty")
     sub = state.layout.restrict(keep)
     m = _amplitude_matrix(state, state.layout.positions(keep))
-    return DensityMatrix(sub, m @ np.swapaxes(m.conj(), -1, -2))
+    return DensityMatrix._derived(sub, m @ np.swapaxes(m.conj(), -1, -2))
 
 
 def reorder(state, new_layout):

@@ -235,6 +235,16 @@ class TestBoundary:
         assert "boundary needs finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_computed_value_is_a_numerical_failure(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # a boundary value outside [0, 1] on valid input exits 1, not 2
+        monkeypatch.setattr("cavres.esd.lambda5_boundary", lambda kt: 1.5)
+        out = tmp_path / "b.csv"
+        assert run_cli(["boundary", "lambda5", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: boundary parameter values "
+                                           "must lie in [0, 1]\n")
+        assert not out.exists()
+
     def test_bad_range_usage_error(self, tmp_path, capsys):
         out = tmp_path / "b.csv"
         rc = run_cli(["boundary", "lambda5", "--kt-min", "0.0",
@@ -297,6 +307,13 @@ class TestVerify:
         assert run_cli(["verify", "regions", "--tolerance", "1e-3"]) == 1
         out = capsys.readouterr().out
         assert out.startswith("[FAIL] regions:") and out.endswith("vs 1.000e-03\n")
+
+    def test_regions_zero_tolerance_passes(self, capsys):
+        # inside region IV the verdict is value <= threshold, as in every suite
+        assert run_cli(["verify", "regions", "--tolerance", "0"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("[PASS] regions:")
+        assert out.endswith("violations = 0: value 0.000e+00 vs 0.000e+00\n")
 
     @pytest.mark.parametrize("argv", [
         ["verify", "swap", "--tolerance", "nan"],

@@ -11,6 +11,7 @@ from cavres import (RegionClass, classify_region, equal_entanglement_range,
                     min_initial_negativity, reservoir_negativity,
                     sample_boundary, swap_check)
 from cavres.entanglement import closed_form_pt_eigenvalues
+from cavres import esd
 from cavres.esd import region_grid_audit
 from cavres.states import amplitudes, global_output_state, reduce
 from cavres.entanglement import negativity
@@ -170,10 +171,13 @@ class TestRegionGridAudit:
         assert c.ok and c.threshold == 1e-10 and c.at == ()
         assert c.label.endswith("violations = 0")
 
-    def test_threshold_binds_inside_region_iv(self):
-        # no negativity lies strictly below 0, so every IV point violates
-        (c,) = region_grid_audit(0.0)
-        assert not c.ok and c.value >= 0.0
+    def test_threshold_binds_inside_region_iv(self, monkeypatch):
+        # lifted by 1e-9, every IV point is above the default 1e-10
+        dense = esd.dense_cavity_negativity
+        monkeypatch.setattr(esd, "dense_cavity_negativity",
+                            lambda *args: dense(*args) + 1e-9)
+        (c,) = region_grid_audit()
+        assert not c.ok and c.value > c.threshold == 1e-10
         assert classify_region(*c.at) is RegionClass.IV
 
     def test_threshold_binds_outside_region_iv(self):

@@ -5,7 +5,10 @@ single one; these tests hold the two to 1e-15 on small grids that include
 p = 0, p = 1 and kt = 0, check that a stack with one bad member is refused
 with the scalar message, and count the LAPACK calls each grid audit makes
 on its fixed grid: one stack per parameter row, not one per grid point.
+No dense path re-validates a marginal that `reduce` derives.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -188,24 +191,24 @@ def _lapack_calls(monkeypatch, run):
     run()
     monkeypatch.undo()
     every = [s for calls in shapes.values() for s in calls]
-    assert every, "no LAPACK call was recorded"
-    assert max(s[-2] for s in every) <= 8, every
+    assert all(s[-2] <= 8 for s in every), every
     assert all(s[-2:] == (4, 32) for s in shapes["svd"]), shapes["svd"]
     return len(every)
 
 
 # each audit on its fixed grid: (audit, LAPACK calls per parameter row, rows).
-# Per row, monogamy makes 7 calls (a marginal check each for the two
-# pure-cut concurrences, one SVD for both blocks, check and
-# partial-transpose eigvalsh for each negativity); the others 2.  One
-# call per grid point would make at least as many calls as the grid has
-# points, 625 for the 25x25 grids.
+# A marginal from `reduce` is not checked again, so a row costs only the
+# measures' own calls: monogamy makes 3 (one SVD for both blocks and the
+# partial-transpose eigvalsh of each negativity; the pure-cut concurrences
+# need none), swap compares marginals and makes none, the others make one
+# partial-transpose eigvalsh.  One call per grid point would make at least
+# as many calls as the grid has points, 625 for the 25x25 grids.
 AUDITS = {
-    "closedform": (closed_form_grid_deviation, 2, 25),
-    "monogamy": (monogamy_grid_audit, 7, 25),
-    "swap": (swap_grid_deviation, 2, 20),
-    "regions": (region_grid_audit, 2, 40),
-    "gghz": (gghz_grid_deviation, 2, 25),
+    "closedform": (closed_form_grid_deviation, 1, 25),
+    "monogamy": (monogamy_grid_audit, 3, 25),
+    "swap": (swap_grid_deviation, 0, 20),
+    "regions": (region_grid_audit, 1, 40),
+    "gghz": (gghz_grid_deviation, 1, 25),
 }
 
 
@@ -216,11 +219,11 @@ class TestLapackCallsPerRow:
         assert _lapack_calls(monkeypatch, run) <= per_row * rows
 
     def test_esb_bisects_in_lockstep(self, monkeypatch):
-        # two evaluations per bisection step (state check and negativity),
-        # plus the two bracket ends: 2 (20 + 2), however many p values
+        # one negativity eigvalsh per bisection step, plus the two bracket
+        # ends: 20 + 2, however many p values
         few = _lapack_calls(monkeypatch, lambda: esb_time_numeric(np.array([0.3, 0.6])))
         many = _lapack_calls(monkeypatch, esb_grid_deviation)
-        assert few == many == 44
+        assert few == many == 22
 
     @pytest.mark.parametrize("family", ["mixed", "gghz"])
     def test_surface_oracle(self, monkeypatch, tmp_path, capsys, family):
@@ -231,5 +234,53 @@ class TestLapackCallsPerRow:
 
         few = _lapack_calls(monkeypatch, lambda: run(4))
         many = _lapack_calls(monkeypatch, lambda: run(40))
-        assert few == many <= 2 * 3
+        assert few == many <= 3
         assert "oracle check" in capsys.readouterr().out
+
+
+def _count_checks(monkeypatch):
+    """Count the runs of the checking DensityMatrix constructor."""
+    runs = []
+    check = DensityMatrix.__post_init__
+
+    def counting(self):
+        runs.append(np.shape(self.data))
+        check(self)
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+    return runs
+
+
+class TestValidatedOnce:
+    """A marginal that `reduce` derives from a validated PureState is a
+    density matrix by construction; only data from outside, copies and
+    pickles go through the checks."""
+
+    @pytest.mark.parametrize("run", [
+        *(audit for audit, _, _ in AUDITS.values()),
+        esb_grid_deviation,
+        lambda: monogamy_chain(PS[:, None], KTS),
+        lambda: esb_time_numeric(np.array([0.3, 0.6])),
+    ], ids=[*AUDITS, "esb", "monogamy_chain", "esb_time_numeric"])
+    def test_dense_paths_run_no_checks(self, monkeypatch, run):
+        runs = _count_checks(monkeypatch)
+        run()
+        assert runs == []
+
+    @pytest.mark.parametrize("family", ["mixed", "gghz"])
+    def test_surface_oracle_runs_no_checks(self, monkeypatch, tmp_path, capsys, family):
+        runs = _count_checks(monkeypatch)
+        argv = ["surface", "--family", family, "--param-steps", "3", "--kt-steps", "4",
+                "--oracle", "--out", str(tmp_path / "s.csv")]
+        assert cli.main(argv) == 0 and runs == []
+
+    @pytest.mark.parametrize("keep", KEEPS, ids=lambda k: "-".join(k))
+    def test_marginals_hold_the_invariants(self, monkeypatch, keep):
+        runs = _count_checks(monkeypatch)
+        r = reduce(global_output_state(PS[:, None], KTS), keep)
+        assert runs == [] and not r.data.flags.writeable
+        checked = DensityMatrix(r.layout, r.data)
+        assert np.array_equal(checked.data, r.data) and checked.layout == r.layout
+        assert len(runs) == 1
+        dup = copy.deepcopy(r)
+        assert len(runs) == 2 and not dup.data.flags.writeable
+        assert np.array_equal(dup.data, r.data)
