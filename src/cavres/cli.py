@@ -7,6 +7,7 @@ configurations give byte-identical files.
 """
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -73,15 +74,19 @@ def _tolerance(text):
     return value
 
 
-def _write_table(path, fmt, header, rows, meta, key):
-    """Write rows as CSV under header, or as JSON {"meta": meta, key: rows}."""
+def _write_table(path, fmt, header, axes, cells, meta, key):
+    """One row per point of the product of axes, the first outermost, then
+    its cell: CSV under header, or the text of json.dumps({"meta": meta, key:
+    rows}, indent=2, sort_keys=True) for a key after "meta".  Every value is
+    a finite Python float, which json and %r both print by float.__repr__."""
     if fmt == "csv":
-        line = ",".join(["%.12g"] * (header.count(",") + 1)) + "\n"
-        payload = header + "\n" + "".join(line % row for row in rows)
+        head, item, row, sep, tail = header + "\n", "%.12g,", "%s%.12g\n", "", ""
     else:
-        payload = json.dumps({"meta": meta, key: rows}, indent=2, sort_keys=True) + "\n"
+        head = json.dumps({"meta": meta}, indent=2, sort_keys=True)[:-2] + f',\n  "{key}": ['
+        item, row, sep, tail = "\n      %r,", "\n    [%s\n      %r\n    ]", ",", "\n  ]\n}\n"
+    prefixes = map("".join, itertools.product(*([item % v for v in axis] for axis in axes)))
     with open(path, "w", newline="") as fh:
-        fh.write(payload)
+        fh.write(head + sep.join(map(row.__mod__, zip(prefixes, cells))) + tail)
 
 
 def cmd_surface(args):
@@ -110,14 +115,13 @@ def cmd_surface(args):
     if bad.any():  # refused before any file is written
         raise RuntimeError(f"{np.count_nonzero(bad)} cells are not finite; the smallest kt "
                            f"among them is {_fmt(np.broadcast_to(kts, grid.shape)[bad].min())}")
-    rows = [(p, kt, n) for p, line in zip(params.tolist(), grid.tolist())
-            for kt, n in zip(kts.tolist(), line)]
     meta = {"family": args.family,
             "param_range": [args.param_min, args.param_max, args.param_steps],
             "kt_range": [args.kt_min, args.kt_max, args.kt_steps],
             "conventions": CONVENTIONS}
-    _write_table(args.out, args.format, CSV_HEADER, rows, meta, "rows")
-    print(f"wrote {len(rows)} rows to {args.out}")
+    _write_table(args.out, args.format, CSV_HEADER, [params.tolist(), kts.tolist()],
+                 grid.ravel().tolist(), meta, "rows")
+    print(f"wrote {grid.size} rows to {args.out}")
     if args.oracle:
         tolerance = args.tolerance if args.tolerance is not None else 1e-10
         c = cavity_negativity_check("closed form vs numeric", tolerance, grid,
@@ -136,7 +140,7 @@ def cmd_boundary(args):
         raise ValueError("boundary needs finite 0 < kt-min < kt-max and steps >= 2")
     kts = np.linspace(args.kt_min, args.kt_max, args.kt_steps)
     samples = sample_boundary(args.kind, kts)
-    _write_table(args.out, args.format, "kt,param", samples,
+    _write_table(args.out, args.format, "kt,param", [kts.tolist()], [v for _, v in samples],
                  {"kind": args.kind, "conventions": CONVENTIONS}, "samples")
     print(f"wrote {len(samples)} samples to {args.out}")
     return 0

@@ -137,26 +137,24 @@ def pure_bipartite_concurrence_sq(state, part_a):
     return _floor(2.0 * (1.0 - purity))
 
 
-def wootters_concurrence(rho):
-    """Concurrence of a two-qubit DensityMatrix, or of each member of a stack.
+def _spin_flip_overlap(factor):
+    """tau = A^T (sy x sy) A for a factor A A^dagger = rho of two qubits: its
+    singular values are Wootters' lambda (Uhlmann, PRA 62, 032307, 2000)."""
+    return np.swapaxes(factor, -2, -1) @ _YY @ factor
 
-    Uses max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)) with l_i the
-    descending eigenvalues of rho (sy x sy) rho* (sy x sy), obtained from
-    the Hermitian product sqrt(rho) rho~ sqrt(rho) which shares them.  The
-    input was validated when it was built, so the eigensolves take it as is.
-    """
+
+def wootters_concurrence(rho):
+    """Concurrence of a two-qubit DensityMatrix, or of each member of a stack:
+    max(0, l1 - l2 - l3 - l4) over the singular values of tau for the factor
+    V sqrt(w) of rho = V diag(w) V^dagger, with w below 1e-12 of the largest
+    set to 0 as rounding noise.  rho was validated when it was built."""
     mat = rho.data
     if mat.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 two-qubit density matrix, got {mat.shape}")
-    flipped = _YY @ mat.conj() @ _YY
     w, v = np.linalg.eigh(mat)
-    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
-    root = (root + np.swapaxes(root.conj(), -1, -2)) / 2.0
-    ev = np.linalg.eigvalsh(root @ flipped @ root)[..., ::-1]
-    # eigenvalues of the product are >= 0 up to rounding; drop the noise so
-    # it cannot leak into the square roots
-    r = np.sqrt(np.where(ev < 1e-14, 0.0, ev))
-    return _floor(r[..., 0] - r[..., 1] - r[..., 2] - r[..., 3])
+    w = np.where(w < 1e-12 * w[..., -1:], 0.0, w)
+    lam = np.linalg.svd(_spin_flip_overlap(v * np.sqrt(w)[..., None, :]), compute_uv=False)
+    return _floor(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
 
 
 def gghz_negativity_closed(a, kt):
@@ -219,9 +217,7 @@ def _pair_block_concurrences_sq(state, qubit, partner):
     with M = U S V^dagger, U S indexed (qubit, partner, support) is a factor
     A A^dagger = rho of the (qubit, support) state, A with rows (qubit,
     support) and columns the partner; the partner's side swaps the first
-    two axes.  Wootters' lambda are the singular values of tau = A^T (sy x
-    sy) A for any factor (Uhlmann, PRA 62, 032307, 2000), so C^2 =
-    (l1 - l2)^2 = ||tau||_F^2 - 2 |det tau|.
+    two axes.  C^2 = (l1 - l2)^2 over tau's values: ||tau||_F^2 - 2 |det tau|.
     """
     m = _amplitude_matrix(state, [state.layout.position(qubit),
                                   state.layout.position(partner)])
@@ -230,7 +226,7 @@ def _pair_block_concurrences_sq(state, qubit, partner):
     squares = []
     for side in (amps, np.swapaxes(amps, -3, -2)):
         a = np.swapaxes(side, -2, -1).reshape(m.shape[:-2] + (4, 2))
-        tau = np.swapaxes(a, -2, -1) @ _YY @ a
+        tau = _spin_flip_overlap(a)
         det = tau[..., 0, 0] * tau[..., 1, 1] - tau[..., 0, 1] * tau[..., 1, 0]
         squares.append(_floor(np.sum(np.abs(tau) ** 2, axis=(-2, -1)) - 2.0 * np.abs(det)))
     return tuple(squares)

@@ -54,7 +54,7 @@ def _check_probability(p):
 
 
 def _check_time(kt):
-    _require(kt >= 0.0, kt, "dimensionless time kt={} must be nonnegative")
+    _require(kt >= 0.0, kt, "dimensionless time kt={} must be a number at least 0")
 
 
 def mixed_ghz_w(p):

@@ -19,6 +19,35 @@ def run_cli(args):
         return exc.code
 
 
+# a configuration of each table the CLI writes: both surface families at two
+# grid sizes, and every boundary kind
+CSV_HEADERS = {"surface": cli.CSV_HEADER, "boundary": "kt,param"}
+TABLES = {
+    "mixed-2x2": ["surface", "--family", "mixed", "--param-steps", "2", "--kt-steps", "2"],
+    "gghz-2x2": ["surface", "--family", "gghz", "--param-steps", "2", "--kt-steps", "2"],
+    "mixed-9x23": ["surface", "--family", "mixed", "--param-steps", "9", "--kt-max", "3.7",
+                   "--kt-steps", "23"],
+    "gghz-9x23": ["surface", "--family", "gghz", "--param-steps", "9", "--kt-max", "3.7",
+                  "--kt-steps", "23"],
+    "lambda5": ["boundary", "lambda5", "--kt-min", "1e-4", "--kt-steps", "13"],
+    "lambda7": ["boundary", "lambda7", "--kt-max", "200"],
+    "gghz": ["boundary", "gghz", "--kt-max", "20", "--kt-steps", "9"],
+}
+
+
+def _table(tmp_path, name, fmt):
+    out = tmp_path / f"{name}.{fmt}"
+    assert run_cli(TABLES[name] + ["--format", fmt, "--out", str(out)]) == 0
+    return out.read_text()
+
+
+def _same_twice(tmp_path, names):
+    for name in names:
+        for fmt in ("csv", "json"):
+            first = _table(tmp_path, name, fmt)
+            assert _table(tmp_path, name, fmt) == first, (name, fmt)
+
+
 class TestSurface:
     def test_row_count_and_first_row(self, tmp_path):
         out = tmp_path / "surf.csv"
@@ -59,12 +88,7 @@ class TestSurface:
         assert all(v == 0.0 for v in last_column)
 
     def test_determinism(self, tmp_path):
-        args = ["surface", "--family", "mixed", "--param-steps", "5",
-                "--kt-steps", "7"]
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run_cli(args + ["--out", str(out1)]) == 0
-        assert run_cli(args + ["--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+        _same_twice(tmp_path, ["mixed-9x23", "gghz-9x23"])
 
     @pytest.mark.parametrize("family", ["mixed", "gghz"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -190,6 +214,9 @@ class TestSurface:
 
 
 class TestBoundary:
+    def test_determinism(self, tmp_path):
+        _same_twice(tmp_path, ["lambda5", "lambda7", "gghz"])
+
     def test_lambda5_starts_near_zero(self, tmp_path):
         out = tmp_path / "b.csv"
         rc = run_cli(["boundary", "lambda5", "--kt-min", "1e-4",
@@ -253,6 +280,25 @@ class TestBoundary:
         assert capsys.readouterr().err == ("error: boundary needs finite 0 < kt-min < kt-max "
                                            "and steps >= 2\n")
         assert not out.exists()
+
+
+class TestTableBytes:
+    """The table writer lays its text out byte for byte as json.dumps and a
+    %.12g row template do."""
+
+    @pytest.mark.parametrize("name", list(TABLES))
+    def test_json_is_the_json_module_layout(self, tmp_path, name):
+        text = _table(tmp_path, name, "json")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("name", list(TABLES))
+    def test_csv_renders_the_json_rows(self, tmp_path, name):
+        doc = json.loads(_table(tmp_path, name, "json"))
+        rows = doc["rows"] if "rows" in doc else doc["samples"]
+        header = CSV_HEADERS[TABLES[name][0]]
+        line = ",".join(["%.12g"] * (header.count(",") + 1)) + "\n"
+        assert _table(tmp_path, name, "csv") == header + "\n" + "".join(
+            line % tuple(row) for row in rows)
 
 
 _NUM = r"[-+0-9.eE]+|nan|inf"
@@ -492,6 +538,11 @@ class TestPointQueries:
         monkeypatch.setattr(cli, "esd_time", fail)
         assert run_cli(["esd-time", "--p", "0.5"]) == 1
         assert "error: no root found" in capsys.readouterr().err
+
+    def test_nan_time_is_a_usage_error(self, capsys):
+        assert run_cli(["monogamy", "--p", "0.5", "--kt", "nan"]) == 2
+        assert capsys.readouterr().err == ("error: dimensionless time kt=nan must be "
+                                           "a number at least 0\n")
 
     def test_monogamy_point(self, capsys):
         assert run_cli(["monogamy", "--p", "0.5", "--kt", "1.0"]) == 0

@@ -261,6 +261,15 @@ class TestWoottersConcurrence:
         assert abs(brute - 0.25) < 1e-12
         assert abs(wootters_concurrence(werner_dm(0.5)) - 0.25) < 1e-12
 
+    @pytest.mark.parametrize("w", [3.9e-7, 1e-9, 1e-5, 0.5])
+    def test_nearly_pure_werner(self, w):
+        # (1 - w)|Bell><Bell| + w I/4 has concurrence 1 - 3w/2; its small
+        # Wootters values w/4 square to below 1e-14 at the first two weights
+        amps = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+        rho = (1.0 - w) * np.outer(amps, amps) + w * np.eye(4) / 4.0
+        got = wootters_concurrence(DensityMatrix(SystemLayout(("c1", "c2")), rho))
+        assert abs(got - (1.0 - 1.5 * w)) < 1e-15
+
     def test_werner_threshold(self):
         # entanglement appears above weight 1/3
         assert wootters_concurrence(werner_dm(1.0 / 3.0)) < 1e-8
