@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .linalg import (DensityMatrix, PureState, SystemLayout,
                      hermitian_eigenvalues, partial_trace, partial_transpose,
                      psd_sqrt, trace_norm)
-from .states import (amplitudes, generalized_ghz, gghz_output_state,
+from .states import (amplitudes, gghz_output_state,
                      gghz_output_state_from_amplitudes, ghz, global_output_state,
                      global_output_state_from_amplitudes, mixed_ghz_w,
                      purified_initial, reduce, reorder, w)
@@ -35,7 +35,7 @@ __all__ = [
     "partial_trace", "partial_transpose", "hermitian_eigenvalues",
     "trace_norm", "psd_sqrt",
     # states
-    "ghz", "w", "generalized_ghz", "mixed_ghz_w", "amplitudes",
+    "ghz", "w", "mixed_ghz_w", "amplitudes",
     "purified_initial", "global_output_state",
     "global_output_state_from_amplitudes", "gghz_output_state",
     "gghz_output_state_from_amplitudes", "reduce", "reorder",

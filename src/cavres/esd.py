@@ -7,6 +7,7 @@ death times they induce, the generalized-GHZ counterpart, and the exact
 cavity/reservoir swap relation all live here.
 """
 
+import functools
 from enum import Enum
 
 import numpy as np
@@ -15,10 +16,8 @@ from .entanglement import (ZERO_ENTANGLEMENT, Check, _at_most, _square_grid,
                            closed_form_pt_eigenvalues, dense_cavity_negativity, grid_worst,
                            marginal_negativity, negativity_from_spectrum)
 from .linalg import _item
-from .states import (RESERVOIR_LAYOUT, _check_probability, amplitudes,
+from .states import (RESERVOIR_LAYOUT, _check_probability, _check_time, amplitudes,
                      global_output_state, global_output_state_from_amplitudes, reduce)
-
-BOUNDARY_TIE_TOL = 1e-12
 
 # Large-time limit of the lambda7 boundary curve: below this mix probability
 # the eigenvalue never turns positive and the decay stays asymptotic.
@@ -113,7 +112,7 @@ def sample_boundary(kind, kt_values):
     return samples
 
 
-# indexed by (lambda5 clearly negative, lambda7 clearly negative)
+# indexed by (lambda5 negative, lambda7 negative)
 _REGIONS = np.array([[RegionClass.IV, RegionClass.III],
                      [RegionClass.II, RegionClass.I]], dtype=object)
 
@@ -122,13 +121,19 @@ def classify_region(p, kt):
     """Assign (p, kt) to a sign region of (lambda5, lambda7), elementwise
     for arrays; a scalar call returns the RegionClass member itself.
 
-    Eigenvalues within the tie tolerance of zero count as nonnegative, so
-    separability (region IV) is only declared when neither eigenvalue is
-    clearly negative.
+    The signs come from Q5 and Q7, with no tie tolerance: lambda5 lambda6
+    = -e^3 p Q5 / 12 and lambda7 lambda8 = e^2 Q7 / 36, where lambda6 and
+    lambda8 are positive.  Both stay bounded in e, so the result is exact
+    on [0, inf).  Where e underflows (kt > ~745), the smallest positive e
+    keeps the sign of the lowest nonzero term, so the GHZ row (p = 1)
+    stays in region II.
     """
-    spec = closed_form_pt_eigenvalues(p, kt)
-    return _REGIONS[np.less(spec.lambda5, -BOUNDARY_TIE_TOL).astype(int),
-                    np.less(spec.lambda7, -BOUNDARY_TIE_TOL).astype(int)]
+    _check_probability(p)
+    _check_time(kt)
+    e = np.maximum(np.exp(-kt), np.finfo(float).smallest_subnormal)
+    q5, q7 = (functools.reduce(lambda acc, c: acc * e + c, q)  # Horner's rule
+              for q in (_q5(p), _q7(p)))
+    return _REGIONS[np.greater(p * q5, 0.0).astype(int), np.less(q7, 0.0).astype(int)]
 
 
 def _decay_root(coeffs, what):

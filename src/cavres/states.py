@@ -38,12 +38,6 @@ def w():
     return PureState(CAVITY_LAYOUT, amps)
 
 
-def generalized_ghz(a):
-    """a|000> + b|111> with b = sqrt(1 - a^2), for a in [0, 1]."""
-    b = _partner_amplitude(a)
-    return PureState(CAVITY_LAYOUT, a * _basis(3, 0b000) + b * _basis(3, 0b111))
-
-
 def _partner_amplitude(a):
     _require((a >= 0.0) & (a <= 1.0), a, "amplitude a={} outside [0, 1]")
     return np.sqrt(1.0 - a * a)

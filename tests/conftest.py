@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cavres import DensityMatrix, PureState, SystemLayout
+from cavres.states import CAVITY_LAYOUT, _partner_amplitude
 
 
 def random_unitary(rng, dim):
@@ -48,6 +49,13 @@ def tensor_product(a, b):
     if am.ndim != bm.ndim or am.ndim not in (1, 2):
         raise TypeError("operands must both be vectors or both be matrices")
     return np.kron(am, bm)
+
+
+def generalized_ghz(a):
+    """a|000> + b|111> with b = sqrt(1 - a^2), for a in [0, 1]."""
+    amps = np.zeros(8, dtype=complex)
+    amps[0b000], amps[0b111] = a, _partner_amplitude(a)
+    return PureState(CAVITY_LAYOUT, amps)
 
 
 def random_pure_state(rng, labels):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import bisect, minimize_scalar
 
 from cavres import (RegionClass, classify_region, equal_entanglement_range,
@@ -157,12 +158,48 @@ class TestRegionClassification:
         cav = reduce(global_output_state(0.5, 3.0), ["c1", "c2", "c3"])
         assert negativity(cav, ["c1"]) < 1e-10
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="exp(kt) overflows in the closed forms from kt ~ 177: lambda5 "
-                              "and lambda7 come out -inf, so this returns region I")
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_long_time_is_separable(self):
         assert classify_region(0.9, 200) is RegionClass.IV
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p, kt, region", [
+        (0.2, 30.0, RegionClass.III),   # lambda7 = -3.7e-28, below the spectrum's rounding
+        (1.0, 800.0, RegionClass.II),   # past the underflow of exp(-kt)
+        (0.1, 1e300, RegionClass.III),
+    ])
+    def test_long_times(self, p, kt, region):
+        assert classify_region(p, kt) is region
+
+    @pytest.mark.filterwarnings("error")
+    def test_edge_rows_past_underflow(self):
+        # exp(-kt) is 0 from kt ~ 745; the GHZ row keeps its negative
+        # lambda5 at every finite kt, and the onset row its negative lambda7
+        kts = np.array([0.0, 1.0, 40.0, 700.0, 745.0, 746.0, 800.0, 1e4, 1e300])
+        assert set(classify_region(1.0, kts)) == {RegionClass.II}
+        assert set(classify_region(0.25, kts[2:])) == {RegionClass.III}
+
+    @given(st.floats(0.0, 1.0),
+           st.one_of(st.floats(0.0, 40.0), st.floats(0.0, 1e300)))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_separable_exactly_after_the_death_time(self, p, kt):
+        t = esd_time(p)
+        assume(t is None or abs(kt - t) > 1e-9 * t)
+        dead = t is not None and kt >= t
+        assert (classify_region(p, kt) is RegionClass.IV) == dead
+
+    def test_signs_match_the_spectrum(self, rng):
+        # the spectrum referees where it neither overflows nor nears a tie
+        p = rng.uniform(0.0, 1.0, 20000)
+        kt = 100.0 * rng.uniform(0.0, 1.0, 20000) ** 3
+        spec = closed_form_pt_eigenvalues(p, kt)
+        clear = (np.abs(spec.lambda5) > 1e-13) & (np.abs(spec.lambda7) > 1e-13)
+        assert clear.sum() > 10000
+        region = classify_region(p[clear], kt[clear])
+        l5_neg = np.isin(region, [RegionClass.I, RegionClass.II])
+        l7_neg = np.isin(region, [RegionClass.I, RegionClass.III])
+        np.testing.assert_array_equal(l5_neg, spec.lambda5[clear] < 0.0)
+        np.testing.assert_array_equal(l7_neg, spec.lambda7[clear] < 0.0)
 
 
 class TestRegionGridAudit:

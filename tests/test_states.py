@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cavres import (DensityMatrix, amplitudes, generalized_ghz,
+from cavres import (DensityMatrix, amplitudes,
                     gghz_output_state, gghz_output_state_from_amplitudes, ghz,
                     global_output_state, global_output_state_from_amplitudes,
                     mixed_ghz_w, partial_trace, purified_initial, reduce,
@@ -9,7 +9,7 @@ from cavres import (DensityMatrix, amplitudes, generalized_ghz,
 from cavres.linalg import hermitian_eigenvalues
 from cavres.states import GLOBAL_LAYOUT, PAIR_LAYOUT
 
-from conftest import random_pure_state
+from conftest import generalized_ghz, random_pure_state
 
 
 def basis_index(bits):
