@@ -75,18 +75,20 @@ def _tolerance(text):
 
 
 def _write_table(path, fmt, header, axes, cells, meta, key):
-    """One row per point of the product of axes, the first outermost, then
-    its cell: CSV under header, or the text of json.dumps({"meta": meta, key:
-    rows}, indent=2, sort_keys=True) for a key after "meta".  Every value is
-    a finite Python float, which json and %r both print by float.__repr__."""
+    """One row per point of the product of axes, the first outermost, then its
+    cell: CSV under header, or json.dumps({"meta": meta, key: rows}, indent=2,
+    sort_keys=True) for a key after "meta", whose finite floats print as %r.
+    One % fills the whole body (no axis text holds a %) before the file opens."""
     if fmt == "csv":
-        head, item, row, sep, tail = header + "\n", "%.12g,", "%s%.12g\n", "", ""
-    else:
-        head = json.dumps({"meta": meta}, indent=2, sort_keys=True)[:-2] + f',\n  "{key}": ['
-        item, row, sep, tail = "\n      %r,", "\n    [%s\n      %r\n    ]", ",", "\n  ]\n}\n"
-    prefixes = map("".join, itertools.product(*([item % v for v in axis] for axis in axes)))
+        head, item, cell, sep, tail = header + "\n", "%.12g,", "%.12g\n", "", ""
+    else:  # sep closes a row and opens the next
+        head = json.dumps({"meta": meta, key: []}, indent=2, sort_keys=True)[:-3] + "\n    ["
+        item, cell, sep, tail = "\n      %r,", "\n      %r", "\n    ],\n    [", "\n    ]\n  ]\n}\n"
+    *outer, inner = ([item % v for v in axis] for axis in axes)
+    prefixes = map("".join, itertools.product(*outer))
+    body = sep.join(p + (cell + sep + p).join(inner) + cell for p in prefixes) % tuple(cells)
     with open(path, "w", newline="") as fh:
-        fh.write(head + sep.join(map(row.__mod__, zip(prefixes, cells))) + tail)
+        fh.writelines((head, body, tail))
 
 
 def cmd_surface(args):

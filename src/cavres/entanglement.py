@@ -212,17 +212,16 @@ class MonogamyChainRecord:
 
 def _pair_block_concurrences_sq(state, qubit, partner):
     """(C^2 of qubit | block, C^2 of partner | block), the block being every
-    other qubit, from one SVD of the amplitudes as a (..., 4, 32) matrix M
-    with rows (qubit, partner).  The block marginal has rank two at most:
-    with M = U S V^dagger, U S indexed (qubit, partner, support) is a factor
-    A A^dagger = rho of the (qubit, support) state, A with rows (qubit,
-    support) and columns the partner; the partner's side swaps the first
-    two axes.  C^2 = (l1 - l2)^2 over tau's values: ||tau||_F^2 - 2 |det tau|.
-    """
-    m = _amplitude_matrix(state, [state.layout.position(qubit),
-                                  state.layout.position(partner)])
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    amps = (u[..., :2] * s[..., None, :2]).reshape(m.shape[:-2] + (2, 2, 2))
+    other qubit, from one eigh of the (qubit, partner) marginal M M^dagger =
+    V diag(w) V^dagger, M the amplitudes with rows (qubit, partner).  It has
+    rank two at most, so V sqrt(w) over the two largest w, indexed (qubit,
+    partner, support), is a factor A A^dagger = rho of the (qubit, support)
+    state, A with rows (qubit, support) and columns the partner; the partner's
+    side swaps the first two axes.  C^2 = (l1 - l2)^2 over tau's values:
+    ||tau||_F^2 - 2 |det tau|."""
+    m = _amplitude_matrix(state, list(map(state.layout.position, (qubit, partner))))
+    w, v = np.linalg.eigh(m @ np.swapaxes(m.conj(), -1, -2))
+    amps = (v[..., 2:] * np.sqrt(_floor(w[..., None, 2:]))).reshape(m.shape[:-2] + (2, 2, 2))
     squares = []
     for side in (amps, np.swapaxes(amps, -3, -2)):
         a = np.swapaxes(side, -2, -1).reshape(m.shape[:-2] + (4, 2))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -67,3 +69,15 @@ def random_pure_state(rng, labels):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_makereport():
+    # When a @given test fails, hypothesis's report hook imports libcst to
+    # write a patch, and that import trips mypy_extensions' TypedDict
+    # DeprecationWarning; under the error filter the run would end in
+    # INTERNALERROR and drop the falsifying example.  Only the report step
+    # is covered: a warning from the test itself is still an error.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "mypy_extensions.TypedDict", DeprecationWarning)
+        yield

@@ -1,11 +1,14 @@
 import inspect
+import itertools
 import json
+import math
 import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cavres import cli, esb_time_numeric
 from cavres.entanglement import (closed_form_pt_eigenvalues, gghz_grid_deviation,
@@ -299,6 +302,66 @@ class TestTableBytes:
         line = ",".join(["%.12g"] * (header.count(",") + 1)) + "\n"
         assert _table(tmp_path, name, "csv") == header + "\n" + "".join(
             line % tuple(row) for row in rows)
+
+
+# any finite float, with subnormals, -0.0, the largest magnitudes and
+# large integral values such as 1e22 drawn often
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                                    1.7976931348623157e308, 1e22, 2.0 ** 53, 1e16]))
+# a % in the meta shows that the head stays outside the cell template
+META = {"note": "100% of cells %r"}
+
+
+@st.composite
+def tables(draw, mismatch=False):
+    """(axes, cells): one or two axes and one cell per point of their
+    product, or, with mismatch, any other number of cells."""
+    axes = draw(st.lists(st.lists(FINITE, min_size=1, max_size=5), min_size=1, max_size=2))
+    size = math.prod(map(len, axes))
+    if mismatch:
+        size = draw(st.integers(0, size + 3).filter(lambda n: n != size))
+    return axes, draw(st.lists(FINITE, min_size=size, max_size=size))
+
+
+def _write(directory, fmt, axes, cells):
+    out = directory / f"t.{fmt}"
+    out.unlink(missing_ok=True)
+    header = ",".join(f"x{i}" for i in range(len(axes))) + ",cell"
+    cli._write_table(out, fmt, header, axes, cells, META, "rows")
+    return out
+
+
+class TestTableProperties:
+    """The writer's bytes on arbitrary finite tables of one and two axes."""
+
+    @given(tables())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_json_is_the_json_module_text(self, tmp_path_factory, table):
+        axes, cells = table
+        text = _write(tmp_path_factory.getbasetemp(), "json", axes, cells).read_text()
+        rows = [[*point, c] for point, c in zip(itertools.product(*axes), cells)]
+        assert text == json.dumps({"meta": META, "rows": rows}, indent=2, sort_keys=True) + "\n"
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    @given(tables())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_csv_is_the_row_layout(self, tmp_path_factory, table):
+        axes, cells = table
+        text = _write(tmp_path_factory.getbasetemp(), "csv", axes, cells).read_text()
+        line = ",".join(["%.12g"] * (len(axes) + 1)) + "\n"
+        head, rows = text.split("\n", 1)
+        assert head == ",".join(f"x{i}" for i in range(len(axes))) + ",cell"
+        assert rows == "".join(line % (*point, c)
+                               for point, c in zip(itertools.product(*axes), cells))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @given(table=tables(mismatch=True))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_cell_count_mismatch_writes_nothing(self, tmp_path_factory, fmt, table):
+        with pytest.raises(TypeError):
+            _write(tmp_path_factory.getbasetemp(), fmt, *table)
+        assert not (tmp_path_factory.getbasetemp() / f"t.{fmt}").exists()
 
 
 _NUM = r"[-+0-9.eE]+|nan|inf"

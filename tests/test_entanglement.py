@@ -438,7 +438,7 @@ class TestLapackSizes:
 
     def test_no_svd_on_the_negativity_path(self, monkeypatch):
         # the partial transpose is Hermitian: its trace norm comes from
-        # eigvalsh, and the only SVD left is monogamy_chain's one 4x32 block
+        # eigvalsh, and monogamy_chain's blocks come from eigh of a 4x4 marginal
         shapes = []
         svd = np.linalg.svd
 
@@ -453,4 +453,4 @@ class TestLapackSizes:
         reservoir_negativity(0.5, 1.0)
         assert shapes == []
         monogamy_chain(0.5, 1.0)
-        assert shapes == [(4, 32)]
+        assert shapes == []

@@ -198,7 +198,7 @@ def _lapack_calls(monkeypatch, run):
 
 # each audit on its fixed grid: (audit, LAPACK calls per parameter row, rows).
 # A marginal from `reduce` is not checked again, so a row costs only the
-# measures' own calls: monogamy makes 3 (one SVD for both blocks and the
+# measures' own calls: monogamy makes 3 (one eigh for both blocks and the
 # partial-transpose eigvalsh of each negativity; the pure-cut concurrences
 # need none), swap compares marginals and makes none, the others make one
 # partial-transpose eigvalsh.  One call per grid point would make at least
