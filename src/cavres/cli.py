@@ -31,10 +31,9 @@ CONVENTIONS = {
     "mixture_weights": "p * |GHZ><GHZ| + (1 - p) * |W><W|",
     "qubit_order": "big-endian, global layout (c1, r1, c2, r2, c3, r3, z)",
     "negativity_zero_threshold": 1e-10,
-    "negativity_noise_clamp": 1e-12,
 }
 
-# reference landmark values with their acceptance tolerances
+# reference landmark values and acceptance tolerances, in cmd_landmarks' order
 LANDMARKS = {
     "esd_onset_probability": (0.25, 0.005),
     "min_esd_point_p": (0.385, 0.005),
@@ -164,22 +163,10 @@ def cmd_verify(args):
 
 
 def cmd_landmarks(_args):
-    p_min, kt_min = min_esd_point()
-    p_n, n_min = min_initial_negativity()
-    a_low, a_high, max_kt = equal_entanglement_range()
-    computed = {
-        "esd_onset_probability": esd_threshold_probability(),
-        "min_esd_point_p": p_min,
-        "min_esd_point_kt": kt_min,
-        "min_initial_negativity_p": p_n,
-        "min_initial_negativity_n": n_min,
-        "equal_entanglement_a_low": a_low,
-        "equal_entanglement_a_high": a_high,
-        "max_gghz_esd_kt": max_kt,
-    }
+    computed = (esd_threshold_probability(), *min_esd_point(), *min_initial_negativity(),
+                *equal_entanglement_range())  # in LANDMARKS order
     failed = False
-    for name, value in computed.items():
-        ref, tol = LANDMARKS[name]
+    for (name, (ref, tol)), value in zip(LANDMARKS.items(), computed, strict=True):
         ok = abs(value - ref) <= tol
         failed = failed or not ok
         status = "PASS" if ok else "FAIL"

@@ -17,7 +17,6 @@ from .states import (CAVITY_LAYOUT, RESERVOIR_LAYOUT, _amplitude_matrix,
                      _check_probability, _check_time, _partner_amplitude,
                      gghz_output_state, global_output_state, reduce)
 
-NEGATIVITY_CLAMP = 1e-12   # float noise below this reports as exactly 0
 ZERO_ENTANGLEMENT = 1e-10  # decision threshold for "no entanglement"
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -36,13 +35,6 @@ def _pow(x, n):
 def _floor(value):
     """max(value, 0) elementwise, keeping nan; a scalar comes back a float."""
     return _item(np.where(value < 0.0, 0.0, value))
-
-
-def _clamp(value):
-    low = value < -NEGATIVITY_CLAMP
-    if low.any() if isinstance(low, np.ndarray) else low:
-        raise ValueError(f"negativity {np.min(value)} below the noise clamp")
-    return _floor(value)
 
 
 def negativity(rho, part_a):
@@ -66,8 +58,10 @@ class PtSpectrum:
     """Eight partial-transpose eigenvalues of the evolved cavity mixture.
 
     The order matches the closed-form labelling: entries 5 and 7 (1-based)
-    are the only ones that can go negative; the remaining six stay
-    nonnegative for every (p, kt).
+    are the only ones that can go negative; the remaining six are sums and
+    products of nonnegative terms for every (p, kt), so each of their
+    |l| - l is exactly 0 and the negativity is -2 lambda5 - 2 lambda7 over
+    the negative ones, rounded once.
     """
 
     lambdas: tuple
@@ -120,10 +114,10 @@ def closed_form_pt_eigenvalues(p, kt):
 
 
 def negativity_from_spectrum(spectrum):
-    """Negativity from a partial-transpose spectrum: sum |lambda_i| - 1,
-    elementwise over an array-valued spectrum."""
-    m = [abs(lam) for lam in spectrum.lambdas]  # summed pairwise, as np.sum does
-    return _clamp(((m[0] + m[1]) + (m[2] + m[3])) + ((m[4] + m[5]) + (m[6] + m[7])) - 1.0)
+    """Negativity from a partial-transpose spectrum, sum(|l| - l) as in
+    negativity, elementwise over an array-valued spectrum: twice the negative
+    part, exactly 0 where no eigenvalue is negative, blind to the trace."""
+    return _item(sum(abs(lam) - lam for lam in spectrum.lambdas))
 
 
 def pure_bipartite_concurrence_sq(state, part_a):

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cavres import cli, esb_time_numeric
+from cavres import (cli, equal_entanglement_range, esb_time_numeric, esd_threshold_probability,
+                    min_esd_point, min_initial_negativity)
 from cavres.entanglement import (closed_form_pt_eigenvalues, gghz_grid_deviation,
                                  gghz_negativity_closed, negativity_from_spectrum)
 
@@ -548,6 +549,21 @@ class TestLandmarks:
         assert captured.out.count("[PASS]") == 8
         assert "[FAIL]" not in captured.out
         assert captured.err == ""
+
+    def test_each_name_prints_its_own_value(self, capsys):
+        # cmd_landmarks pairs names and values by position; tie each name to
+        # the function that defines it
+        (p_min, kt_min), (p_n, n_min) = min_esd_point(), min_initial_negativity()
+        a_low, a_high, max_kt = equal_entanglement_range()
+        want = {"esd_onset_probability": esd_threshold_probability(),
+                "min_esd_point_p": p_min, "min_esd_point_kt": kt_min,
+                "min_initial_negativity_p": p_n, "min_initial_negativity_n": n_min,
+                "equal_entanglement_a_low": a_low, "equal_entanglement_a_high": a_high,
+                "max_gghz_esd_kt": max_kt}
+        assert run_cli(["landmarks"]) == 0
+        out = capsys.readouterr().out
+        printed = re.findall(r"^\[PASS\] (\w+): computed ([\d.]+),", out, re.M)
+        assert printed == [(name, f"{want[name]:.6f}") for name in cli.LANDMARKS]
 
     def test_unreachable_reference_fails(self, capsys, monkeypatch):
         # 0.319 would need an initial negativity no mixture has

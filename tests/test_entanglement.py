@@ -125,7 +125,7 @@ class TestArrayValuedClosedForms:
             for j, kt in enumerate(self.KT):
                 scalar = closed_form_pt_eigenvalues(float(p), float(kt))
                 # the same bits, not merely close: the powers go through the
-                # scalar pow and the sum keeps np.sum's pairwise order
+                # scalar pow, and the negativity rounds once
                 assert [lam[i, j] for lam in spec.lambdas] == list(scalar.lambdas)
                 assert grid[i, j] == negativity_from_spectrum(scalar)
 
@@ -163,13 +163,17 @@ class TestArrayValuedClosedForms:
         with pytest.raises(ValueError, match="kt=nan must"):
             gghz_negativity_closed(0.5, np.array([1.0, np.nan]))
 
-    def test_noise_clamp_applies_per_cell(self):
-        small = np.array([0.0, -5e-13, 0.25])
-        spec = PtSpectrum(lambdas=(1.0 + small, 0, 0, 0, 0, 0, 0, 0))
-        assert negativity_from_spectrum(spec).tolist() == [0.0, 0.0, 0.25]
-        spec = PtSpectrum(lambdas=(np.array([1.0, 0.5]), 0, 0, 0, 0, 0, 0, 0))
-        with pytest.raises(ValueError, match="below the noise clamp"):
-            negativity_from_spectrum(spec)
+    def test_twice_the_negative_part_per_cell(self):
+        l5 = np.array([-0.1, 0.0, 0.3, -0.0, -3e-17, np.nan, -np.inf])
+        l7 = np.array([-0.2, 0.5, 0.0, 0.125, 0.0, 0.1, 0.1])
+        twice_negative = -2.0 * (np.minimum(l5, 0.0) + np.minimum(l7, 0.0))
+        for trace_part in (0.25, 7.0):  # the trace does not enter
+            spec = PtSpectrum(lambdas=(0.5, 0, 0, trace_part, l5, 0.125, l7, 0.25))
+            got = negativity_from_spectrum(spec)
+            assert got[:5].tolist() == twice_negative[:5].tolist()
+            assert got[1:4].tolist() == [0.0, 0.0, 0.0]  # no negative eigenvalue
+            # a non-finite eigenvalue makes a non-finite cell, for surface to refuse
+            assert not np.isfinite(got[5:]).any()
 
 
 class TestGridWorst:
@@ -363,7 +367,7 @@ class TestMonogamyChain:
 
 
 def _dense_block_concurrence_sq(state, qubit, partner):
-    # the route the amplitude SVD replaces: trace |psi><psi| down to the
+    # the route the pair-marginal eigh replaces: trace |psi><psi| down to the
     # qubit and the block, take the block support from its eigenvectors,
     # and compress onto it
     psi = state.amplitudes
@@ -397,7 +401,7 @@ class TestBlockConcurrenceFastPath:
         assert worst < 1e-14
 
     def test_qubit_need_not_come_first(self):
-        # the SVD route takes any pair; c2 and r2 against the block of the rest
+        # the block route takes any pair; c2 and r2 against the block of the rest
         state = global_output_state(0.6, 0.8)
         got = _pair_block_concurrences_sq(state, "c2", "r2")
         want = _pair_block_concurrences_sq(state, "c1", "r1")

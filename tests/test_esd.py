@@ -11,7 +11,7 @@ from cavres import (RegionClass, classify_region, equal_entanglement_range,
                     lambda5_boundary, lambda7_boundary, min_esd_point,
                     min_initial_negativity, reservoir_negativity,
                     sample_boundary, swap_check)
-from cavres.entanglement import closed_form_pt_eigenvalues
+from cavres.entanglement import closed_form_pt_eigenvalues, negativity_from_spectrum
 from cavres import esd
 from cavres.esd import region_grid_audit
 from cavres.states import amplitudes, global_output_state, reduce
@@ -187,6 +187,23 @@ class TestRegionClassification:
         assume(t is None or abs(kt - t) > 1e-9 * t)
         dead = t is not None and kt >= t
         assert (classify_region(p, kt) is RegionClass.IV) == dead
+
+    def test_negativity_is_zero_exactly_in_region_iv(self):
+        # a figure grid as the benchmark sweeps it: no rounding residue in IV
+        ps, kts = np.linspace(0.0, 1.0, 101), np.linspace(0.0, 3.2, 301)
+        n = negativity_from_spectrum(closed_form_pt_eigenvalues(ps[:, None], kts))
+        iv = classify_region(ps[:, None], kts) == RegionClass.IV
+        assert iv.sum() == 6740
+        np.testing.assert_array_equal(n == 0.0, iv)
+
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 100.0))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_zero_negativity_is_region_iv(self, p, kt):
+        # where the spectrum resolves the signs of lambda5 and lambda7
+        spec = closed_form_pt_eigenvalues(p, kt)
+        assume(min(abs(spec.lambda5), abs(spec.lambda7)) > 1e-13)
+        n = negativity_from_spectrum(spec)
+        assert (n == 0.0) == (classify_region(p, kt) is RegionClass.IV)
 
     def test_signs_match_the_spectrum(self, rng):
         # the spectrum referees where it neither overflows nor nears a tie

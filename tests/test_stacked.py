@@ -192,7 +192,7 @@ def _lapack_calls(monkeypatch, run):
     monkeypatch.undo()
     every = [s for calls in shapes.values() for s in calls]
     assert all(s[-2] <= 8 for s in every), every
-    assert all(s[-2:] == (4, 32) for s in shapes["svd"]), shapes["svd"]
+    assert not shapes["svd"], shapes["svd"]
     return len(every)
 
 
