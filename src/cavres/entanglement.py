@@ -20,7 +20,7 @@ from .states import (CAVITY_LAYOUT, RESERVOIR_LAYOUT, _amplitude_matrix,
 ZERO_ENTANGLEMENT = 1e-10  # decision threshold for "no entanglement"
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
+_YY = np.kron(_SIGMA_Y, _SIGMA_Y).real  # exactly real, so real states stay real
 
 
 def _pow(x, n):

@@ -1,4 +1,8 @@
-"""Dense complex linear algebra for small qubit registers (dimension <= 128).
+"""Dense linear algebra for small qubit registers (dimension <= 128).
+
+Real data stays real: real or integer input is held as float64, so the
+model's real states, their marginals and their eigensolves run in real
+arithmetic, and complex input is held as complex128.
 
 Qubit ordering is big-endian: the first label in a layout is the most
 significant bit of the computational-basis index.  A state or density
@@ -80,9 +84,14 @@ def _item(value):
     return value if np.ndim(value) else float(value)
 
 
-def _as_complex_array(data, ndim, stack=False):
-    # stack allows leading axes in front of the ndim core axes
-    arr = np.asarray(data, dtype=complex)
+def _as_array(data, ndim, stack=False):
+    # float64 for real or integer data, complex128 for complex data; stack
+    # allows leading axes in front of the ndim core axes
+    arr = np.asarray(data)
+    try:
+        arr = arr.astype(complex if arr.dtype.kind == "c" else float, copy=False)
+    except TypeError:  # an object array holding complex numbers
+        arr = arr.astype(complex)
     if arr.ndim < ndim or arr.ndim > ndim and not stack:
         raise ValueError(f"expected a {ndim}-d array, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -98,8 +107,8 @@ def _check_hermitian(mat):
 
 @dataclass(frozen=True, slots=True, eq=False)
 class PureState:
-    """Unit-norm complex amplitude vector over a SystemLayout, or a stack
-    of them along leading axes."""
+    """Unit-norm amplitude vector over a SystemLayout, or a stack of them
+    along leading axes: float64 for real input, complex128 for complex."""
 
     layout: SystemLayout
     amplitudes: np.ndarray
@@ -108,7 +117,7 @@ class PureState:
         layout = self.layout
         if not isinstance(layout, SystemLayout):
             layout = SystemLayout(layout)
-        amps = _as_complex_array(self.amplitudes, 1, stack=True)
+        amps = _as_array(self.amplitudes, 1, stack=True)
         if amps.shape[-1] != layout.dim:
             raise ValueError(f"amplitude vector of length {amps.shape[-1]} does not "
                              f"match layout dimension {layout.dim}")
@@ -131,8 +140,9 @@ class PureState:
 @dataclass(frozen=True, slots=True, eq=False)
 class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace matrix over a
-    SystemLayout, or a stack of them along leading axes.  Data from outside,
-    copies and pickles are checked; `reduce`'s marginals are not."""
+    SystemLayout, or a stack of them along leading axes: float64 for real
+    input, complex128 for complex.  Data from outside, copies and pickles
+    are checked; `reduce`'s marginals are not."""
 
     layout: SystemLayout
     data: np.ndarray
@@ -141,7 +151,7 @@ class DensityMatrix:
         layout = self.layout
         if not isinstance(layout, SystemLayout):
             layout = SystemLayout(layout)
-        mat = _as_complex_array(self.data, 2, stack=True)
+        mat = _as_array(self.data, 2, stack=True)
         if mat.shape[-2:] != (layout.dim, layout.dim):
             raise ValueError(f"matrix shape {mat.shape} does not match layout "
                              f"dimension {layout.dim}")
@@ -214,20 +224,20 @@ def partial_transpose(rho, subsystem):
 
 def hermitian_eigenvalues(h):
     """Real eigenvalues of a Hermitian matrix, sorted descending."""
-    mat = _as_complex_array(h, 2)
+    mat = _as_array(h, 2)
     _check_hermitian(mat)
     return np.sort(np.linalg.eigvalsh(mat))[::-1]
 
 
 def trace_norm(m):
     """Trace norm (sum of singular values); sum of |eigenvalues| when Hermitian."""
-    mat = _as_complex_array(m, 2)
+    mat = _as_array(m, 2)
     return float(np.sum(np.linalg.svd(mat, compute_uv=False)))
 
 
 def psd_sqrt(m):
     """Positive-semidefinite square root of a PSD Hermitian matrix."""
-    mat = _as_complex_array(m, 2)
+    mat = _as_array(m, 2)
     _check_hermitian(mat)
     w, v = np.linalg.eigh(mat)
     if w[0] < -PSD_TOL:

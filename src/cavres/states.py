@@ -21,7 +21,7 @@ PAIR_LAYOUT = SystemLayout(("c1", "r1", "c2", "r2", "c3", "r3"))
 
 
 def _basis(n, index):
-    v = np.zeros(2 ** n, dtype=complex)
+    v = np.zeros(2 ** n)
     v[index] = 1.0
     return v
 
@@ -83,15 +83,12 @@ def purified_initial(p):
     return PureState(INITIAL_LAYOUT, amps)
 
 
-def _pair_state(xi, chi):
-    # one cavity-reservoir pair carrying a shared single excitation, per member
-    return np.multiply.outer(xi, _basis(2, 0b10)) + np.multiply.outer(chi, _basis(2, 0b01))
-
-
-def _triple(a, b, c):
-    # Kronecker product of three pair vectors per member, by broadcasting
-    prod = a[..., :, None, None] * b[..., None, :, None] * c[..., None, None, :]
-    return prod.reshape(prod.shape[:-3] + (-1,))
+def _pair_amplitudes(xi, chi):
+    """A damped pair's amplitudes at |01> and |10>, the only nonzero ones of
+    its shared single excitation, and their Kronecker cube over three pairs,
+    indexed (c1 r1, c2 r2, c3 r3), per member."""
+    q = np.stack(np.broadcast_arrays(chi, xi), axis=-1)
+    return q, q[..., :, None, None] * q[..., None, :, None] * q[..., None, None, :]
 
 
 def global_output_state_from_amplitudes(p, xi, chi):
@@ -102,14 +99,19 @@ def global_output_state_from_amplitudes(p, xi, chi):
     """
     _check_probability(p)
     p = np.asarray(p, dtype=float)[..., None]
-    ph = _pair_state(xi, chi)
-    vac = _basis(2, 0)
-    ghz_branch = _basis(6, 0) + _triple(ph, ph, ph)
-    w_branch = _triple(vac, vac, ph) + _triple(vac, ph, vac) + _triple(ph, vac, vac)
-    # z is the last, least significant qubit: interleave the two branches
-    amps = np.stack([np.sqrt(p / 2.0) * ghz_branch,
-                     np.sqrt((1.0 - p) / 3.0) * w_branch], axis=-1)
-    return PureState(GLOBAL_LAYOUT, amps.reshape(amps.shape[:-2] + (-1,)))
+    q, cube = _pair_amplitudes(xi, chi)
+    # written in one pass, indexed (c1 r1, c2 r2, c3 r3, z): z=0 holds
+    # sqrt(p/2)(|000000> + ph ph ph), z=1 holds sqrt((1-p)/3) ph in each
+    # single-pair slot, ph the pair state chi|01> + xi|10>
+    amps = np.zeros(np.broadcast_shapes(p.shape, q.shape)[:-1] + (4, 4, 4, 2))
+    g = np.sqrt(p / 2.0)
+    amps[..., 0, 0, 0, 0] = g[..., 0]
+    amps[..., 1:3, 1:3, 1:3, 0] = g[..., None, None] * cube
+    w = np.sqrt((1.0 - p) / 3.0) * q
+    amps[..., 0, 0, 1:3, 1] = w
+    amps[..., 0, 1:3, 0, 1] = w
+    amps[..., 1:3, 0, 0, 1] = w
+    return PureState(GLOBAL_LAYOUT, amps.reshape(amps.shape[:-4] + (-1,)))
 
 
 def global_output_state(p, kt):
@@ -120,11 +122,14 @@ def global_output_state(p, kt):
 
 def gghz_output_state_from_amplitudes(a, xi, chi):
     """Evolved 6-qubit generalized-GHZ state at explicit amplitudes."""
-    a = np.asarray(a, dtype=float)[..., None]
+    a = np.asarray(a, dtype=float)[..., None, None, None]
     b = _partner_amplitude(a)
-    ph = _pair_state(xi, chi)
-    amps = a * _basis(6, 0) + b * _triple(ph, ph, ph)
-    return PureState(PAIR_LAYOUT, amps)
+    cube = _pair_amplitudes(xi, chi)[1]
+    # a|000000> + b ph ph ph in one pass, indexed as in the global state
+    amps = np.zeros(np.broadcast_shapes(a.shape, cube.shape)[:-3] + (4, 4, 4))
+    amps[..., 0, 0, 0] = a[..., 0, 0, 0]
+    amps[..., 1:3, 1:3, 1:3] = b * cube
+    return PureState(PAIR_LAYOUT, amps.reshape(amps.shape[:-3] + (-1,)))
 
 
 def gghz_output_state(a, kt):

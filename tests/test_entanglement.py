@@ -3,7 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from cavres import (DensityMatrix, SystemLayout, closed_form_pt_eigenvalues,
+from cavres import (DensityMatrix, PureState, SystemLayout, closed_form_pt_eigenvalues,
                     gghz_negativity_closed, gghz_output_state,
                     global_output_state, mixed_ghz_w, monogamy_chain,
                     negativity, negativity_from_spectrum,
@@ -13,7 +13,7 @@ from cavres.entanglement import (PtSpectrum, _pair_block_concurrences_sq,
                                  gghz_grid_deviation, grid_worst, marginal_negativity)
 from cavres.esd import reservoir_negativity, swap_check
 from cavres.linalg import hermitian_eigenvalues, partial_trace, partial_transpose
-from cavres.states import ghz, purified_initial
+from cavres.states import CAVITY_LAYOUT, RESERVOIR_LAYOUT, ghz, purified_initial
 
 from conftest import random_unitary
 
@@ -274,6 +274,13 @@ class TestWoottersConcurrence:
         got = wootters_concurrence(DensityMatrix(SystemLayout(("c1", "c2")), rho))
         assert abs(got - (1.0 - 1.5 * w)) < 1e-15
 
+    def test_complex_pure_state(self):
+        # (|01> + i|10>)/sqrt(2) is maximally entangled; its tau is complex
+        amps = np.array([0.0, 1.0, 1.0j, 0.0]) / np.sqrt(2.0)
+        rho = DensityMatrix(SystemLayout(("c1", "c2")), np.outer(amps, amps.conj()))
+        assert rho.data.dtype == np.complex128
+        assert abs(wootters_concurrence(rho) - 1.0) < 1e-14
+
     def test_werner_threshold(self):
         # entanglement appears above weight 1/3
         assert wootters_concurrence(werner_dm(1.0 / 3.0)) < 1e-8
@@ -416,6 +423,35 @@ class TestBlockConcurrenceFastPath:
             assert abs(rec.c_pair_sq - c0_sq) < 1e-14
             assert abs(rec.c_c1_sq - e * c0_sq) < 1e-14
             assert abs(rec.c_r1_sq - (1.0 - e) * c0_sq) < 1e-14
+
+
+class TestComplexStates:
+    """The model's states are real, so the complex path is kept covered by a
+    local phase diag(1, e^{i phi}) on each cavity qubit: it changes no
+    entanglement measure."""
+
+    PHASES = {"c1": 0.3, "c2": 1.1, "c3": 2.5}
+
+    def _phased(self, state):
+        lead = state.amplitudes.shape[:-1]
+        amps = state.amplitudes.reshape(lead + (2,) * 7).astype(complex)
+        for label, phi in self.PHASES.items():
+            pos = state.layout.position(label)
+            amps[(Ellipsis,) + (slice(None),) * pos + (1,)] *= np.exp(1j * phi)
+        return PureState(state.layout, amps.reshape(lead + (128,)))
+
+    def test_measures_match_the_real_state(self):
+        real = global_output_state(np.linspace(0.0, 1.0, 7)[:, None], np.linspace(0.0, 3.0, 25))
+        phased = self._phased(real)
+        assert real.amplitudes.dtype == np.float64
+        assert phased.amplitudes.dtype == np.complex128
+        for qubits in (CAVITY_LAYOUT.labels, RESERVOIR_LAYOUT.labels):
+            want = marginal_negativity(real, qubits)
+            got = marginal_negativity(phased, qubits)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        for want, got in zip(_pair_block_concurrences_sq(real, "c1", "r1"),
+                             _pair_block_concurrences_sq(phased, "c1", "r1")):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 class TestLapackSizes:

@@ -278,6 +278,43 @@ class TestStateTypes:
         np.testing.assert_allclose(right[4:], 0.0, atol=1e-10)
 
 
+class TestDtypeRule:
+    """Real or integer data is held as float64, complex data as complex128,
+    and every step on it keeps that dtype."""
+
+    @pytest.mark.parametrize("data, dtype", [
+        ([1, 0, 0, 0], np.float64),
+        (np.array([0.0, 0.0, 0.0, 1.0], dtype=np.float32), np.float64),
+        (np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0), np.float64),
+        (np.array([1.0, 0.0, 0.0, 1.0j]) / np.sqrt(2.0), np.complex128),
+        (np.array([0.0, 1.0j, 0.0, 0.0], dtype=np.complex64), np.complex128),
+    ])
+    def test_kept_through_reduce_and_partial_transpose(self, data, dtype):
+        state = PureState(("c1", "r1"), data)
+        assert state.amplitudes.dtype == dtype
+        rho = reduce(state, ["c1", "r1"])
+        assert rho.data.dtype == dtype
+        assert partial_transpose(rho, ["c1"]).dtype == dtype
+        assert DensityMatrix(rho.layout, rho.data).data.dtype == dtype
+
+    def test_model_states_are_real(self):
+        state = global_output_state(np.array([[0.2], [0.7]]), np.array([0.0, 0.5, 2.0]))
+        assert state.amplitudes.dtype == np.float64
+        assert reduce(state, ["c1", "c2", "c3"]).data.dtype == np.float64
+        assert mixed_ghz_w(0.4).data.dtype == np.float64
+
+    def test_object_array_of_complex_numbers(self):
+        amps = np.array([1.0, 1.0j], dtype=object) / np.sqrt(2.0)
+        assert PureState(("c1",), amps).amplitudes.dtype == np.complex128
+
+    @pytest.mark.parametrize("data", ["ab", ["a", "b"], np.array(["1", "x"])])
+    def test_strings_refused(self, data):
+        with pytest.raises(ValueError):
+            PureState(("c1",), data)
+        with pytest.raises(ValueError):
+            hermitian_eigenvalues(data)
+
+
 def _strided(m):
     """m as a view whose last axis is strided."""
     wide = np.zeros(m.shape[:-1] + (2 * m.shape[-1],), dtype=complex)

@@ -127,7 +127,8 @@ class TestStackedAgainstScalar:
 
 
 def _one_bad(stack, index, member):
-    bad = np.array(stack)
+    # the model's stacks are real; a complex member makes the copy complex
+    bad = np.array(stack, dtype=np.result_type(stack, member))
     bad[index] = member
     return bad
 

@@ -212,6 +212,8 @@ def _kron_gghz(a, xi, chi):
 
 
 class TestOutputStatesAgainstKronChain:
+    """The one-pass builders write exactly the Kronecker chain's entries."""
+
     GRID = [(x, kt) for x in np.linspace(0.0, 1.0, 9) for kt in np.linspace(0.0, 3.0, 9)]
 
     def test_global_output_state(self):
@@ -219,23 +221,31 @@ class TestOutputStatesAgainstKronChain:
             xi, chi = amplitudes(kt)
             got = global_output_state_from_amplitudes(p, xi, chi)
             assert got.layout == GLOBAL_LAYOUT
-            np.testing.assert_allclose(got.amplitudes, _kron_global(p, xi, chi),
-                                       rtol=0, atol=1e-16)
+            np.testing.assert_array_equal(got.amplitudes, _kron_global(p, xi, chi))
 
     def test_gghz_output_state(self):
         for a, kt in self.GRID:
             xi, chi = amplitudes(kt)
             got = gghz_output_state_from_amplitudes(a, xi, chi)
             assert got.layout == PAIR_LAYOUT
-            np.testing.assert_allclose(got.amplitudes, _kron_gghz(a, xi, chi),
-                                       rtol=0, atol=1e-16)
+            np.testing.assert_array_equal(got.amplitudes, _kron_gghz(a, xi, chi))
 
     def test_swapped_amplitudes(self):
         # the swap check feeds (chi, xi); that order must build the same way
         xi, chi = amplitudes(0.7)
-        np.testing.assert_allclose(
+        np.testing.assert_array_equal(
             global_output_state_from_amplitudes(0.4, chi, xi).amplitudes,
-            _kron_global(0.4, chi, xi), rtol=0, atol=1e-16)
+            _kron_global(0.4, chi, xi))
+
+    def test_stacked_global_output_state(self):
+        # a p column against a kt row: each member is its own chain
+        ps = np.linspace(0.0, 1.0, 7)
+        xi, chi = amplitudes(np.linspace(0.0, 3.0, 25))
+        got = global_output_state_from_amplitudes(ps[:, None], xi, chi).amplitudes
+        assert got.shape == (7, 25, 128)
+        for i, p in enumerate(ps):
+            for j in range(25):
+                np.testing.assert_array_equal(got[i, j], _kron_global(p, xi[j], chi[j]))
 
 
 class TestReduceAgainstDenseTrace:
