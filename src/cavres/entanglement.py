@@ -4,11 +4,12 @@ Includes the exact eight-eigenvalue spectrum of the partially transposed
 cavity state of the evolving GHZ/W mixture, the closed-form negativity of
 the evolved generalized GHZ state, Wootters concurrence, and the monogamy
 chain that constrains how entanglement distributes between cavities and
-reservoirs during dissipation.  The dense measures act on stacks, and each
-grid audit builds one stack per parameter row, over the whole kt axis.
+reservoirs during dissipation.  The dense measures act on stacks; a grid
+audit stacks blocks of whole parameter rows, at most STACK_POINTS points.
 """
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .states import (CAVITY_LAYOUT, RESERVOIR_LAYOUT, _amplitude_matrix,
                      gghz_output_state, global_output_state, reduce)
 
 ZERO_ENTANGLEMENT = 1e-10  # decision threshold for "no entanglement"
+STACK_POINTS = 512  # grid points per dense stack, at most: it bounds peak memory
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y).real  # exactly real, so real states stay real
@@ -270,10 +272,18 @@ def _at_most(label, tolerance, values, ps, kts):
     return Check(label, value, tolerance, value <= tolerance, at)  # a nan fails
 
 
+def _row_blocks(f, params, kts):
+    """f(params[i:i + rows, None], kts) over blocks of whole rows, each at most
+    STACK_POINTS points or one row, joined along the row axis: a param-major grid."""
+    rows = max(1, STACK_POINTS // len(kts))
+    return np.concatenate([f(params[i:i + rows, None], kts)
+                           for i in range(0, len(params), rows)])
+
+
 def dense_cavity_negativity(state, params, kts):
-    """The dense cavity negativity of state(param, kts) for each param, one
-    stack per parameter row: a param-major grid."""
-    return np.array([marginal_negativity(state(p, kts), CAVITY_LAYOUT.labels) for p in params])
+    """The dense cavity negativity of state(param, kt) on the params x kts grid."""
+    return _row_blocks(lambda p, kt: marginal_negativity(state(p, kt), CAVITY_LAYOUT.labels),
+                       params, kts)
 
 
 def cavity_negativity_check(label, tolerance, closed, state, params, kts):
@@ -289,8 +299,8 @@ def closed_form_grid_deviation(tolerance=1e-10):
     ps, kts = _square_grid(25)
     spec = closed_form_pt_eigenvalues(ps[:, None], kts)
     lam = np.sort(np.stack(spec.lambdas, axis=-1), axis=-1)
-    num = np.array([np.linalg.eigvalsh(partial_transpose(
-        reduce(global_output_state(p, kts), CAVITY_LAYOUT.labels), ["c1"])) for p in ps])
+    num = _row_blocks(lambda p, kt: np.linalg.eigvalsh(partial_transpose(
+        reduce(global_output_state(p, kt), CAVITY_LAYOUT.labels), ["c1"])), ps, kts)
     return [_at_most("spectrum vs eigensolver", tolerance,
                      np.max(np.abs(lam - num), axis=-1), ps, kts)]
 
@@ -300,9 +310,9 @@ def monogamy_grid_audit(tolerance=1e-10):
     holds to tolerance, and the pair and tail slacks are at least
     -tolerance."""
     ps, kts = _square_grid(25)
-    recs = [monogamy_chain(p, kts) for p in ps]
-    eq, pair, tail = (np.array([getattr(r, name) for r in recs])
-                      for name in ("equality_deviation", "pair_slack", "tail_slack"))
+    slacks = attrgetter("equality_deviation", "pair_slack", "tail_slack")
+    grid = _row_blocks(lambda p, kt: np.stack(slacks(monogamy_chain(p, kt)), axis=-1), ps, kts)
+    eq, pair, tail = np.moveaxis(grid, -1, 0)
     checks = [_at_most("pair-equality deviation", tolerance, eq, ps, kts)]
     for label, slack in (("pair bound slack", pair), ("negativity tail slack", tail)):
         value, at = grid_worst(slack, ps, kts, np.argmin)

@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .entanglement import (ZERO_ENTANGLEMENT, Check, _at_most, _square_grid,
+from .entanglement import (ZERO_ENTANGLEMENT, Check, _at_most, _row_blocks, _square_grid,
                            closed_form_pt_eigenvalues, dense_cavity_negativity, grid_worst,
                            marginal_negativity, negativity_from_spectrum)
 from .linalg import _item
@@ -312,7 +312,7 @@ def swap_grid_deviation(tolerance=1e-12):
     """The swap relation over a 20x20 (p, kt) grid: one Check of the worst
     entrywise deviation."""
     ps, kts = _square_grid(20)
-    devs = np.array([swap_check(p, kts)[1] for p in ps])
+    devs = _row_blocks(lambda p, kt: swap_check(p, kt)[1], ps, kts)
     return [_at_most("cavity/reservoir swap", tolerance, devs, ps, kts)]
 
 

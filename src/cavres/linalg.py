@@ -108,7 +108,8 @@ def _check_hermitian(mat):
 @dataclass(frozen=True, slots=True, eq=False)
 class PureState:
     """Unit-norm amplitude vector over a SystemLayout, or a stack of them
-    along leading axes: float64 for real input, complex128 for complex."""
+    along leading axes: float64 for real input, complex128 for complex.
+    Input, copies and pickles are checked; the state builders' output is not."""
 
     layout: SystemLayout
     amplitudes: np.ndarray
@@ -166,20 +167,20 @@ class DensityMatrix:
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "data", mat)
 
-    @classmethod
-    def _derived(cls, layout, data):
-        # from validated data (a Gram marginal): read-only, no checks to fail
-        rho = object.__new__(cls)
-        data.setflags(write=False)
-        object.__setattr__(rho, "layout", layout)
-        object.__setattr__(rho, "data", data)
-        return rho
-
     def __reduce__(self):
         return DensityMatrix, (self.layout, self.data)
 
     def __repr__(self):
         return f"DensityMatrix(layout={self.layout.labels}, dim={self.layout.dim})"
+
+
+def _derived(cls, layout, array):
+    # a PureState or DensityMatrix over an array valid by construction: read-only
+    obj = object.__new__(cls)
+    array.setflags(write=False)
+    object.__setattr__(obj, "layout", layout)
+    object.__setattr__(obj, cls.__slots__[1], array)  # amplitudes or data
+    return obj
 
 
 def partial_trace(rho, keep):

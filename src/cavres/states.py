@@ -11,7 +11,7 @@ arrays of kt and of p (or a) that broadcast, and then come back stacked.
 
 import numpy as np
 
-from .linalg import DensityMatrix, PureState, SystemLayout, _item, _require
+from .linalg import NORM_TOL, DensityMatrix, PureState, SystemLayout, _derived, _item, _require
 
 CAVITY_LAYOUT = SystemLayout(("c1", "c2", "c3"))
 RESERVOIR_LAYOUT = SystemLayout(("r1", "r2", "r3"))
@@ -86,8 +86,12 @@ def purified_initial(p):
 def _pair_amplitudes(xi, chi):
     """A damped pair's amplitudes at |01> and |10>, the only nonzero ones of
     its shared single excitation, and their Kronecker cube over three pairs,
-    indexed (c1 r1, c2 r2, c3 r3), per member."""
+    indexed (c1 r1, c2 r2, c3 r3), per member.  Refused unless xi^2 + chi^2
+    = 1 in every member, which makes the states built from them unit-norm."""
     q = np.stack(np.broadcast_arrays(chi, xi), axis=-1)
+    norm = np.sum(q * q, axis=-1)
+    _require(abs(norm - 1.0) <= NORM_TOL, norm,
+             f"xi^2 + chi^2 = {{}} deviates from 1 beyond {NORM_TOL}")
     return q, q[..., :, None, None] * q[..., None, :, None] * q[..., None, None, :]
 
 
@@ -111,7 +115,7 @@ def global_output_state_from_amplitudes(p, xi, chi):
     amps[..., 0, 0, 1:3, 1] = w
     amps[..., 0, 1:3, 0, 1] = w
     amps[..., 1:3, 0, 0, 1] = w
-    return PureState(GLOBAL_LAYOUT, amps.reshape(amps.shape[:-4] + (-1,)))
+    return _derived(PureState, GLOBAL_LAYOUT, amps.reshape(amps.shape[:-4] + (-1,)))
 
 
 def global_output_state(p, kt):
@@ -129,7 +133,7 @@ def gghz_output_state_from_amplitudes(a, xi, chi):
     amps = np.zeros(np.broadcast_shapes(a.shape, cube.shape)[:-3] + (4, 4, 4))
     amps[..., 0, 0, 0] = a[..., 0, 0, 0]
     amps[..., 1:3, 1:3, 1:3] = b * cube
-    return PureState(PAIR_LAYOUT, amps.reshape(amps.shape[:-3] + (-1,)))
+    return _derived(PureState, PAIR_LAYOUT, amps.reshape(amps.shape[:-3] + (-1,)))
 
 
 def gghz_output_state(a, kt):
@@ -162,7 +166,7 @@ def reduce(state, keep):
         raise ValueError("keep set must be nonempty")
     sub = state.layout.restrict(keep)
     m = _amplitude_matrix(state, state.layout.positions(keep))
-    return DensityMatrix._derived(sub, m @ np.swapaxes(m.conj(), -1, -2))
+    return _derived(DensityMatrix, sub, m @ np.swapaxes(m.conj(), -1, -2))
 
 
 def reorder(state, new_layout):

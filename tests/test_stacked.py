@@ -3,9 +3,11 @@
 A state or density matrix with leading axes goes through the same code as a
 single one; these tests hold the two to 1e-15 on small grids that include
 p = 0, p = 1 and kt = 0, check that a stack with one bad member is refused
-with the scalar message, and count the LAPACK calls each grid audit makes
-on its fixed grid: one stack per parameter row, not one per grid point.
-No dense path re-validates a marginal that `reduce` derives.
+with the scalar message, hold each audit's blocks of whole parameter rows
+bit for bit to the per-row evaluation, and count the LAPACK calls each grid
+audit makes on its fixed grid: one stack per block of at most STACK_POINTS
+points, not one per row or per grid point.  No dense path re-validates a
+state that a builder writes or a marginal that `reduce` derives.
 """
 
 import copy
@@ -16,8 +18,9 @@ import pytest
 from cavres import (DensityMatrix, PureState, amplitudes, esb_time_numeric,
                     gghz_output_state, global_output_state, monogamy_chain,
                     reduce, reorder, swap_check, wootters_concurrence)
-from cavres import cli
-from cavres.entanglement import (closed_form_grid_deviation, gghz_grid_deviation,
+from cavres import cli, entanglement, esd
+from cavres.entanglement import (STACK_POINTS, _row_blocks, closed_form_grid_deviation,
+                                 dense_cavity_negativity, gghz_grid_deviation,
                                  marginal_negativity, monogamy_grid_audit)
 from cavres.esd import (_bisect, esb_grid_deviation, region_grid_audit,
                         reservoir_negativity, swap_grid_deviation)
@@ -193,31 +196,37 @@ def _lapack_calls(monkeypatch, run):
     monkeypatch.undo()
     every = [s for calls in shapes.values() for s in calls]
     assert all(s[-2] <= 8 for s in every), every
+    assert all(np.prod(s[:-2], dtype=int) <= STACK_POINTS for s in every), every
     assert not shapes["svd"], shapes["svd"]
     return len(every)
 
 
-# each audit on its fixed grid: (audit, LAPACK calls per parameter row, rows).
-# A marginal from `reduce` is not checked again, so a row costs only the
-# measures' own calls: monogamy makes 3 (one eigh for both blocks and the
+# each audit on its fixed grid: (audit, LAPACK calls per block, blocks).
+# A block holds as many whole rows as fit in STACK_POINTS = 512 points: 20
+# rows of 25 kts, so 2 blocks for a 25x25 grid; 12 rows of 40, so 4 for the
+# 40x40 regions grid; the whole 20x20 swap grid in 1.  A marginal from
+# `reduce` is not checked again, so a block costs only the measures' own
+# calls: monogamy makes 3 (one eigh for both pair blocks and the
 # partial-transpose eigvalsh of each negativity; the pure-cut concurrences
 # need none), swap compares marginals and makes none, the others make one
-# partial-transpose eigvalsh.  One call per grid point would make at least
-# as many calls as the grid has points, 625 for the 25x25 grids.
+# partial-transpose eigvalsh.  One stack per row made 25, 75, 0, 40 and 25.
 AUDITS = {
-    "closedform": (closed_form_grid_deviation, 1, 25),
-    "monogamy": (monogamy_grid_audit, 3, 25),
-    "swap": (swap_grid_deviation, 0, 20),
-    "regions": (region_grid_audit, 1, 40),
-    "gghz": (gghz_grid_deviation, 1, 25),
+    "closedform": (closed_form_grid_deviation, 1, 2),
+    "monogamy": (monogamy_grid_audit, 3, 2),
+    "swap": (swap_grid_deviation, 0, 1),
+    "regions": (region_grid_audit, 1, 4),
+    "gghz": (gghz_grid_deviation, 1, 2),
 }
 
 
 class TestLapackCallsPerRow:
+    """The calls per block of whole parameter rows, exactly, and no stack
+    larger than STACK_POINTS."""
+
     @pytest.mark.parametrize("audit", list(AUDITS))
     def test_grid_audits(self, monkeypatch, audit):
-        run, per_row, rows = AUDITS[audit]
-        assert _lapack_calls(monkeypatch, run) <= per_row * rows
+        run, per_block, blocks = AUDITS[audit]
+        assert _lapack_calls(monkeypatch, run) == per_block * blocks
 
     def test_esb_bisects_in_lockstep(self, monkeypatch):
         # one negativity eigvalsh per bisection step, plus the two bracket
@@ -235,26 +244,86 @@ class TestLapackCallsPerRow:
 
         few = _lapack_calls(monkeypatch, lambda: run(4))
         many = _lapack_calls(monkeypatch, lambda: run(40))
-        assert few == many <= 3
+        assert few == many == 1  # 3 rows of 4 or of 40 kts: one block
         assert "oracle check" in capsys.readouterr().out
 
 
-def _count_checks(monkeypatch):
-    """Count the runs of the checking DensityMatrix constructor."""
-    runs = []
-    check = DensityMatrix.__post_init__
+def _recording_blocks(monkeypatch):
+    """Record each grid's (f, params, kts, grid) as `_row_blocks` makes it."""
+    grids = []
 
-    def counting(self):
-        runs.append(np.shape(self.data))
-        check(self)
-    monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+    def recording(f, params, kts):
+        grids.append((f, params, kts, _row_blocks(f, params, kts)))
+        return grids[-1][-1]
+    for module in (entanglement, esd):
+        monkeypatch.setattr(module, "_row_blocks", recording)
+    return grids
+
+
+def _per_row(f, params, kts):
+    # the evaluation the blocks replaced: one stack per parameter row
+    return np.array([f(p, kts) for p in params])
+
+
+FAMILIES = {"mixed": global_output_state, "gghz": gghz_output_state}
+
+
+class TestRowBlocks:
+    """Blocks of whole parameter rows give each grid point the bits of the
+    per-row evaluation: the eigensolves and matrix products run member by
+    member, whatever the stack."""
+
+    @pytest.mark.parametrize("audit", list(AUDITS))
+    def test_audit_grids(self, monkeypatch, audit):
+        grids = _recording_blocks(monkeypatch)
+        AUDITS[audit][0]()
+        (f, params, kts, grid), = grids
+        assert np.array_equal(grid, _per_row(f, params, kts))
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    @pytest.mark.parametrize("params, n_kts, rows", [
+        (np.linspace(0.0, 1.0, 37), 25, [20, 17]),  # rows split unevenly
+        (np.array([0.0, 1.0]), 600, [1, 1]),  # a row longer than STACK_POINTS
+        (np.array([0.62]), 25, [1]),
+    ], ids=["37x25", "2x600", "1x25"])
+    def test_blocks_of_whole_rows(self, family, params, n_kts, rows):
+        state, kts = FAMILIES[family], np.linspace(0.0, 3.0, n_kts)
+        f = lambda p, kt: marginal_negativity(state(p, kt), CAVITY_LAYOUT.labels)
+        shapes = []
+        grid = _row_blocks(lambda p, kt: shapes.append(p.shape) or f(p, kt), params, kts)
+        assert shapes == [(r, 1) for r in rows] and grid.shape == (len(params), n_kts)
+        assert np.array_equal(grid, _per_row(f, params, kts))
+        assert np.array_equal(dense_cavity_negativity(state, params, kts), grid)
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_surface_oracle_past_the_bound(self, monkeypatch, tmp_path, capsys, family):
+        grids = _recording_blocks(monkeypatch)
+        shapes = _record_lapack(monkeypatch)
+        argv = ["surface", "--family", family, "--param-steps", "2", "--kt-steps", "600",
+                "--oracle", "--out", str(tmp_path / "s.csv")]
+        assert cli.main(argv) == 0 and "oracle check" in capsys.readouterr().out
+        assert shapes["eigvalsh"] == [(1, 600, 8, 8)] * 2  # each block one row
+        (f, params, kts, grid), = grids
+        assert np.array_equal(grid, _per_row(f, params, kts))
+
+
+def _count_checks(monkeypatch):
+    """Count the runs of the checking PureState and DensityMatrix
+    constructors."""
+    runs = []
+    for cls in (PureState, DensityMatrix):
+        def counting(self, check=cls.__post_init__):
+            runs.append(type(self).__name__)
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counting)
     return runs
 
 
 class TestValidatedOnce:
-    """A marginal that `reduce` derives from a validated PureState is a
-    density matrix by construction; only data from outside, copies and
-    pickles go through the checks."""
+    """A state that a builder writes from checked amplitudes is unit-norm,
+    and a marginal that `reduce` derives from it is a density matrix, by
+    construction; only data from outside, copies and pickles go through the
+    checks."""
 
     @pytest.mark.parametrize("run", [
         *(audit for audit, _, _ in AUDITS.values()),

@@ -248,6 +248,31 @@ class TestOutputStatesAgainstKronChain:
                 np.testing.assert_array_equal(got[i, j], _kron_global(p, xi[j], chi[j]))
 
 
+class TestBuilderAmplitudes:
+    """The builders check xi^2 + chi^2 = 1 in each member where the
+    amplitudes enter, then write the state without checking it again."""
+
+    BUILDERS = [global_output_state_from_amplitudes, gghz_output_state_from_amplitudes]
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_one_member_off_the_unit_circle_is_refused(self, build):
+        xi, chi = amplitudes(np.linspace(0.0, 3.0, 5))
+        xi[3] = np.sqrt(1.0 + 1e-9 - chi[3] ** 2)
+        with pytest.raises(ValueError, match=r"^xi\^2 \+ chi\^2 = 1\.00000000\d* "
+                                             r"deviates from 1 beyond 1e-12$"):
+            build(0.4, xi, chi)
+        xi[3] = np.nan
+        with pytest.raises(ValueError, match=r"^xi\^2 \+ chi\^2 = nan "):
+            build(0.4, xi, chi)
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_output_is_read_only_and_unit_norm(self, build):
+        state = build(np.linspace(0.0, 1.0, 7)[:, None], *amplitudes(np.linspace(0.0, 3.0, 25)))
+        assert not state.amplitudes.flags.writeable
+        norm = np.linalg.norm(state.amplitudes, axis=-1)
+        assert norm.shape == (7, 25) and np.all(np.abs(norm - 1.0) <= 1e-15)
+
+
 class TestReduceAgainstDenseTrace:
     """reduce contracts the amplitudes; the referee traces |psi><psi|."""
 
