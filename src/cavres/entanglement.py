@@ -25,15 +25,6 @@ _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y).real  # exactly real, so real states stay real
 
 
-def _pow(x, n):
-    """x ** n by the scalar pow at every entry, so that an array cell
-    carries the same bits as a scalar call: numpy's vectorised pow rounds
-    differently, and the closed forms in u amplify that to 1.8e-15."""
-    if isinstance(x, np.ndarray):
-        return np.array([v ** n for v in x.flat]).reshape(x.shape)
-    return x ** n
-
-
 def _floor(value):
     """max(value, 0) elementwise, keeping nan; a scalar comes back a float."""
     return _item(np.where(value < 0.0, 0.0, value))
@@ -92,22 +83,24 @@ def closed_form_pt_eigenvalues(p, kt):
     """
     _check_probability(p)
     _check_time(kt)
+    # not **: numpy's array ** rounds unlike libm's pow, and the u-form amplifies it to 1.8e-15
     u = np.exp(kt)
     em = np.exp(-kt)
-    l1 = 0.5 * _pow(em, 3) * p
-    l2 = 0.5 * _pow(em, 3) * (u - 1.0) * p
-    l3 = 0.5 * _pow(em, 3) * _pow(u - 1.0, 2) * p
-    l4 = em * (4.0 - 4.0 * p + 3.0 * _pow(1.0 - em, 2) * p) / 6.0
+    u2, u3, u4 = np.float_power(u, 2), np.float_power(u, 3), np.float_power(u, 4)
+    em2, em3, p2 = np.float_power(em, 2), np.float_power(em, 3), np.float_power(p, 2)
+    l1 = 0.5 * em3 * p
+    l2 = 0.5 * em3 * (u - 1.0) * p
+    l3 = 0.5 * em3 * np.float_power(u - 1.0, 2) * p
+    l4 = em * (4.0 - 4.0 * p + 3.0 * np.float_power(1.0 - em, 2) * p) / 6.0
     lin_a = em * (2.0 - 2.0 * p + 3.0 * (1.0 - em) * p)
-    disc_a = (18.0 * _pow(u, 3) * p * (p - 2.0) + 36.0 * _pow(p, 2)
-              - 108.0 * u * _pow(p, 2) + _pow(u, 4) * _pow(p + 2.0, 2)
-              + 3.0 * _pow(u, 2) * p * (8.0 + 31.0 * p))
-    lin_b = 3.0 * (p + _pow(1.0 - em, 3) * p
-                   + (1.0 - em) * (2.0 - 2.0 * p + _pow(em, 2) * p))
-    disc_b = (36.0 * (_pow(u, 4) + _pow(p, 2) - _pow(u, 3) * (p + 2.0) - u * p * (p + 2.0))
-              + _pow(u, 2) * (68.0 + 44.0 * p + 41.0 * _pow(p, 2)))
-    rad_a = _pow(em, 3) * np.sqrt(np.maximum(disc_a, 0.0))
-    rad_b = _pow(em, 2) * np.sqrt(np.maximum(disc_b, 0.0))
+    disc_a = (18.0 * u3 * p * (p - 2.0) + 36.0 * p2 - 108.0 * u * p2
+              + u4 * np.float_power(p + 2.0, 2) + 3.0 * u2 * p * (8.0 + 31.0 * p))
+    lin_b = 3.0 * (p + np.float_power(1.0 - em, 3) * p
+                   + (1.0 - em) * (2.0 - 2.0 * p + em2 * p))
+    disc_b = (36.0 * (u4 + p2 - u3 * (p + 2.0) - u * p * (p + 2.0))
+              + u2 * (68.0 + 44.0 * p + 41.0 * p2))
+    rad_a = em3 * np.sqrt(np.maximum(disc_a, 0.0))
+    rad_b = em2 * np.sqrt(np.maximum(disc_b, 0.0))
     l5 = (lin_a - rad_a) / 12.0
     l6 = (lin_a + rad_a) / 12.0
     l7 = (lin_b - rad_b) / 12.0
@@ -164,7 +157,8 @@ def gghz_negativity_closed(a, kt):
     b = _partner_amplitude(a)
     _check_time(kt)
     u = np.exp(kt)
-    radicand = 4.0 * a * a * _pow(u, 3) + b * b * _pow(2.0 - 3.0 * u + u * u, 2)
+    radicand = (4.0 * a * a * np.float_power(u, 3)
+                + b * b * np.float_power(2.0 - 3.0 * u + u * u, 2))
     value = b * np.exp(-3.0 * kt) * (np.sqrt(radicand) - b * u * (u - 1.0))
     return _floor(value)
 

@@ -7,7 +7,6 @@ death times they induce, the generalized-GHZ counterpart, and the exact
 cavity/reservoir swap relation all live here.
 """
 
-import functools
 from enum import Enum
 
 import numpy as np
@@ -131,8 +130,7 @@ def classify_region(p, kt):
     _check_probability(p)
     _check_time(kt)
     e = np.maximum(np.exp(-kt), np.finfo(float).smallest_subnormal)
-    q5, q7 = (functools.reduce(lambda acc, c: acc * e + c, q)  # Horner's rule
-              for q in (_q5(p), _q7(p)))
+    q5, q7 = np.polyval(_q5(p), e), np.polyval(_q7(p), e)
     return _REGIONS[np.greater(p * q5, 0.0).astype(int), np.less(q7, 0.0).astype(int)]
 
 
@@ -214,7 +212,7 @@ def gghz_esd_time(a):
         return None
     if a == 0.0:
         return 0.0
-    return float(-np.log(1.0 - (a * a / b_sq) ** (1.0 / 3.0)))
+    return float(-np.log1p(-(a * a / b_sq) ** (1.0 / 3.0)))
 
 
 def equal_entanglement_range():

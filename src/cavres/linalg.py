@@ -143,7 +143,7 @@ class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace matrix over a
     SystemLayout, or a stack of them along leading axes: float64 for real
     input, complex128 for complex.  Data from outside, copies and pickles
-    are checked; `reduce`'s marginals are not."""
+    are checked; `reduce`'s marginals and `mixed_ghz_w` are not."""
 
     layout: SystemLayout
     data: np.ndarray

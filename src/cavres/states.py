@@ -29,13 +29,13 @@ def _basis(n, index):
 def ghz():
     """(|000> + |111>)/sqrt(2) on the cavity register."""
     amps = (_basis(3, 0b000) + _basis(3, 0b111)) / np.sqrt(2.0)
-    return PureState(CAVITY_LAYOUT, amps)
+    return _derived(PureState, CAVITY_LAYOUT, amps)
 
 
 def w():
     """(|001> + |010> + |100>)/sqrt(3) on the cavity register."""
     amps = (_basis(3, 0b001) + _basis(3, 0b010) + _basis(3, 0b100)) / np.sqrt(3.0)
-    return PureState(CAVITY_LAYOUT, amps)
+    return _derived(PureState, CAVITY_LAYOUT, amps)
 
 
 def _partner_amplitude(a):
@@ -52,35 +52,37 @@ def _check_time(kt):
 
 
 def mixed_ghz_w(p):
-    """The rank-2 cavity mixture p|GHZ><GHZ| + (1-p)|W><W|."""
+    """The rank-2 cavity mixture p|GHZ><GHZ| + (1-p)|W><W|, stacked over an array of p."""
     _check_probability(p)
     g = ghz().amplitudes
     v = w().amplitudes
+    p = np.asarray(p, dtype=float)[..., None, None]
     rho = p * np.outer(g, g.conj()) + (1.0 - p) * np.outer(v, v.conj())
-    return DensityMatrix(CAVITY_LAYOUT, rho)
+    return _derived(DensityMatrix, CAVITY_LAYOUT, rho)
 
 
 def amplitudes(kt):
     """Damping amplitudes (xi, chi) at dimensionless time kt.
 
-    xi = exp(-kt/2) is the surviving-excitation amplitude, chi the leaked
-    one; xi^2 + chi^2 = 1 for every kt >= 0.  An array of kt gives arrays.
+    xi = exp(-kt/2) is the surviving amplitude and chi = sqrt(-expm1(-kt)),
+    exact as kt -> 0, the leaked one; xi^2 + chi^2 = 1.  Arrays give arrays.
     """
     _check_time(kt)
-    return _item(np.exp(-kt / 2.0)), _item(np.sqrt(1.0 - np.exp(-kt)))
+    return _item(np.exp(-kt / 2.0)), _item(np.sqrt(-np.expm1(-kt)))
 
 
 def purified_initial(p):
     """Purification of mixed_ghz_w(p) by the ancilla z, reservoirs in vacuum.
 
     Layout (c1, c2, c3, z, r1, r2, r3).  Tracing out z and the reservoirs
-    recovers mixed_ghz_w(p).
+    recovers mixed_ghz_w(p), member by member for an array of p.
     """
     _check_probability(p)
+    p = np.asarray(p, dtype=float)[..., None]
     g = np.kron(ghz().amplitudes, _basis(1, 0))
     v = np.kron(w().amplitudes, _basis(1, 1))
     amps = np.kron(np.sqrt(p) * g + np.sqrt(1.0 - p) * v, _basis(3, 0))
-    return PureState(INITIAL_LAYOUT, amps)
+    return _derived(PureState, INITIAL_LAYOUT, amps)
 
 
 def _pair_amplitudes(xi, chi):
@@ -170,14 +172,11 @@ def reduce(state, keep):
 
 
 def reorder(state, new_layout):
-    """Permute tensor factors of a pure state into a new label order."""
+    """Permute tensor factors of a pure state into a new label order, unchecked."""
     if not isinstance(new_layout, SystemLayout):
         new_layout = SystemLayout(new_layout)
     if set(new_layout.labels) != set(state.layout.labels):
         raise ValueError(f"new layout {new_layout.labels} is not a permutation "
                          f"of {state.layout.labels}")
-    n = state.layout.n_qubits
-    perm = [state.layout.position(lab) - n for lab in new_layout.labels]
-    lead = state.amplitudes.shape[:-1]
-    amps = np.moveaxis(state.amplitudes.reshape(lead + (2,) * n), perm, range(-n, 0))
-    return PureState(new_layout, amps.reshape(lead + (-1,)))
+    m = _amplitude_matrix(state, [state.layout.position(lab) for lab in new_layout.labels])
+    return _derived(PureState, new_layout, m.reshape(m.shape[:-2] + (-1,)))

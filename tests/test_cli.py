@@ -2,9 +2,11 @@ import inspect
 import itertools
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -629,24 +631,26 @@ class TestPointQueries:
         assert "c_pair_sq" in out and "tail slack" in out
 
 
+def _run_python(args):
+    # a fresh interpreter that finds the checkout's package, installed or not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True)
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "surf.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "cavres", "surface", "--family", "mixed",
-             "--param-steps", "3", "--kt-steps", "3", "--out", str(out)],
-            capture_output=True, text=True)
+        proc = _run_python(["-m", "cavres", "surface", "--family", "mixed",
+                            "--param-steps", "3", "--kt-steps", "3", "--out", str(out)])
         assert proc.returncode == 0
         assert out.exists()
 
     def test_cli_import_leaves_scipy_out(self):
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, cavres.cli; print('scipy' in sys.modules)"],
-            capture_output=True, text=True)
+        proc = _run_python(["-c", "import sys, cavres.cli; print('scipy' in sys.modules)"])
         assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
     def test_version_flag(self):
-        proc = subprocess.run([sys.executable, "-m", "cavres", "--version"],
-                              capture_output=True, text=True)
+        proc = _run_python(["-m", "cavres", "--version"])
         assert proc.returncode == 0

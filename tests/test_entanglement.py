@@ -372,6 +372,15 @@ class TestMonogamyChain:
         assert abs(rec.c_c1_sq - xi_sq) < 1e-10
         assert abs(rec.c_r1_sq - (1.0 - xi_sq)) < 1e-10
 
+    @pytest.mark.parametrize("kt", [1e-17, 1e-13, 1e-10, 1e-6])
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_leaked_block_at_small_times(self, p, kt):
+        # c_r1_sq = o C0^2 with o = 1 - exp(-kt) the leaked weight; a chi
+        # taken as sqrt(1 - exp(-kt)) would cancel here, 3e-4 off at kt = 1e-13
+        c0_sq = 4.0 * (p / 2 + 2 * (1 - p) / 3) * (p / 2 + (1 - p) / 3)
+        o_c0_sq = -np.expm1(-kt) * c0_sq
+        assert abs(monogamy_chain(p, kt).c_r1_sq - o_c0_sq) <= 1e-14 * o_c0_sq
+
 
 def _dense_block_concurrence_sq(state, qubit, partner):
     # the route the pair-marginal eigh replaces: trace |psi><psi| down to the

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -329,6 +330,14 @@ class TestGghzBoundary:
         assert gghz_esd_time(0.9) is None
         with pytest.raises(ValueError):
             gghz_esd_time(1.2)
+
+    @pytest.mark.parametrize("a", [1e-9, 1e-6, 1e-3])
+    def test_death_time_at_small_amplitude_against_mpmath(self, a):
+        # -log(1 - y) would cancel at small y: 2.9e-11 off at a = 1e-9
+        with mp.workdps(50):
+            y = mp.cbrt(mp.mpf(a) ** 2 / (1 - mp.mpf(a) ** 2))
+            want = -mp.log1p(-y)
+            assert abs(gghz_esd_time(a) - want) <= 2e-15 * want
 
 
 class TestEqualEntanglementRange:

@@ -1,10 +1,14 @@
 """The death times and landmarks as exact polynomial roots.
 
-The polynomials are checked against a sympy expansion of the closed-form
-eigenvalues, and the roots against scipy's bisection on the closed forms
-(where double precision resolves their sign change) and against a
-60-digit mpmath bisection (over the whole domain).
+The polynomials and the closed-form eigenvalues are checked against a
+sympy certificate derived from the model (the factored characteristic
+polynomial of the damped mixture's partial transpose), and the roots
+against scipy's bisection on the closed forms (where double precision
+resolves their sign change) and against a 60-digit mpmath bisection (over
+the whole domain).
 """
+
+import itertools
 
 import mpmath as mp
 import numpy as np
@@ -18,31 +22,86 @@ from cavres.entanglement import closed_form_pt_eigenvalues
 from cavres.esd import (ESD_ONSET_PROBABILITY, INITIAL_NEGATIVITY_STATIONARY, _bisect,
                         _q5, _q7, initial_negativity, min_initial_negativity)
 
-E, P = sp.symbols("e p", positive=True)
+E, P, LAM = sp.symbols("e p lambda", positive=True)
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 P_STAR, KT_STAR = 0.3850407, 1.0909553   # the earliest death, to 1e-7
 
 
-def _closed_form_products():
-    """lambda5 lambda6 and lambda7 lambda8 of the closed form, times 144,
-    as expressions in e = exp(-kt) (the closed form writes u = 1/e)."""
-    u = 1 / E
-    lin_a = E * (2 - 2 * P + 3 * (1 - E) * P)
-    disc_a = (18 * u ** 3 * P * (P - 2) + 36 * P ** 2 - 108 * u * P ** 2
-              + u ** 4 * (P + 2) ** 2 + 3 * u ** 2 * P * (8 + 31 * P))
-    lin_b = 3 * (P + (1 - E) ** 3 * P + (1 - E) * (2 - 2 * P + E ** 2 * P))
-    disc_b = (36 * (u ** 4 + P ** 2 - u ** 3 * (P + 2) - u * P * (P + 2))
-              + u ** 2 * (68 + 44 * P + 41 * P ** 2))
-    return lin_a ** 2 - E ** 6 * disc_a, lin_b ** 2 - E ** 4 * disc_b
+@pytest.fixture(scope="module")
+def certificate():
+    """The characteristic polynomial of the c1 partial transpose of the
+    damped cavity mixture, derived from the model and factored over Q(p, e),
+    e = exp(-kt): {degree: [factors as Polys in lambda, leading coefficient
+    first]}.  Each cavity qubit is damped by the Kraus pair K0 = diag(1,
+    sqrt(e)), K1 = [[0, sqrt(1 - e)], [0, 0]] (Lopez et al., PRL 101,
+    080503, 2008); Berkowitz's determinant avoids a failing factor sort in
+    Matrix.charpoly."""
+    kraus = [sp.diag(1, sp.sqrt(E)), sp.Matrix([[0, sp.sqrt(1 - E)], [0, 0]])]
+    ghz = sp.Matrix([1, 0, 0, 0, 0, 0, 0, 1]) / sp.sqrt(2)
+    w = sp.Matrix([0, 1, 1, 0, 1, 0, 0, 0]) / sp.sqrt(3)
+    rho = P * ghz * ghz.T + (1 - P) * w * w.T
+    damped = sp.zeros(8, 8)
+    for ops in itertools.product(kraus, repeat=3):
+        k = sp.kronecker_product(*ops)
+        damped += k * rho * k.T
+    damped = damped.applyfunc(sp.expand)
+    # c1 is the most significant bit: swap its row and column bits
+    pt = sp.Matrix(8, 8, lambda i, j: damped[(j & 4) | (i & 3), (i & 4) | (j & 3)])
+    charpoly = sp.expand((LAM * sp.eye(8) - pt).det(method="berkowitz"))
+    factors = {}
+    for factor, mult in sp.factor_list(charpoly, LAM)[1]:
+        poly = sp.Poly(factor, LAM)
+        factors.setdefault(poly.degree(), []).extend([poly] * mult)
+    return factors
+
+
+def _quadratics(certificate):
+    """The quadratic factors, lambda5 and lambda6's first: its constant term
+    vanishes at p = 0."""
+    return sorted(certificate[2], key=lambda quad: quad.nth(0).subs(P, 0) != 0)
+
+
+def _certified_q5_q7(certificate):
+    """Q5 and Q7 from the quadratic factors' constant terms over their
+    leading ones: lambda5 lambda6 = -e^3 p Q5 / 12 and lambda7 lambda8 =
+    e^2 Q7 / 36."""
+    a, b = (sp.cancel(quad.nth(0) / quad.LC()) for quad in _quadratics(certificate))
+    return sp.Poly(sp.cancel(-12 * a / (E ** 3 * P)), E), sp.Poly(sp.cancel(36 * b / E ** 2), E)
+
+
+def _exact(coeffs):
+    """The program's polynomial coefficients, taken at the symbol P, as
+    exact rationals in P."""
+    return [sp.expand(sp.nsimplify(c, rational=True)) for c in coeffs]
+
+
+class TestCertificate:
+    def test_factors_into_four_lines_and_two_quadratics(self, certificate):
+        assert sorted(certificate) == [1, 2]
+        assert len(certificate[1]) == 4 and len(certificate[2]) == 2
+
+    def test_q5_and_q7_are_exactly_the_programs(self, certificate):
+        q5, q7 = _certified_q5_q7(certificate)
+        assert [sp.expand(c) for c in q5.all_coeffs()] == _exact(_q5(P))
+        assert [sp.expand(c) for c in q7.all_coeffs()] == _exact(_q7(P))
+
+    @pytest.mark.parametrize("kt", [0.0, 0.35, 1.1, 2.9])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.62, 1.0])
+    def test_closed_forms_are_the_roots_of_their_factors(self, certificate, p, kt):
+        lam = closed_form_pt_eigenvalues(p, kt).lambdas
+        point = {P: p, E: np.exp(-kt)}
+        linear = [[float(c.subs(point)) for c in line.all_coeffs()] for line in certificate[1]]
+        np.testing.assert_allclose(sorted(lam[:4]), sorted(-b / a for a, b in linear),
+                                   rtol=0, atol=1e-15)
+        for quad, pair in zip(_quadratics(certificate), (lam[4:6], lam[6:])):
+            roots = np.roots([float(c.subs(point)) for c in quad.all_coeffs()])
+            np.testing.assert_allclose(np.sort(pair), np.sort(roots), rtol=0, atol=1e-15)
 
 
 class TestPolynomials:
     @pytest.mark.parametrize("p", [0.26, 0.385, 0.5, 0.9, 0.99999])
-    def test_q5_and_q7_expand_the_closed_forms(self, p):
-        prod5, prod7 = _closed_form_products()
-        # lambda5 lambda6 = -12 e^3 p Q5 / 144 and lambda7 lambda8 = 4 e^2 Q7 / 144
-        q5 = sp.Poly(sp.cancel(prod5 / (-12 * E ** 3 * P)), E)
-        q7 = sp.Poly(sp.cancel(prod7 / (4 * E ** 2)), E)
+    def test_q5_and_q7_expand_the_closed_forms(self, certificate, p):
+        q5, q7 = _certified_q5_q7(certificate)
         for poly, coeffs in ((q5, _q5(p)), (q7, _q7(p))):
             expected = [float(c.subs(P, p)) for c in poly.all_coeffs()]
             np.testing.assert_allclose(coeffs, expected, rtol=1e-14, atol=1e-14)

@@ -7,7 +7,8 @@ with the scalar message, hold each audit's blocks of whole parameter rows
 bit for bit to the per-row evaluation, and count the LAPACK calls each grid
 audit makes on its fixed grid: one stack per block of at most STACK_POINTS
 points, not one per row or per grid point.  No dense path re-validates a
-state that a builder writes or a marginal that `reduce` derives.
+state that a builder or `reorder` writes or a marginal that `reduce`
+derives.
 """
 
 import copy
@@ -16,8 +17,9 @@ import numpy as np
 import pytest
 
 from cavres import (DensityMatrix, PureState, amplitudes, esb_time_numeric,
-                    gghz_output_state, global_output_state, monogamy_chain,
-                    reduce, reorder, swap_check, wootters_concurrence)
+                    gghz_output_state, ghz, global_output_state, mixed_ghz_w,
+                    monogamy_chain, purified_initial, reduce, reorder, swap_check, w,
+                    wootters_concurrence)
 from cavres import cli, entanglement, esd
 from cavres.entanglement import (STACK_POINTS, _row_blocks, closed_form_grid_deviation,
                                  dense_cavity_negativity, gghz_grid_deviation,
@@ -30,12 +32,22 @@ PS = np.array([0.0, 0.3, 0.62, 1.0])
 KTS = np.array([0.0, 0.35, 1.1, 2.9])
 KEEPS = (CAVITY_LAYOUT.labels, RESERVOIR_LAYOUT.labels, ("c1", "r1"),
          ("r1", "c2", "r2", "c3", "r3", "z"))
+ORDER = ("z", "c3", "r1", "c1", "r3", "c2", "r2")
 MEMBERS = ("c_init_sq", "c_pair_sq", "c_c1_sq", "c_r1_sq", "n_cav_sq", "n_res_sq")
 TOL = 1e-15
 
 
 def _points():
     return [(i, j, float(p), float(kt)) for i, p in enumerate(PS) for j, kt in enumerate(KTS)]
+
+
+def _moveaxis_reorder(state, labels):
+    # the reference permutation: every qubit axis moved to its place at once
+    n = state.layout.n_qubits
+    perm = [state.layout.position(lab) - n for lab in labels]
+    lead = state.amplitudes.shape[:-1]
+    amps = np.moveaxis(state.amplitudes.reshape(lead + (2,) * n), perm, range(-n, 0))
+    return amps.reshape(lead + (-1,))
 
 
 class TestStackedAgainstScalar:
@@ -61,11 +73,19 @@ class TestStackedAgainstScalar:
             np.testing.assert_allclose(stack.data[i, j], want.data, rtol=0, atol=TOL)
 
     def test_reorder(self):
-        order = ("z", "c3", "r1", "c1", "r3", "c2", "r2")
-        stack = reorder(global_output_state(PS[:, None], KTS), order)
+        state = global_output_state(PS[:, None], KTS)
+        stack = reorder(state, ORDER)
+        assert np.array_equal(stack.amplitudes, _moveaxis_reorder(state, ORDER))
         for i, j, p, kt in _points():
-            want = reorder(global_output_state(p, kt), order).amplitudes
+            want = reorder(global_output_state(p, kt), ORDER).amplitudes
             assert np.array_equal(stack.amplitudes[i, j], want)
+
+    def test_initial_states(self):
+        rho, psi = mixed_ghz_w(PS[:, None]), purified_initial(PS[:, None])
+        assert rho.data.shape == (4, 1, 8, 8) and psi.amplitudes.shape == (4, 1, 128)
+        for i, p in enumerate(PS):
+            assert np.array_equal(rho.data[i, 0], mixed_ghz_w(float(p)).data)
+            assert np.array_equal(psi.amplitudes[i, 0], purified_initial(float(p)).amplitudes)
 
     def test_negativities(self):
         for state in (global_output_state, gghz_output_state):
@@ -320,10 +340,10 @@ def _count_checks(monkeypatch):
 
 
 class TestValidatedOnce:
-    """A state that a builder writes from checked amplitudes is unit-norm,
-    and a marginal that `reduce` derives from it is a density matrix, by
-    construction; only data from outside, copies and pickles go through the
-    checks."""
+    """A state that a builder writes from checked parameters is unit-norm, a
+    permutation of checked amplitudes is too, and a marginal that `reduce`
+    derives from either is a density matrix, by construction; only data from
+    outside, copies and pickles go through the checks."""
 
     @pytest.mark.parametrize("run", [
         *(audit for audit, _, _ in AUDITS.values()),
@@ -342,6 +362,22 @@ class TestValidatedOnce:
         argv = ["surface", "--family", family, "--param-steps", "3", "--kt-steps", "4",
                 "--oracle", "--out", str(tmp_path / "s.csv")]
         assert cli.main(argv) == 0 and runs == []
+
+    @pytest.mark.parametrize("build", [
+        ghz, w, lambda: mixed_ghz_w(0.3), lambda: mixed_ghz_w(PS[:, None]),
+        lambda: purified_initial(0.3), lambda: purified_initial(PS[:, None]),
+        lambda: reorder(global_output_state(PS[:, None], KTS), ORDER),
+    ], ids=["ghz", "w", "mixed_ghz_w", "mixed_ghz_w-stack", "purified_initial",
+            "purified_initial-stack", "reorder"])
+    def test_builders_run_no_checks(self, monkeypatch, build):
+        runs = _count_checks(monkeypatch)
+        out = build()
+        assert runs == []
+        field = "data" if isinstance(out, DensityMatrix) else "amplitudes"
+        assert not getattr(out, field).flags.writeable
+        checked = type(out)(out.layout, getattr(out, field))  # the checks pass it
+        assert runs == [type(out).__name__]
+        assert np.array_equal(getattr(checked, field), getattr(out, field))
 
     @pytest.mark.parametrize("keep", KEEPS, ids=lambda k: "-".join(k))
     def test_marginals_hold_the_invariants(self, monkeypatch, keep):

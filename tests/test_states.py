@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -89,6 +90,13 @@ class TestAmplitudes:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             amplitudes(-0.1)
+
+    @pytest.mark.parametrize("kt", [1e-300, 1e-17, 1e-13, 1e-10, 1e-5, 0.5, 5.0, 40.0])
+    def test_leaked_amplitude_against_mpmath(self, kt):
+        # sqrt(1 - exp(-kt)) would cancel at small kt, and be exactly 0 at 1e-17
+        with mp.workdps(50):
+            want = mp.sqrt(-mp.expm1(-mp.mpf(kt)))
+            assert abs(amplitudes(kt)[1] - want) <= 2.3e-16 * want
 
 
 class TestPurifiedInitial:
