@@ -99,8 +99,8 @@ def closed_form_pt_eigenvalues(p, kt):
                    + (1.0 - em) * (2.0 - 2.0 * p + em2 * p))
     disc_b = (36.0 * (u4 + p2 - u3 * (p + 2.0) - u * p * (p + 2.0))
               + u2 * (68.0 + 44.0 * p + 41.0 * p2))
-    rad_a = em3 * np.sqrt(np.maximum(disc_a, 0.0))
-    rad_b = em2 * np.sqrt(np.maximum(disc_b, 0.0))
+    rad_a = em3 * np.sqrt(disc_a)
+    rad_b = em2 * np.sqrt(disc_b)
     l5 = (lin_a - rad_a) / 12.0
     l6 = (lin_a + rad_a) / 12.0
     l7 = (lin_b - rad_b) / 12.0

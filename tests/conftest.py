@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -69,6 +70,61 @@ def random_pure_state(rng, labels):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+class SympyDamping:
+    """The damping model in sympy, written once for the certificates that
+    derive the closed forms from it (Lopez et al., PRL 101, 080503, 2008).
+
+    e = exp(-kt), the mixture weight p and the eigenvalue lambda are
+    positive symbols.  One pair's Stinespring isometry V, in (c, r) order,
+    sends |0> to |00> and |1> to sqrt(e)|10> + sqrt(1 - e)|01>.  Its rows
+    with the reservoir fixed are the cavity's Kraus pair K0 = diag(1,
+    sqrt(e)), K1 = [[0, sqrt(1 - e)], [0, 0]]; its rows with the cavity
+    fixed are the reservoir's, so summing over them traces the cavity out.
+    """
+
+    def __init__(self):
+        import sympy as sp  # only the certificates pay for the import
+        self._sp = sp
+        self.e, self.p, self.lam = sp.symbols("e p lambda", positive=True)
+        self.isometry = sp.Matrix([[1, 0], [0, sp.sqrt(1 - self.e)],
+                                   [0, sp.sqrt(self.e)], [0, 0]])
+        ghz = sp.Matrix([1, 0, 0, 0, 0, 0, 0, 1]) / sp.sqrt(2)
+        w = sp.Matrix([0, 1, 1, 0, 1, 0, 0, 0]) / sp.sqrt(3)
+        self.mixture = self.p * ghz * ghz.T + (1 - self.p) * w * w.T
+
+    def damp(self, rho, keep="cavity"):
+        """A real three-qubit cavity state rho after each qubit's damping,
+        on the cavities or, with keep="reservoir", on the reservoirs:
+        sum of K rho K^T over the triples of one side's Kraus operators."""
+        rows = {"cavity": [[0, 2], [1, 3]], "reservoir": [[0, 1], [2, 3]]}[keep]
+        ops = [self.isometry.extract(r, [0, 1]) for r in rows]
+        out = self._sp.zeros(8, 8)
+        for triple in itertools.product(ops, repeat=3):
+            k = self._sp.kronecker_product(*triple)
+            out += k * rho * k.T
+        return out.applyfunc(self._sp.expand)
+
+    def pt_charpoly_factors(self, rho):
+        """The characteristic polynomial of the partial transpose of rho on
+        c1 (the most significant bit), factored over the rationals in its
+        symbols: {degree: [factors as Polys in lambda, leading coefficient
+        first, each repeated by its multiplicity]}.  Berkowitz's determinant
+        avoids a failing factor sort in Matrix.charpoly."""
+        sp = self._sp
+        pt = sp.Matrix(8, 8, lambda i, j: rho[(j & 4) | (i & 3), (i & 4) | (j & 3)])
+        charpoly = sp.expand((self.lam * sp.eye(8) - pt).det(method="berkowitz"))
+        factors = {}
+        for factor, mult in sp.factor_list(charpoly, self.lam)[1]:
+            poly = sp.Poly(factor, self.lam)
+            factors.setdefault(poly.degree(), []).extend([poly] * mult)
+        return factors
+
+
+@pytest.fixture(scope="session")
+def damping():
+    return SympyDamping()
 
 
 @pytest.hookimpl(hookwrapper=True)

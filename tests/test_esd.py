@@ -331,13 +331,21 @@ class TestGghzBoundary:
         with pytest.raises(ValueError):
             gghz_esd_time(1.2)
 
-    @pytest.mark.parametrize("a", [1e-9, 1e-6, 1e-3])
+    @pytest.mark.parametrize("a", [1e-300, 1e-200, 1e-160, 1e-150, 1e-9, 1e-6, 1e-3])
     def test_death_time_at_small_amplitude_against_mpmath(self, a):
-        # -log(1 - y) would cancel at small y: 2.9e-11 off at a = 1e-9
+        # -log(1 - y) would cancel at small y: 2.9e-11 off at a = 1e-9; and
+        # a * a underflows below a ~ 1.5e-154
         with mp.workdps(50):
             y = mp.cbrt(mp.mpf(a) ** 2 / (1 - mp.mpf(a) ** 2))
             want = -mp.log1p(-y)
             assert abs(gghz_esd_time(a) - want) <= 2e-15 * want
+
+    def test_death_time_finite_up_to_the_edge(self):
+        # the last doubles below sqrt(2)/2 die late, but at a finite time
+        edge = np.sqrt(0.5)
+        below = edge - np.spacing(edge) * np.arange(1, 65)
+        assert all(np.isfinite(gghz_esd_time(a)) for a in below)
+        assert gghz_esd_time(edge) is None
 
 
 class TestEqualEntanglementRange:

@@ -2,13 +2,12 @@
 
 The polynomials and the closed-form eigenvalues are checked against a
 sympy certificate derived from the model (the factored characteristic
-polynomial of the damped mixture's partial transpose), and the roots
+polynomial of the damped mixture's partial transpose), the closed forms'
+radicands are proved positive by interval arithmetic, and the roots
 against scipy's bisection on the closed forms (where double precision
 resolves their sign change) and against a 60-digit mpmath bisection (over
 the whole domain).
 """
-
-import itertools
 
 import mpmath as mp
 import numpy as np
@@ -22,37 +21,18 @@ from cavres.entanglement import closed_form_pt_eigenvalues
 from cavres.esd import (ESD_ONSET_PROBABILITY, INITIAL_NEGATIVITY_STATIONARY, _bisect,
                         _q5, _q7, initial_negativity, min_initial_negativity)
 
-E, P, LAM = sp.symbols("e p lambda", positive=True)
+E, P, LAM = sp.symbols("e p lambda", positive=True)  # the damping model's symbols
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 P_STAR, KT_STAR = 0.3850407, 1.0909553   # the earliest death, to 1e-7
 
 
 @pytest.fixture(scope="module")
-def certificate():
+def certificate(damping):
     """The characteristic polynomial of the c1 partial transpose of the
-    damped cavity mixture, derived from the model and factored over Q(p, e),
-    e = exp(-kt): {degree: [factors as Polys in lambda, leading coefficient
-    first]}.  Each cavity qubit is damped by the Kraus pair K0 = diag(1,
-    sqrt(e)), K1 = [[0, sqrt(1 - e)], [0, 0]] (Lopez et al., PRL 101,
-    080503, 2008); Berkowitz's determinant avoids a failing factor sort in
-    Matrix.charpoly."""
-    kraus = [sp.diag(1, sp.sqrt(E)), sp.Matrix([[0, sp.sqrt(1 - E)], [0, 0]])]
-    ghz = sp.Matrix([1, 0, 0, 0, 0, 0, 0, 1]) / sp.sqrt(2)
-    w = sp.Matrix([0, 1, 1, 0, 1, 0, 0, 0]) / sp.sqrt(3)
-    rho = P * ghz * ghz.T + (1 - P) * w * w.T
-    damped = sp.zeros(8, 8)
-    for ops in itertools.product(kraus, repeat=3):
-        k = sp.kronecker_product(*ops)
-        damped += k * rho * k.T
-    damped = damped.applyfunc(sp.expand)
-    # c1 is the most significant bit: swap its row and column bits
-    pt = sp.Matrix(8, 8, lambda i, j: damped[(j & 4) | (i & 3), (i & 4) | (j & 3)])
-    charpoly = sp.expand((LAM * sp.eye(8) - pt).det(method="berkowitz"))
-    factors = {}
-    for factor, mult in sp.factor_list(charpoly, LAM)[1]:
-        poly = sp.Poly(factor, LAM)
-        factors.setdefault(poly.degree(), []).extend([poly] * mult)
-    return factors
+    damped cavity mixture, derived from the model (tests/conftest.py) and
+    factored over Q(p, e), e = exp(-kt): {degree: [factors as Polys in
+    lambda, leading coefficient first]}."""
+    return damping.pt_charpoly_factors(damping.damp(damping.mixture))
 
 
 def _quadratics(certificate):
@@ -67,6 +47,36 @@ def _certified_q5_q7(certificate):
     e^2 Q7 / 36."""
     a, b = (sp.cancel(quad.nth(0) / quad.LC()) for quad in _quadratics(certificate))
     return sp.Poly(sp.cancel(-12 * a / (E ** 3 * P)), E), sp.Poly(sp.cancel(36 * b / E ** 2), E)
+
+
+def _radicands(p, e):
+    """D_a and D_b, the closed forms' radicands in e: disc_a = u^4 D_a and
+    disc_b = u^4 D_b, u = 1/e.  Only +, - and * on p and e, so they may be
+    sympy symbols or mpmath intervals."""
+    d_a = ((((36 * p * p * e - 108 * p * p) * e + 93 * p * p + 24 * p) * e
+            + 18 * p * p - 36 * p) * e + (p + 2) * (p + 2))
+    d_b = ((((36 * p * p * e - 36 * p * (p + 2)) * e + 41 * p * p + 44 * p + 68) * e
+            - 36 * (p + 2)) * e + 36)
+    return d_a, d_b
+
+
+def _proved_above(f, floor, depth=12):
+    """Whether f(p, e) > floor on all of [0, 1]^2, by interval arithmetic.
+
+    A box whose enclosure does not clear floor is split in four, down to a
+    side of 2^-depth.  mpmath's intervals round outward, so a box that
+    clears floor proves it at every point of the box.
+    """
+    boxes = [(mp.mpf(0), mp.mpf(1), mp.mpf(0), mp.mpf(1))]
+    while boxes:
+        p0, p1, e0, e1 = boxes.pop()
+        if f(mp.iv.mpf([p0, p1]), mp.iv.mpf([e0, e1])).a > floor:
+            continue
+        if p1 - p0 <= 2.0 ** -depth:
+            return False
+        pm, em = (p0 + p1) / 2, (e0 + e1) / 2
+        boxes += [(p0, pm, e0, em), (pm, p1, e0, em), (p0, pm, em, e1), (pm, p1, em, e1)]
+    return True
 
 
 def _exact(coeffs):
@@ -96,6 +106,30 @@ class TestCertificate:
         for quad, pair in zip(_quadratics(certificate), (lam[4:6], lam[6:])):
             roots = np.roots([float(c.subs(point)) for c in quad.all_coeffs()])
             np.testing.assert_allclose(np.sort(pair), np.sort(roots), rtol=0, atol=1e-15)
+
+
+class TestRadicands:
+    """The closed forms take np.sqrt of disc_a and disc_b unclamped: both
+    are u^4 times a polynomial in (p, e) that stays above 2 on the whole
+    domain."""
+
+    def test_discriminants_are_the_radicands(self, certificate):
+        # (lambda6 - lambda5)^2 = e^2 D_a / 36 and (lambda8 - lambda7)^2 = D_b / 36
+        d_a, d_b = _radicands(P, E)
+        for quad, gap_sq in zip(_quadratics(certificate), (E ** 2 * d_a / 36, d_b / 36)):
+            assert sp.expand(sp.cancel(sp.discriminant(quad) / quad.LC() ** 2) - gap_sq) == 0
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["D_a", "D_b"])
+    def test_above_two_on_the_whole_square(self, which):
+        assert _proved_above(lambda p, e: _radicands(p, e)[which], 2)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 170.0))
+    def test_closed_form_never_warns(self, p, kt):
+        # a negative float radicand would warn in np.sqrt; u^4 overflows from kt ~ 177
+        spectrum = closed_form_pt_eigenvalues(p, kt)
+        assert np.isfinite(spectrum.lambdas).all()
 
 
 class TestPolynomials:
