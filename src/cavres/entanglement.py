@@ -5,7 +5,8 @@ cavity state of the evolving GHZ/W mixture, the closed-form negativity of
 the evolved generalized GHZ state, Wootters concurrence, and the monogamy
 chain that constrains how entanglement distributes between cavities and
 reservoirs during dissipation.  The dense measures act on stacks; a grid
-audit stacks blocks of whole parameter rows, at most STACK_POINTS points.
+audit stacks blocks of whole parameter rows, at most STACK_POINTS points,
+and a partial transpose is eigensolved block by block.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .linalg import _item, partial_transpose
+from .linalg import _block_eigvalsh, _item, partial_transpose
 from .states import (CAVITY_LAYOUT, RESERVOIR_LAYOUT, _amplitude_matrix,
                      _check_probability, _check_time, _partner_amplitude,
                      gghz_output_state, global_output_state, reduce)
@@ -35,8 +36,9 @@ def negativity(rho, part_a):
 
     The partial transpose has trace Tr rho, so that is sum(|l| - l) over its
     eigenvalues l: nonnegative term by term, and blind to trace rounding.
+    The model's 8x8 ones split into blocks of 3, 2, 2 and 1 rows, or finer.
     """
-    spectrum = np.linalg.eigvalsh(partial_transpose(rho, part_a))
+    spectrum = _block_eigvalsh(partial_transpose(rho, part_a))
     return _item(np.sum(np.abs(spectrum) - spectrum, axis=-1))
 
 
@@ -293,7 +295,7 @@ def closed_form_grid_deviation(tolerance=1e-10):
     ps, kts = _square_grid(25)
     spec = closed_form_pt_eigenvalues(ps[:, None], kts)
     lam = np.sort(np.stack(spec.lambdas, axis=-1), axis=-1)
-    num = _row_blocks(lambda p, kt: np.linalg.eigvalsh(partial_transpose(
+    num = _row_blocks(lambda p, kt: _block_eigvalsh(partial_transpose(
         reduce(global_output_state(p, kt), CAVITY_LAYOUT.labels), ["c1"])), ps, kts)
     return [_at_most("spectrum vs eigensolver", tolerance,
                      np.max(np.abs(lam - num), axis=-1), ps, kts)]

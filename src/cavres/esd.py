@@ -16,8 +16,8 @@ from .entanglement import (ZERO_ENTANGLEMENT, Check, _at_most, _row_blocks, _squ
                            marginal_negativity, negativity_from_spectrum)
 from .linalg import _item
 from .states import (RESERVOIR_LAYOUT, _check_probability, _check_time, _partner_amplitude,
-                     amplitudes, global_output_state, global_output_state_from_amplitudes,
-                     reduce)
+                     amplitudes, ghz, global_output_state, global_output_state_from_amplitudes,
+                     reduce, w)
 
 # Large-time limit of the lambda7 boundary curve: below this mix probability
 # the eigenvalue never turns positive and the decay stays asymptotic.
@@ -233,15 +233,20 @@ def equal_entanglement_range():
 
 
 def swap_check(p, kt):
-    """Verify that the reservoir state equals the cavity state with the
-    damping amplitudes interchanged; returns (ok, max entrywise deviation),
-    elementwise for arrays of p and kt."""
+    """Verify that the reservoir state is the initial mixture damped with
+    the amplitudes interchanged, each qubit through the Kraus pair
+    K0 = diag(1, chi), K1 = [[0, xi], [0, 0]]; returns (ok, max entrywise
+    deviation), elementwise for arrays of p and kt."""
     xi, chi = amplitudes(kt)
-    res = reduce(global_output_state_from_amplitudes(p, xi, chi),
-                 ["r1", "r2", "r3"])
-    cav_swapped = reduce(global_output_state_from_amplitudes(p, chi, xi),
-                         ["c1", "c2", "c3"])
-    dev = _item(np.max(np.abs(res.data - cav_swapped.data), axis=(-2, -1)))
+    res = reduce(global_output_state_from_amplitudes(p, xi, chi), RESERVOIR_LAYOUT.labels)
+    pair = np.zeros(np.shape(kt) + (2, 2, 2))  # (..., Kraus index, row, column)
+    pair[..., 0, 0, 0], pair[..., 0, 1, 1], pair[..., 1, 0, 1] = 1.0, chi, xi
+    kraus = np.einsum("...aij,...bkl,...cmn->...abcikmjln", pair, pair, pair)
+    # sum K rho K^T is linear in rho: damp GHZ and W, then mix them as mixed_ghz_w does
+    kv = [kraus.reshape(np.shape(kt) + (8, 8, 8)) @ v for v in (ghz().amplitudes, w().amplitudes)]
+    weight = np.asarray(p, dtype=float)[..., None, None]
+    damped = sum(c * (np.swapaxes(k, -1, -2) @ k) for c, k in zip((weight, 1.0 - weight), kv))
+    dev = _item(np.max(np.abs(res.data - damped), axis=(-2, -1)))
     return dev < 1e-12, dev
 
 
@@ -268,35 +273,40 @@ def reservoir_negativity(p, kt):
 def _bisect(f, lo, hi, xtol):
     """Sign change of f on [lo, hi]; returns (root, iterations).
 
-    An array-valued f bisects each of its members in lockstep: a member
-    stops once its own interval is within xtol, so it takes the midpoints
-    and the iteration count a scalar call on it would.
+    f takes its points stacked on a new leading axis: both ends in one call,
+    then two levels per call, the midpoint and both quarter points.  An
+    array-valued f bisects its members in lockstep, lo and hi having as many
+    axes as they do: a member stops once its own interval is within xtol, so
+    it takes the midpoints and the iteration count of a one-level scalar call.
     """
-    f_lo = f(lo)
-    if np.any(f_lo * f(hi) > 0.0):
-        raise RuntimeError(f"no sign change on [{lo}, {hi}]")
-    lo, hi, f_lo = (np.array(x) for x in np.broadcast_arrays(lo, hi, f_lo))
+    lo, hi, f_lo, f_hi = np.broadcast_arrays(lo, hi, *f(np.stack(np.broadcast_arrays(lo, hi))))
+    if (same_sign := f_lo * f_hi > 0.0).any():
+        raise RuntimeError(f"no sign change on [{lo[same_sign][0]}, {hi[same_sign][0]}]")
     iterations = np.zeros(lo.shape, dtype=int)
-    while (active := hi - lo > xtol).any():
+    while (hi - lo > xtol).any():
         mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        up = active & (f_mid * f_lo > 0.0)
-        lo, f_lo = np.where(up, mid, lo), np.where(up, f_mid, f_lo)
-        hi = np.where(active & ~up, mid, hi)
-        iterations += active
+        f_q1, f_mid, f_q3 = f(np.stack([0.5 * (lo + mid), mid, 0.5 * (mid + hi)]))
+        for _ in range(2):
+            active = hi - lo > xtol
+            up = active & (f_mid * f_lo > 0.0)
+            lo, f_lo = np.where(up, mid, lo), np.where(up, f_mid, f_lo)
+            hi = np.where(active & ~up, mid, hi)
+            iterations += active
+            mid, f_mid = 0.5 * (lo + hi), np.where(up, f_q3, f_q1)
     return _item(0.5 * (lo + hi)), iterations if iterations.ndim else int(iterations)
 
 
 def esb_time_numeric(p):
     """Locate the reservoir entanglement birth, to 1e-6 in kt, by bisection
     on the reservoir negativity; independent of the closed-form relation.
-    An array of p bisects in lockstep, one stack of states per step.
+    An array of p bisects in lockstep, in 11 stacks of states: the bracket's
+    two ends, then the midpoint and both quarter points for each 2 of 20 steps.
 
     Every birth comes before esb_time of the earliest death, kt ~ 0.41, so
     [1e-8, 1] brackets it unless the death is later than kt ~ 18.
     """
     f = lambda kt: reservoir_negativity(p, kt) - ZERO_ENTANGLEMENT
-    return _bisect(f, 1e-8, 1.0, 1e-6)[0]
+    return _bisect(f, np.full(np.shape(p), 1e-8), 1.0, 1e-6)[0]
 
 
 def swap_grid_deviation(tolerance=1e-12):

@@ -8,10 +8,12 @@ Qubit ordering is big-endian: the first label in a layout is the most
 significant bit of the computational-basis index.  A state or density
 matrix may be a stack, `(..., dim)` or `(..., dim, dim)`, one member per
 point: it is validated member by member in one pass, and every function
-on it keeps the leading axes.
+on it keeps the leading axes.  A Hermitian stack with exact zeros is
+eigensolved block by block, one call per block size (`_block_eigvalsh`).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -221,6 +223,37 @@ def partial_transpose(rho, subsystem):
     for i in pos:
         arr = np.swapaxes(arr, i - 2 * n, i - n)
     return arr.reshape(rho.data.shape)
+
+
+def _block_eigvalsh(h):
+    """Eigenvalues of a Hermitian matrix, or of each member of a stack, sorted
+    ascending: the union of the spectra of the connected blocks of the entries
+    nonzero in any member, as in LAPACK's balancing.  Blocks of one size go to
+    one eigvalsh call, a 1x1 block is its diagonal, and a matrix that is one
+    block, such as a dense one, gets eigvalsh's own bits."""
+    n = h.shape[-1]
+    flat = h.reshape(h.shape[:-2] + (n * n,))
+    parts = []
+    for idx in _blocks((flat.reshape(-1, n * n) != 0).any(axis=0).tobytes(), n):
+        sub = flat[..., idx]  # (..., blocks, size, size)
+        vals = np.linalg.eigvalsh(sub) if idx.shape[-1] > 1 else sub[..., 0].real
+        parts.append(vals.reshape(h.shape[:-2] + (-1,)))
+    return np.sort(np.concatenate(parts, axis=-1), axis=-1)
+
+
+@lru_cache
+def _blocks(pattern, n):
+    """The blocks of an n x n pattern of nonzero entries, given as bytes, as
+    flat indices into the matrix: one (blocks, size, size) array per size."""
+    linked = np.frombuffer(pattern, dtype=bool).reshape(n, n)
+    reach = np.linalg.matrix_power(linked | linked.T | np.eye(n, dtype=bool), n)
+    first = reach.argmax(axis=0).tolist()  # each index's block, named by its least index
+    blocks = [[i for i in range(n) if first[i] == b] for b in sorted(set(first))]
+    groups = [np.array([b for b in blocks if len(b) == s]) for s in sorted(set(map(len, blocks)))]
+    flat = tuple(idx[:, :, None] * n + idx[:, None, :] for idx in groups)
+    for idx in flat:
+        idx.setflags(write=False)  # the cache hands these to every call
+    return flat
 
 
 def hermitian_eigenvalues(h):

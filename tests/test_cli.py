@@ -465,7 +465,7 @@ PINNED_VERIFY = {
                   "value 6.106e-16 vs 1.000e-10",
     "regions": "[PASS] regions: region soundness: min N outside IV = 5.363e-06, max N inside "
                "IV = 4.441e-16, violations = 0: value 4.441e-16 vs 1.000e-10",
-    "swap": "[PASS] swap: cavity/reservoir swap, worst at (p=0, kt=0): value 0.000e+00 vs "
+    "swap": "[PASS] swap: cavity/reservoir swap, worst at (p=0.2105, kt=0): value 4.441e-16 vs "
             "1.000e-12",
     "esb": "[PASS] esb: birth-time formula vs bisection, worst at p=0.95: value 7.174e-07 vs "
            "1.000e-03",

@@ -13,7 +13,7 @@ from cavres import (RegionClass, classify_region, equal_entanglement_range,
                     min_initial_negativity, reservoir_negativity,
                     sample_boundary, swap_check)
 from cavres.entanglement import closed_form_pt_eigenvalues, negativity_from_spectrum
-from cavres import esd
+from cavres import cli, esd, states
 from cavres.esd import region_grid_audit
 from cavres.states import amplitudes, global_output_state, reduce
 from cavres.entanglement import negativity
@@ -414,6 +414,18 @@ class TestSwapRelation:
     def test_sample_point(self):
         ok, dev = swap_check(0.5, 0.7)
         assert ok and dev < 1e-12
+
+    def test_a_builder_with_swapped_amplitudes_fails(self, monkeypatch, capsys):
+        # the reference is the initial mixture under the Kraus pair, not the
+        # builder's own state relabelled, so a builder that keeps chi and
+        # leaks xi is caught everywhere but at the self-dual time kt = ln 2
+        build = states._pair_amplitudes
+        monkeypatch.setattr(states, "_pair_amplitudes", lambda xi, chi: build(chi, xi))
+        ok, dev = swap_check(0.5, 1.5)
+        assert not ok and dev > 0.1
+        assert swap_check(0.5, np.log(2.0))[0]
+        assert cli.main(["verify", "swap"]) == 1
+        assert capsys.readouterr().out.startswith("[FAIL] swap: cavity/reservoir swap, worst at")
 
     def test_full_transfer_limit(self):
         # deep in the decay the reservoirs hold the initial cavity state

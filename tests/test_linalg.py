@@ -7,7 +7,9 @@ import pytest
 from cavres import (DensityMatrix, PureState, SystemLayout,
                     hermitian_eigenvalues, partial_trace, partial_transpose,
                     psd_sqrt, trace_norm)
-from cavres.states import ghz, global_output_state, purified_initial, mixed_ghz_w, reduce
+from cavres.linalg import _block_eigvalsh
+from cavres.states import (CAVITY_LAYOUT, RESERVOIR_LAYOUT, ghz, gghz_output_state,
+                           global_output_state, purified_initial, mixed_ghz_w, reduce)
 
 from conftest import (random_density_matrix, random_pure_state,
                       random_separable_density_matrix, tensor_product)
@@ -181,6 +183,79 @@ class TestHermitianEigenvalues:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _hermitian(rng, shape, dtype=float):
+    g = rng.normal(size=shape) + (1j * rng.normal(size=shape) if dtype is complex else 0.0)
+    return g + np.swapaxes(g.conj(), -1, -2)
+
+
+def _permuted_blocks(rng, sizes, dtype=float):
+    """A random Hermitian matrix that is the direct sum of random blocks of
+    the given sizes, rows and columns then permuted at random: (matrix,
+    blocks, each block's rows in the matrix, ascending)."""
+    blocks = [_hermitian(rng, (s, s), dtype) for s in sizes]
+    n = sum(sizes)
+    h = np.zeros((n, n), dtype=dtype)
+    starts = np.cumsum([0, *sizes])
+    for b, at in zip(blocks, starts):
+        h[at:at + len(b), at:at + len(b)] = b
+    order = rng.permutation(n)
+    where = np.argsort(order)  # row r of h sits at where[r] after the permutation
+    rows = [np.sort(where[at:at + len(b)]) for b, at in zip(blocks, starts)]
+    return h[np.ix_(order, order)], blocks, rows
+
+
+class TestBlockEigvalsh:
+    """The block-by-block spectrum of `_block_eigvalsh` against eigvalsh."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_a_dense_stack_gets_eigvalshs_bits(self, rng, dtype):
+        h = _hermitian(rng, (6, 8, 8), dtype)
+        assert np.array_equal(_block_eigvalsh(h), np.linalg.eigvalsh(h))
+        assert np.array_equal(_block_eigvalsh(h[2]), np.linalg.eigvalsh(h[2]))
+
+    @pytest.mark.parametrize("sizes, dtype", [
+        ([3, 1, 2, 2], float), ([1, 1, 5, 1], float), ([4, 3, 1], complex), ([2] * 4, complex),
+    ], ids=["3-1-2-2", "1-1-5-1", "4-3-1-complex", "2-2-2-2-complex"])
+    def test_permuted_blocks_give_the_union_of_their_spectra(self, rng, sizes, dtype):
+        for _ in range(5):
+            h, blocks, rows = _permuted_blocks(rng, sizes, dtype)
+            got = _block_eigvalsh(h)
+            want = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+            # each block solved as it sits in h, in its rows' order
+            in_place = [np.linalg.eigvalsh(h[np.ix_(r, r)]) for r in rows]
+            assert np.array_equal(got, np.sort(np.concatenate(in_place)))
+            assert got.dtype == np.float64
+
+    def test_members_with_finer_patterns_keep_their_solo_bits(self, rng):
+        # the second member has the first's 3-2-2-1 pattern with both blocks of 2
+        # cut into 1x1 ones; in the stack they are solved as blocks of 2
+        h, _, rows = _permuted_blocks(rng, [3, 2, 2, 1])
+        finer = h.copy()
+        for r in rows[1:3]:
+            finer[r[0], r[1]] = finer[r[1], r[0]] = 0.0
+        stack = _block_eigvalsh(np.stack([h, finer]))
+        assert np.array_equal(stack[0], _block_eigvalsh(h))
+        assert np.array_equal(stack[1], _block_eigvalsh(finer))
+
+    @pytest.mark.parametrize("state, layout", [
+        (global_output_state, CAVITY_LAYOUT), (global_output_state, RESERVOIR_LAYOUT),
+        (gghz_output_state, CAVITY_LAYOUT),
+    ], ids=["mixed-cavity", "mixed-reservoir", "gghz-cavity"])
+    def test_model_partial_transposes(self, state, layout):
+        # p (or a) in {0, 1} and kt = 0 included; the rows of p = 0 and p = 1
+        # split finer than the others, and keep the bits of their own calls
+        params, kts = np.linspace(0.0, 1.0, 6), np.linspace(0.0, 3.0, 7)
+        pt = partial_transpose(reduce(state(params[:, None], kts), layout.labels),
+                               layout.labels[:1])
+        got = _block_eigvalsh(pt)
+        assert np.max(np.abs(got - np.linalg.eigvalsh(pt))) <= 1e-15
+        for i in range(len(params)):
+            assert np.array_equal(got[i], _block_eigvalsh(pt[i]))
+            for j in range(len(kts)):
+                assert np.array_equal(got[i, j], _block_eigvalsh(pt[i, j]))
 
 
 class TestTraceNorm:

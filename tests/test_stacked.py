@@ -6,12 +6,15 @@ p = 0, p = 1 and kt = 0, check that a stack with one bad member is refused
 with the scalar message, hold each audit's blocks of whole parameter rows
 bit for bit to the per-row evaluation, and count the LAPACK calls each grid
 audit makes on its fixed grid: one stack per block of at most STACK_POINTS
-points, not one per row or per grid point.  No dense path re-validates a
-state that a builder or `reorder` writes or a marginal that `reduce`
-derives.
+points, not one per row or per grid point, and in it one eigvalsh per size
+of the blocks a partial transpose splits into.  The birth search takes two
+levels of its bisection per stack of states, with the roots of a one-level
+bisection bit for bit.  No dense path re-validates a state that a builder
+or `reorder` writes or a marginal that `reduce` derives.
 """
 
 import copy
+import sys
 
 import numpy as np
 import pytest
@@ -20,8 +23,9 @@ from cavres import (DensityMatrix, PureState, amplitudes, esb_time_numeric,
                     gghz_output_state, ghz, global_output_state, mixed_ghz_w,
                     monogamy_chain, purified_initial, reduce, reorder, swap_check, w,
                     wootters_concurrence)
-from cavres import cli, entanglement, esd
-from cavres.entanglement import (STACK_POINTS, _row_blocks, closed_form_grid_deviation,
+from cavres import cli, entanglement, esd, linalg
+from cavres.entanglement import (STACK_POINTS, ZERO_ENTANGLEMENT, _row_blocks,
+                                 closed_form_grid_deviation,
                                  dense_cavity_negativity, gghz_grid_deviation,
                                  marginal_negativity, monogamy_grid_audit)
 from cavres.esd import (_bisect, esb_grid_deviation, region_grid_audit,
@@ -149,6 +153,64 @@ class TestStackedAgainstScalar:
         assert type(esb_time_numeric(0.6)) is float
 
 
+def _one_level_bisect(f, lo, hi, xtol):
+    # the reference: one level per call of f, lo and f(lo) first, then f(hi)
+    f_lo = f(lo)
+    if np.any(f_lo * f(hi) > 0.0):
+        raise RuntimeError(f"no sign change on [{lo}, {hi}]")
+    lo, hi, f_lo = (np.array(x) for x in np.broadcast_arrays(lo, hi, f_lo))
+    iterations = np.zeros(lo.shape, dtype=int)
+    while (active := hi - lo > xtol).any():
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        up = active & (f_mid * f_lo > 0.0)
+        lo, f_lo = np.where(up, mid, lo), np.where(up, f_mid, f_lo)
+        hi = np.where(active & ~up, mid, hi)
+        iterations += active
+    return 0.5 * (lo + hi), iterations
+
+
+def _birth(p):
+    return lambda kt: reservoir_negativity(p, kt) - ZERO_ENTANGLEMENT
+
+
+class TestTwoLevelBisection:
+    """`_bisect` evaluates two levels per call of f, and each member still
+    takes the midpoints, the root and the step count of a one-level
+    bisection, bit for bit."""
+
+    @pytest.mark.parametrize("n", [10, 37])
+    def test_birth_times_are_the_one_level_roots(self, n):
+        ps = np.linspace(0.30, 0.95, n)
+        want, steps = _one_level_bisect(_birth(ps), 1e-8, 1.0, 1e-6)
+        assert (steps == 20).all()
+        assert np.array_equal(esb_time_numeric(ps), want)
+        for p, root in zip(ps.tolist(), want.tolist()):
+            assert esb_time_numeric(p) == root == _one_level_bisect(_birth(p), 1e-8, 1.0, 1e-6)[0]
+
+    def test_members_stop_at_their_own_steps(self):
+        # 41, 43 and 40 steps: an odd count stops a member halfway through a call
+        targets, his = np.array([2.0, 3.0, 0.5]), np.array([2.0, 8.0, 1.0])
+        f = lambda x: x * x - targets
+        (root, steps), (want, want_steps) = (bisect(f, 0.0, his, 1e-12)
+                                             for bisect in (_bisect, _one_level_bisect))
+        assert steps.tolist() == want_steps.tolist() == [41, 43, 40]
+        assert np.array_equal(root, want)
+
+    def test_three_points_per_call(self):
+        shapes = []
+        root, steps = _bisect(lambda x: shapes.append(np.shape(x)) or x * x - 2.0, 0.0, 2.0, 1e-12)
+        assert steps == 41 and shapes == [(2,)] + [(3,)] * 21
+        assert root == _one_level_bisect(lambda x: x * x - 2.0, 0.0, 2.0, 1e-12)[0]
+
+    def test_a_bracket_without_a_sign_change_is_refused(self):
+        # the birth at p = 0.6 is near kt = 0.16, so [0.5, 1] holds no sign change
+        with pytest.raises(RuntimeError, match=r"no sign change on \[0\.5, 1\.0\]"):
+            _bisect(_birth(0.6), 0.5, 1.0, 1e-6)
+        with pytest.raises(RuntimeError, match=r"no sign change on \[0\.5, 1\.0\]"):
+            _bisect(_birth(np.array([0.3, 0.6])), np.array([1e-8, 0.5]), 1.0, 1e-6)
+
+
 def _one_bad(stack, index, member):
     # the model's stacks are real; a complex member makes the copy complex
     bad = np.array(stack, dtype=np.result_type(stack, member))
@@ -197,28 +259,45 @@ class TestStackValidation:
 
 
 def _record_lapack(monkeypatch):
-    shapes = {"eigvalsh": [], "eigh": [], "svd": []}
+    """Record the input shape of each eigvalsh, eigh and svd call, and the
+    grid points it holds.  A call from `_block_eigvalsh` stacks its blocks
+    on an axis of their own, (..., blocks, size, size), so its points are
+    the axes before that one; any other call's are all but the matrix axes."""
+    shapes, points = {"eigvalsh": [], "eigh": [], "svd": []}, []
 
     def recording(name, fn):
         def wrapper(a, *args, **kwargs):
+            grouped = sys._getframe(1).f_code is linalg._block_eigvalsh.__code__
             shapes[name].append(np.shape(a))
+            points.append(int(np.prod(np.shape(a)[:-3 if grouped else -2])))
             return fn(a, *args, **kwargs)
         return wrapper
 
     for name in shapes:
         monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
-    return shapes
+    return shapes, points
 
 
 def _lapack_calls(monkeypatch, run):
-    shapes = _record_lapack(monkeypatch)
+    shapes, points = _record_lapack(monkeypatch)
     run()
     monkeypatch.undo()
     every = [s for calls in shapes.values() for s in calls]
     assert all(s[-2] <= 8 for s in every), every
-    assert all(np.prod(s[:-2], dtype=int) <= STACK_POINTS for s in every), every
+    assert all(n <= STACK_POINTS for n in points), (every, points)
     assert not shapes["svd"], shapes["svd"]
     return len(every)
+
+
+def _count_dense(monkeypatch):
+    """Record the shape of each stack `_block_eigvalsh` solves."""
+    stacks = []
+
+    def counting(h):
+        stacks.append(h.shape)
+        return linalg._block_eigvalsh(h)
+    monkeypatch.setattr(entanglement, "_block_eigvalsh", counting)
+    return stacks
 
 
 # each audit on its fixed grid: (audit, LAPACK calls per block, blocks).
@@ -226,17 +305,23 @@ def _lapack_calls(monkeypatch, run):
 # rows of 25 kts, so 2 blocks for a 25x25 grid; 12 rows of 40, so 4 for the
 # 40x40 regions grid; the whole 20x20 swap grid in 1.  A marginal from
 # `reduce` is not checked again, so a block costs only the measures' own
-# calls: monogamy makes 3 (one eigh for both pair blocks and the
-# partial-transpose eigvalsh of each negativity; the pure-cut concurrences
-# need none), swap compares marginals and makes none, the others make one
-# partial-transpose eigvalsh.  One stack per row made 25, 75, 0, 40 and 25.
+# calls.  A partial transpose of the mixture splits into blocks of 3, 2, 2
+# and 1 rows, one of the generalized GHZ into a block of 2 and six of 1, and
+# `_block_eigvalsh` makes one eigvalsh per size above 1: 2 calls for the
+# mixture and 1 for the generalized GHZ.  So monogamy makes 5 (one eigh for
+# both pair blocks and 2 for each negativity; the pure-cut concurrences need
+# none), swap compares marginals and makes none, closedform and regions make
+# 2 and gghz 1.  One 8x8 eigvalsh per partial transpose made 2, 6, 0, 4 and
+# 2 calls in all, one stack per row 25, 75, 0, 40 and 25.
 AUDITS = {
-    "closedform": (closed_form_grid_deviation, 1, 2),
-    "monogamy": (monogamy_grid_audit, 3, 2),
+    "closedform": (closed_form_grid_deviation, 2, 2),
+    "monogamy": (monogamy_grid_audit, 5, 2),
     "swap": (swap_grid_deviation, 0, 1),
-    "regions": (region_grid_audit, 1, 4),
+    "regions": (region_grid_audit, 2, 4),
     "gghz": (gghz_grid_deviation, 1, 2),
 }
+# eigvalsh calls per partial transpose of each family's marginals
+EIGVALSH_PER_PT = {"mixed": 2, "gghz": 1}
 
 
 class TestLapackCallsPerRow:
@@ -249,11 +334,14 @@ class TestLapackCallsPerRow:
         assert _lapack_calls(monkeypatch, run) == per_block * blocks
 
     def test_esb_bisects_in_lockstep(self, monkeypatch):
-        # one negativity eigvalsh per bisection step, plus the two bracket
-        # ends: 20 + 2, however many p values
-        few = _lapack_calls(monkeypatch, lambda: esb_time_numeric(np.array([0.3, 0.6])))
-        many = _lapack_calls(monkeypatch, esb_grid_deviation)
-        assert few == many == 22
+        # 11 dense negativities however many p values: the two bracket ends
+        # in one, then the midpoint and both quarter points for each two of
+        # the 20 steps; each makes 2 eigvalsh calls, so 22 in all
+        for run in (lambda: esb_time_numeric(np.array([0.3, 0.6])), esb_grid_deviation):
+            stacks = _count_dense(monkeypatch)
+            assert _lapack_calls(monkeypatch, run) == 22
+            assert len(stacks) == 11 and stacks[0][0] == 2
+            assert all(shape[0] == 3 for shape in stacks[1:])
 
     @pytest.mark.parametrize("family", ["mixed", "gghz"])
     def test_surface_oracle(self, monkeypatch, tmp_path, capsys, family):
@@ -264,7 +352,8 @@ class TestLapackCallsPerRow:
 
         few = _lapack_calls(monkeypatch, lambda: run(4))
         many = _lapack_calls(monkeypatch, lambda: run(40))
-        assert few == many == 1  # 3 rows of 4 or of 40 kts: one block
+        # 3 rows of 4 or of 40 kts: one block
+        assert few == many == EIGVALSH_PER_PT[family]
         assert "oracle check" in capsys.readouterr().out
 
 
@@ -318,11 +407,15 @@ class TestRowBlocks:
     @pytest.mark.parametrize("family", list(FAMILIES))
     def test_surface_oracle_past_the_bound(self, monkeypatch, tmp_path, capsys, family):
         grids = _recording_blocks(monkeypatch)
-        shapes = _record_lapack(monkeypatch)
+        shapes, _ = _record_lapack(monkeypatch)
         argv = ["surface", "--family", family, "--param-steps", "2", "--kt-steps", "600",
                 "--oracle", "--out", str(tmp_path / "s.csv")]
         assert cli.main(argv) == 0 and "oracle check" in capsys.readouterr().out
-        assert shapes["eigvalsh"] == [(1, 600, 8, 8)] * 2  # each block one row
+        # each block one row, split as its own partial transposes are: W (p = 0)
+        # into blocks of 3, 2, 1, 1 and 1 rows, GHZ (p = 1) into one of 2 and six
+        # of 1; the generalized GHZ at a = 0 and 1 is a product, all 1x1 blocks
+        assert shapes["eigvalsh"] == {"mixed": [(1, 600, 1, 2, 2), (1, 600, 1, 3, 3),
+                                                (1, 600, 1, 2, 2)], "gghz": []}[family]
         (f, params, kts, grid), = grids
         assert np.array_equal(grid, _per_row(f, params, kts))
 
