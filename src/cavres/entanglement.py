@@ -15,9 +15,8 @@ from operator import attrgetter
 import numpy as np
 
 from .linalg import _block_eigvalsh, _item, partial_transpose
-from .states import (CAVITY_LAYOUT, RESERVOIR_LAYOUT, _amplitude_matrix,
-                     _check_probability, _check_time, _partner_amplitude,
-                     gghz_output_state, global_output_state, reduce)
+from .states import (CAVITY_LAYOUT, RESERVOIR_LAYOUT, _check_probability, _check_time,
+                     _partner_amplitude, gghz_output_state, global_output_state, reduce)
 
 ZERO_ENTANGLEMENT = 1e-10  # decision threshold for "no entanglement"
 STACK_POINTS = 512  # grid points per dense stack, at most: it bounds peak memory
@@ -204,23 +203,23 @@ class MonogamyChainRecord:
 
 def _pair_block_concurrences_sq(state, qubit, partner):
     """(C^2 of qubit | block, C^2 of partner | block), the block being every
-    other qubit, from one eigh of the (qubit, partner) marginal M M^dagger =
-    V diag(w) V^dagger, M the amplitudes with rows (qubit, partner).  It has
-    rank two at most, so V sqrt(w) over the two largest w, indexed (qubit,
-    partner, support), is a factor A A^dagger = rho of the (qubit, support)
-    state, A with rows (qubit, support) and columns the partner; the partner's
-    side swaps the first two axes.  C^2 = (l1 - l2)^2 over tau's values:
-    ||tau||_F^2 - 2 |det tau|."""
-    m = _amplitude_matrix(state, list(map(state.layout.position, (qubit, partner))))
-    w, v = np.linalg.eigh(m @ np.swapaxes(m.conj(), -1, -2))
-    amps = (v[..., 2:] * np.sqrt(_floor(w[..., None, 2:]))).reshape(m.shape[:-2] + (2, 2, 2))
+    other qubit, from one eigh of the pair's marginal from `reduce`, M M^dagger
+    = V diag(w) V^dagger, M the amplitudes with rows the pair in layout order.
+    It has rank two at most, so V sqrt(w) over the two largest w, indexed
+    (first, second, support), is a factor A A^dagger = rho of the (first,
+    support) state, A with rows (first, support) and columns the second; the
+    second's side swaps the first two axes.  C^2 = (l1 - l2)^2 over tau's
+    values: ||tau||_F^2 - 2 |det tau|."""
+    rho = reduce(state, [qubit, partner])
+    w, v = np.linalg.eigh(rho.data)
+    amps = (v[..., 2:] * np.sqrt(_floor(w[..., None, 2:]))).reshape(w.shape[:-1] + (2, 2, 2))
     squares = []
     for side in (amps, np.swapaxes(amps, -3, -2)):
-        a = np.swapaxes(side, -2, -1).reshape(m.shape[:-2] + (4, 2))
+        a = np.swapaxes(side, -2, -1).reshape(w.shape[:-1] + (4, 2))
         tau = _spin_flip_overlap(a)
         det = tau[..., 0, 0] * tau[..., 1, 1] - tau[..., 0, 1] * tau[..., 1, 0]
         squares.append(_floor(np.sum(np.abs(tau) ** 2, axis=(-2, -1)) - 2.0 * np.abs(det)))
-    return tuple(squares)
+    return tuple(squares if rho.layout.labels[0] == qubit else squares[::-1])
 
 
 def monogamy_chain(p, kt):

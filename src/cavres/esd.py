@@ -135,14 +135,23 @@ def classify_region(p, kt):
     return _REGIONS[np.greater(p * q5, 0.0).astype(int), np.less(q7, 0.0).astype(int)]
 
 
-def _decay_root(coeffs, what):
-    """The one root e in (0, 1] of a polynomial; a root within rounding
-    above 1 is a crossing at kt = 0."""
-    r = np.roots(coeffs)
-    r = r.real[(np.abs(r.imag) <= 1e-9) & (r.real > 0.0) & (r.real <= 1.0 + 1e-9)]
-    if r.size != 1:
-        raise RuntimeError(f"{what}: expected one root in (0, 1], got {r.size}")
-    return min(float(r[0]), 1.0)
+def _death_time(p):
+    """-ln of the smaller of the one root e in (0, 1] of Q5 and of Q7, per p in
+    (1/4, 1), a root within rounding above 1 being a crossing at kt = 0.  One
+    eigvals call per polynomial solves np.roots' companion matrices, stacked."""
+    crossings = []
+    for coeffs, what in ((_q5(p), "lambda5 crossing"), (_q7(p), "lambda7 crossing")):
+        k = len(coeffs) - 1
+        companion = np.zeros(np.shape(p) + (k * k,))  # flat: the first row, ones below the diagonal
+        companion[..., k::k + 1] = 1.0
+        for i, c in enumerate(coeffs[1:]):
+            companion[..., i] = -c / coeffs[0]
+        r = np.linalg.eigvals(companion.reshape(np.shape(p) + (k, k)))
+        ok = (np.abs(r.imag) <= 1e-9) & (r.real > 0.0) & (r.real <= 1.0 + 1e-9)
+        if (bad := (count := ok.sum(axis=-1)) != 1).any():
+            raise RuntimeError(f"{what}: expected one root in (0, 1], got {count[bad].flat[0]}")
+        crossings.append(r.real[ok])  # one per p, in order
+    return -np.log(np.minimum(np.minimum(*crossings), 1.0)).reshape(np.shape(p))
 
 
 def esd_time(p):
@@ -157,8 +166,7 @@ def esd_time(p):
     _check_probability(p)
     if p <= ESD_ONSET_PROBABILITY or p >= 1.0:
         return None
-    return float(-np.log(min(_decay_root(_q5(p), "lambda5 crossing"),
-                             _decay_root(_q7(p), "lambda7 crossing"))))
+    return float(_death_time(p))
 
 
 def min_esd_point():
@@ -185,8 +193,9 @@ def min_initial_negativity(lo=0.0, hi=1.0):
     roots = np.roots(INITIAL_NEGATIVITY_STATIONARY)
     stationary = roots.real[(np.abs(roots.imag) <= 1e-9)
                             & (roots.real >= lo) & (roots.real <= hi)]
-    p = min([lo, hi, *stationary], key=initial_negativity)
-    return float(p), float(initial_negativity(p))
+    p = np.array([lo, hi, *stationary])
+    n = initial_negativity(p)
+    return float(p[np.argmin(n)]), float(np.min(n))  # argmin: the first minimum wins
 
 
 def esd_threshold_probability():
@@ -226,7 +235,7 @@ def equal_entanglement_range():
     p_lo = 7.0 - np.sqrt(45.0)
     p_hi = 4.0 * 2.0 ** (1.0 / 3.0) / (3.0 + 4.0 * 2.0 ** (1.0 / 3.0))
     n_low = min_initial_negativity(p_lo, p_hi)[1]
-    n_high = max(initial_negativity(p_lo), initial_negativity(p_hi))
+    n_high = float(np.max(initial_negativity(np.array([p_lo, p_hi]))))
     a_low, a_high = (float(np.sqrt((1.0 - np.sqrt(1.0 - n * n)) / 2.0))
                      for n in (n_low, n_high))
     return a_low, a_high, gghz_esd_time(a_high)
@@ -322,7 +331,7 @@ def esb_grid_deviation(tolerance=1e-3):
     probabilities in [0.30, 0.95], each with a finite death time: one Check
     of the worst gap."""
     p_values = np.linspace(0.30, 0.95, 10)
-    births = [esb_time(esd_time(p)) for p in p_values]
+    births = [esb_time(t) for t in _death_time(p_values)]
     gaps = np.abs(np.array(births) - esb_time_numeric(p_values))
     return [_at_most("birth-time formula vs bisection", tolerance, gaps, p_values, ())]
 

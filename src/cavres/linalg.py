@@ -7,9 +7,9 @@ arithmetic, and complex input is held as complex128.
 Qubit ordering is big-endian: the first label in a layout is the most
 significant bit of the computational-basis index.  A state or density
 matrix may be a stack, `(..., dim)` or `(..., dim, dim)`, one member per
-point: it is validated member by member in one pass, and every function
-on it keeps the leading axes.  A Hermitian stack with exact zeros is
-eigensolved block by block, one call per block size (`_block_eigvalsh`).
+point, validated in one pass; every function on it keeps the leading
+axes.  Exact zeros are skipped: a Hermitian stack is eigensolved block by
+block (`_block_eigvalsh`), and `states.reduce` sums nonzero amplitudes.
 """
 
 from dataclasses import dataclass

@@ -5,9 +5,12 @@ independent reservoir qubit (r1, r2, r3).  The elementary damping map sends
 |1>_c|0>_r to xi(t)|10> + chi(t)|01> with xi = exp(-kt/2) and
 chi = sqrt(1 - exp(-kt)), where kt is the dimensionless time (decay rate
 times time).  An ancilla qubit z purifies GHZ/W mixtures so every evolved
-state can be handled as a global pure state.  The evolved states take
-arrays of kt and of p (or a) that broadcast, and then come back stacked.
+state is a global pure state; arrays of kt and of p (or a) broadcast into
+stacks of them, whose marginals sum nonzero amplitudes in a cached plan.
 """
+
+from functools import lru_cache
+from itertools import accumulate, combinations_with_replacement, compress, zip_longest
 
 import numpy as np
 
@@ -88,21 +91,17 @@ def purified_initial(p):
 def _pair_amplitudes(xi, chi):
     """A damped pair's amplitudes at |01> and |10>, the only nonzero ones of
     its shared single excitation, and their Kronecker cube over three pairs,
-    indexed (c1 r1, c2 r2, c3 r3), per member.  Refused unless xi^2 + chi^2
-    = 1 in every member, which makes the states built from them unit-norm."""
+    indexed (c1 r1, c2 r2, c3 r3), per member."""
     q = np.stack(np.broadcast_arrays(chi, xi), axis=-1)
-    norm = np.sum(q * q, axis=-1)
-    _require(abs(norm - 1.0) <= NORM_TOL, norm,
-             f"xi^2 + chi^2 = {{}} deviates from 1 beyond {NORM_TOL}")
     return q, q[..., :, None, None] * q[..., None, :, None] * q[..., None, None, :]
 
 
-def global_output_state_from_amplitudes(p, xi, chi):
-    """Evolved 7-qubit pure state at explicit damping amplitudes (xi, chi).
+def _check_unit_pair(xi, chi):  # amplitudes from outside; unit ones make unit-norm states
+    sq = chi * chi + xi * xi
+    _require(abs(sq - 1) <= NORM_TOL, sq, f"xi^2 + chi^2 = {{}} deviates from 1 beyond {NORM_TOL}")
 
-    Layout (c1, r1, c2, r2, c3, r3, z).  The GHZ branch is tagged by z=0 and
-    the W branch by z=1, so tracing out z recovers the evolved mixture.
-    """
+
+def _global_state(p, xi, chi):
     _check_probability(p)
     p = np.asarray(p, dtype=float)[..., None]
     q, cube = _pair_amplitudes(xi, chi)
@@ -120,14 +119,22 @@ def global_output_state_from_amplitudes(p, xi, chi):
     return _derived(PureState, GLOBAL_LAYOUT, amps.reshape(amps.shape[:-4] + (-1,)))
 
 
+def global_output_state_from_amplitudes(p, xi, chi):
+    """Evolved 7-qubit pure state at explicit damping amplitudes (xi, chi).
+
+    Layout (c1, r1, c2, r2, c3, r3, z).  The GHZ branch is tagged by z=0 and
+    the W branch by z=1, so tracing out z recovers the evolved mixture.
+    """
+    _check_unit_pair(xi, chi)
+    return _global_state(p, xi, chi)
+
+
 def global_output_state(p, kt):
-    """Evolved 7-qubit pure state of the GHZ/W mixture at time kt."""
-    xi, chi = amplitudes(kt)
-    return global_output_state_from_amplitudes(p, xi, chi)
+    """Evolved 7-qubit pure state of the GHZ/W mixture at time kt (unit amplitudes, unchecked)."""
+    return _global_state(p, *amplitudes(kt))
 
 
-def gghz_output_state_from_amplitudes(a, xi, chi):
-    """Evolved 6-qubit generalized-GHZ state at explicit amplitudes."""
+def _gghz_state(a, xi, chi):
     a = np.asarray(a, dtype=float)[..., None, None, None]
     b = _partner_amplitude(a)
     cube = _pair_amplitudes(xi, chi)[1]
@@ -138,37 +145,66 @@ def gghz_output_state_from_amplitudes(a, xi, chi):
     return _derived(PureState, PAIR_LAYOUT, amps.reshape(amps.shape[:-3] + (-1,)))
 
 
+def gghz_output_state_from_amplitudes(a, xi, chi):
+    """Evolved 6-qubit generalized-GHZ state at explicit amplitudes."""
+    _check_unit_pair(xi, chi)
+    return _gghz_state(a, xi, chi)
+
+
 def gghz_output_state(a, kt):
-    """Evolved 6-qubit pure state of a|000000> + b|phi phi phi> at time kt."""
-    xi, chi = amplitudes(kt)
-    return gghz_output_state_from_amplitudes(a, xi, chi)
-
-
-def _amplitude_matrix(state, pos):
-    # psi as a matrix per member: rows the qubits at positions `pos`, in
-    # that order; columns the other qubits, in layout order
-    n = state.layout.n_qubits
-    lead = state.amplitudes.shape[:-1]
-    arr = np.moveaxis(state.amplitudes.reshape(lead + (2,) * n),
-                      [i - n for i in pos], range(-n, len(pos) - n))
-    return arr.reshape(lead + (2 ** len(pos), -1))
+    """Evolved 6-qubit pure state of a|000000> + b|phi phi phi> at time kt, unchecked."""
+    return _gghz_state(a, *amplitudes(kt))
 
 
 def reduce(state, keep):
     """Reduced density matrix of a pure state on the kept qubits.
 
-    Contracts the amplitudes directly: with the kept qubits as rows (in
-    layout order) and the others as columns, psi is a matrix M and the
-    marginal is M M^dagger, member by member for a stacked state; no
-    full-size |psi><psi| is formed.  The state was validated when it was
-    built, so its Gram marginal is returned read-only and not checked again.
+    With the kept qubits as rows (in layout order), psi is a matrix M and the
+    marginal M M^dagger.  Each entry on or above the diagonal sums, in
+    `_plan`'s order, the products of the amplitudes nonzero in any member
+    that share their column; a product with an exact zero is exactly 0, so
+    every member gets the bits of its own call.  The state was validated
+    when it was built, so the marginal is read-only and not checked again.
     """
-    keep = list(keep)
+    keep = tuple(keep)
     if not keep:
         raise ValueError("keep set must be nonempty")
-    sub = state.layout.restrict(keep)
-    m = _amplitude_matrix(state, state.layout.positions(keep))
-    return _derived(DensityMatrix, sub, m @ np.swapaxes(m.conj(), -1, -2))
+    amps = state.amplitudes
+    sub, left, right, rounds, upper, lower = _plan(
+        amps.reshape(-1, amps.shape[-1]).any(axis=0).tobytes(), state.layout, keep)
+    terms = amps[..., left] * amps[..., right].conj()
+    acc = 0.0 + terms[..., :upper.size]  # sums start at +0.0, as a skipped entry's zero
+    for entries, pairs in rounds:
+        acc[..., entries] += terms[..., pairs]
+    out = np.zeros(amps.shape[:-1] + (sub.dim * sub.dim,), dtype=acc.dtype)
+    out[..., lower] = acc.conj()
+    out[..., upper] = acc
+    out[..., ::sub.dim + 1] = out[..., ::sub.dim + 1].real  # a * conj(a) keeps an FMA residue
+    return _derived(DensityMatrix, sub, out.reshape(out.shape[:-1] + (sub.dim, sub.dim)))
+
+
+@lru_cache
+def _plan(pattern, layout, keep):
+    """`reduce`'s plan for the nonzero amplitudes of a pattern, as bytes: the
+    kept sub-layout; the pairs (left, right) of amplitude indices, round k the
+    k-th term, by column, of each entry, entries with more terms first; each
+    later round's slices of entries and pairs; the entries' and mirrors' flat indices."""
+    sub, n, pos = layout.restrict(keep), layout.n_qubits, layout.positions(keep)
+    grid = np.moveaxis(np.arange(2 ** n).reshape((2,) * n), pos, range(len(pos)))
+    grid = grid.reshape(sub.dim, -1)  # M's amplitude indices
+    terms = {}  # (row, row') -> its pairs, column by column
+    for col, live in zip(grid.T.tolist(), np.frombuffer(pattern, dtype=bool)[grid].T.tolist()):
+        for i, j in combinations_with_replacement(compress(range(sub.dim), live), 2):
+            terms.setdefault((i, j), []).append((col[i], col[j]))
+    entries = sorted(terms, key=lambda e: (-len(terms[e]), e))
+    rounds = [[t for t in r if t is not None] for r in zip_longest(*(terms[e] for e in entries))]
+    ends = list(accumulate(map(len, rounds)))
+    e = np.array(entries)
+    plan = (*np.array([t for r in rounds for t in r]).T, e @ [sub.dim, 1], e @ [1, sub.dim])
+    for x in plan:
+        x.setflags(write=False)  # the cache hands these to every call
+    slices = tuple((slice(0, b - a), slice(a, b)) for a, b in zip(ends, ends[1:]))
+    return sub, *plan[:2], slices, *plan[2:]
 
 
 def reorder(state, new_layout):
@@ -178,5 +214,6 @@ def reorder(state, new_layout):
     if set(new_layout.labels) != set(state.layout.labels):
         raise ValueError(f"new layout {new_layout.labels} is not a permutation "
                          f"of {state.layout.labels}")
-    m = _amplitude_matrix(state, [state.layout.position(lab) for lab in new_layout.labels])
-    return _derived(PureState, new_layout, m.reshape(m.shape[:-2] + (-1,)))
+    order = [state.layout.position(lab) for lab in new_layout.labels]
+    perm = np.arange(new_layout.dim).reshape((2,) * len(order)).transpose(order).ravel()
+    return _derived(PureState, new_layout, state.amplitudes[..., perm])

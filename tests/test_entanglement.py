@@ -423,6 +423,13 @@ class TestBlockConcurrenceFastPath:
         want = _pair_block_concurrences_sq(state, "c1", "r1")
         assert np.max(np.abs(np.subtract(got, want))) < 1e-14
 
+    def test_the_pair_may_come_in_either_order(self):
+        # the marginal from reduce is in layout order, the results in argument order
+        state = global_output_state(0.6, 0.8)
+        c1, r1 = _pair_block_concurrences_sq(state, "c1", "r1")
+        assert c1 != r1
+        assert _pair_block_concurrences_sq(state, "r1", "c1") == (r1, c1)
+
     def test_chain_members_match_closed_forms(self):
         # e = exp(-kt); C0^2 = 4 (p/2 + 2(1-p)/3) (p/2 + (1-p)/3)
         for p, kt in GRID_9x9:

@@ -491,3 +491,53 @@ class TestBoundarySampling:
     def test_decreasing_kt_rejected(self):
         with pytest.raises(ValueError):
             sample_boundary("lambda5", [1.0, 0.5])
+
+
+def _np_roots_death_time(p):
+    # the reference: np.roots per polynomial, its one root in (0, 1]
+    def crossing(coeffs):
+        r = np.roots(coeffs)
+        r = r.real[(np.abs(r.imag) <= 1e-9) & (r.real > 0.0) & (r.real <= 1.0 + 1e-9)]
+        assert r.size == 1
+        return min(float(r[0]), 1.0)
+    return float(-np.log(min(crossing(esd._q5(p)), crossing(esd._q7(p)))))
+
+
+class TestStackedDeathTimes:
+    """Death times come from one eigvals call per polynomial on the stack of
+    the companion matrices that np.roots builds."""
+
+    def test_the_stack_has_the_bits_of_np_roots(self):
+        ps = np.linspace(0.25, 1.0, 2003)[1:-1]
+        want = np.array([_np_roots_death_time(float(p)) for p in ps])
+        assert esd._death_time(ps).tobytes() == want.tobytes()
+        assert [esd_time(float(p)) for p in ps[::100]] == want[::100].tolist()
+
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.25, 1.0])
+    def test_no_finite_death_is_none(self, p):
+        assert esd_time(p) is None
+
+    @pytest.mark.parametrize("p", [0.2500001, 0.6, np.float64(0.9), 0.99999])
+    def test_a_finite_death_is_a_float(self, p):
+        t = esd_time(p)
+        assert type(t) is float and np.isfinite(t) and t > 0.0
+
+    def test_two_roots_in_the_unit_interval_are_refused(self, monkeypatch):
+        # (e - 0.3)(e - 0.6)(e - 2): two roots in (0, 1]
+        monkeypatch.setattr(esd, "_q5", lambda p: (1.0, -2.9, 1.98, -0.36))
+        with pytest.raises(RuntimeError, match=r"^lambda5 crossing: expected one root "
+                                               r"in \(0, 1\], got 2$"):
+            esd_time(0.6)
+        with pytest.raises(RuntimeError, match="got 2"):
+            esd._death_time(np.array([0.4, 0.6]))
+
+    def test_the_birth_audit_makes_one_eigvals_call_per_polynomial(self, monkeypatch):
+        shapes = []
+        eigvals = np.linalg.eigvals
+
+        def counting(a):
+            shapes.append(a.shape)
+            return eigvals(a)
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        (check,) = esd.esb_grid_deviation()
+        assert check.ok and shapes == [(10, 3, 3), (10, 4, 4)]

@@ -4,13 +4,15 @@ A state or density matrix with leading axes goes through the same code as a
 single one; these tests hold the two to 1e-15 on small grids that include
 p = 0, p = 1 and kt = 0, check that a stack with one bad member is refused
 with the scalar message, hold each audit's blocks of whole parameter rows
-bit for bit to the per-row evaluation, and count the LAPACK calls each grid
-audit makes on its fixed grid: one stack per block of at most STACK_POINTS
-points, not one per row or per grid point, and in it one eigvalsh per size
-of the blocks a partial transpose splits into.  The birth search takes two
-levels of its bisection per stack of states, with the roots of a one-level
-bisection bit for bit.  No dense path re-validates a state that a builder
-or `reorder` writes or a marginal that `reduce` derives.
+bit for bit to the per-row evaluation (a marginal sums its terms in a fixed
+plan order, and a term that is zero in one member adds exactly 0), and
+count the LAPACK calls each grid audit makes on its fixed grid: one stack
+per block of at most STACK_POINTS points, not one per row or per grid
+point, and in it one eigvalsh per size of the blocks a partial transpose
+splits into.  The birth search takes two levels of its bisection per
+stack of states, with the roots of a one-level bisection bit for bit.  No
+dense path re-validates a state that a builder or `reorder` writes or a
+marginal that `reduce` derives.
 """
 
 import copy
@@ -379,8 +381,8 @@ FAMILIES = {"mixed": global_output_state, "gghz": gghz_output_state}
 
 class TestRowBlocks:
     """Blocks of whole parameter rows give each grid point the bits of the
-    per-row evaluation: the eigensolves and matrix products run member by
-    member, whatever the stack."""
+    per-row evaluation: the eigensolves run member by member, and `reduce`
+    sums each marginal entry in a fixed plan order, whatever the stack."""
 
     @pytest.mark.parametrize("audit", list(AUDITS))
     def test_audit_grids(self, monkeypatch, audit):

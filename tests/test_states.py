@@ -1,8 +1,10 @@
+import itertools
+
 import mpmath as mp
 import numpy as np
 import pytest
 
-from cavres import (DensityMatrix, amplitudes,
+from cavres import (DensityMatrix, PureState, amplitudes, states,
                     gghz_output_state, gghz_output_state_from_amplitudes, ghz,
                     global_output_state, global_output_state_from_amplitudes,
                     mixed_ghz_w, partial_trace, purified_initial, reduce,
@@ -332,3 +334,98 @@ class TestReduceAgainstDenseTrace:
             reduce(state, ["c1", "q9"])
         with pytest.raises(ValueError, match="not in layout"):
             reduce(gghz_output_state(0.5, 1.0), ["z"])
+
+
+def _gram(state, keep):
+    # the reference M M^dagger: the kept qubits as rows, in layout order
+    n, lead = state.layout.n_qubits, state.amplitudes.shape[:-1]
+    pos = state.layout.positions(keep)
+    m = np.moveaxis(state.amplitudes.reshape(lead + (2,) * n),
+                    [i - n for i in pos], range(-n, len(pos) - n))
+    m = m.reshape(lead + (2 ** len(pos), -1))
+    return m @ np.swapaxes(m.conj(), -1, -2)
+
+
+def _every_keep(labels):
+    return [keep for k in range(1, len(labels) + 1)
+            for keep in itertools.combinations(labels, k)]
+
+
+def _random_stack(rng, labels, dtype):
+    shape = (3, 2 ** len(labels))
+    v = rng.normal(size=shape) + (1j * rng.normal(size=shape) if dtype is complex else 0.0)
+    return PureState(labels, v / np.linalg.norm(v, axis=-1, keepdims=True))
+
+
+class TestReducePlan:
+    """reduce sums each marginal entry over the pairs of amplitudes nonzero
+    in any member that share their column, in a fixed plan order."""
+
+    GRID = (np.array([0.0, 0.6, 1.0])[:, None], np.array([0.0, 0.8, 2.5]))
+
+    @pytest.mark.parametrize("build, labels", [
+        (global_output_state, GLOBAL_LAYOUT.labels), (gghz_output_state, PAIR_LAYOUT.labels),
+    ], ids=["mixture", "gghz"])
+    def test_every_keep_of_the_model_states(self, build, labels):
+        state = build(*self.GRID)
+        for keep in _every_keep(labels):
+            got = reduce(state, keep).data
+            assert got.dtype == np.float64  # a real state's marginal stays real
+            np.testing.assert_allclose(got, _gram(state, keep), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_every_keep_of_dense_states(self, rng, dtype):
+        state = _random_stack(rng, GLOBAL_LAYOUT.labels, dtype)
+        for keep in _every_keep(GLOBAL_LAYOUT.labels):
+            got = reduce(state, keep).data
+            assert got.dtype == np.dtype(dtype)
+            np.testing.assert_allclose(got, _gram(state, keep), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("build, params", [
+        (global_output_state, [0.0, 0.6, 1.0]),  # W, a mixture and GHZ
+        (gghz_output_state, [0.0, 0.6, 1.0]),  # a = 0 is a product
+    ], ids=["mixture", "gghz"])
+    def test_each_member_keeps_the_bits_of_its_own_call(self, build, params):
+        kts = np.array([0.0, 0.8])
+        stack = build(np.array(params)[:, None], kts)
+        for keep in (("c1", "c2", "c3"), ("r1", "r2", "r3"), ("c1", "r1"), ("c1", "r2", "c3")):
+            got = reduce(stack, keep).data
+            for i, param in enumerate(params):
+                for j, kt in enumerate(kts):
+                    want = reduce(build(param, kt), keep).data
+                    assert got[i, j].tobytes() == want.tobytes()
+
+    def test_a_skipped_entry_keeps_its_positive_zero(self):
+        # in the stack, entry (0, 1) of the second member sums 0 * -0.8 and
+        # -0.6 * 0, two negative zeros; its own call plans no such entry
+        stack = PureState(("c1", "r1"), [[0.5, 0.5, 0.5, 0.5], [0.0, -0.6, -0.8, 0.0]])
+        got = reduce(stack, ["c1"]).data[1]
+        want = reduce(PureState(("c1", "r1"), [0.0, -0.6, -0.8, 0.0]), ["c1"]).data
+        assert got.tobytes() == want.tobytes() and not np.signbit(got).any()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_marginals_are_exactly_hermitian(self, rng, dtype):
+        for state in (_random_stack(rng, GLOBAL_LAYOUT.labels, dtype),
+                      global_output_state(*self.GRID)):
+            for keep in _every_keep(GLOBAL_LAYOUT.labels[:4]):
+                rho = reduce(state, keep).data
+                assert np.array_equal(rho, np.swapaxes(rho.conj(), -1, -2))
+                assert not np.iscomplexobj(rho) or not rho.diagonal(0, -2, -1).imag.any()
+
+    def test_the_plan_holds_its_pairs_not_pairs_times_dim_squared(self):
+        # a dense 7-qubit state reduced to 6 qubits
+        sub, left, right, rounds, upper, lower = states._plan(
+            np.ones(128, dtype=bool).tobytes(), GLOBAL_LAYOUT, GLOBAL_LAYOUT.labels[:6])
+        pairs = 2 * (64 * 65 // 2)  # two columns, each pairing its 64 rows
+        assert left.size == right.size == pairs and upper.size == lower.size == pairs // 2
+        assert len(rounds) == 1 and sub.dim == 64
+
+    def test_the_cached_arrays_are_read_only(self):
+        amps = global_output_state(0.4, 0.8).amplitudes
+        plan = states._plan((amps != 0).tobytes(), GLOBAL_LAYOUT, ("c1", "c2", "c3"))
+        arrays = [x for x in plan if isinstance(x, np.ndarray)]
+        assert len(arrays) == 4
+        for x in arrays:
+            assert not x.flags.writeable
+            with pytest.raises(ValueError):
+                x[0] = 0
