@@ -14,7 +14,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .linalg import _block_eigvalsh, _item, partial_transpose
+from .linalg import _block_eigvalsh, _block_spectrum, _item, partial_transpose
 from .states import (CAVITY_LAYOUT, RESERVOIR_LAYOUT, _check_probability, _check_time,
                      _partner_amplitude, gghz_output_state, global_output_state, reduce)
 
@@ -37,7 +37,7 @@ def negativity(rho, part_a):
     eigenvalues l: nonnegative term by term, and blind to trace rounding.
     The model's 8x8 ones split into blocks of 3, 2, 2 and 1 rows, or finer.
     """
-    spectrum = _block_eigvalsh(partial_transpose(rho, part_a))
+    spectrum = _block_spectrum(partial_transpose(rho, part_a))
     return _item(np.sum(np.abs(spectrum) - spectrum, axis=-1))
 
 
@@ -122,7 +122,10 @@ def pure_bipartite_concurrence_sq(state, part_a):
     Computed as 2(1 - Tr rho_A^2), which equals 4 det(rho_A) when part_a is
     a single qubit.
     """
-    rho_a = reduce(state, part_a).data
+    return _marginal_concurrence_sq(reduce(state, part_a).data)
+
+
+def _marginal_concurrence_sq(rho_a):  # of a pure state, from its marginal's array
     purity = np.trace(rho_a @ rho_a, axis1=-2, axis2=-1).real
     return _floor(2.0 * (1.0 - purity))
 
@@ -201,16 +204,15 @@ class MonogamyChainRecord:
         return self.c_c1_sq + self.c_r1_sq - self.n_cav_sq - self.n_res_sq
 
 
-def _pair_block_concurrences_sq(state, qubit, partner):
-    """(C^2 of qubit | block, C^2 of partner | block), the block being every
-    other qubit, from one eigh of the pair's marginal from `reduce`, M M^dagger
-    = V diag(w) V^dagger, M the amplitudes with rows the pair in layout order.
+def _pair_block_concurrences_sq(rho, qubit):
+    """(C^2 of qubit | block, C^2 of its partner | block), the block being
+    every other qubit, from one eigh of the pair's marginal rho from `reduce`,
+    M M^dagger = V diag(w) V^dagger, M the amplitudes with rows the pair in layout order.
     It has rank two at most, so V sqrt(w) over the two largest w, indexed
     (first, second, support), is a factor A A^dagger = rho of the (first,
     support) state, A with rows (first, support) and columns the second; the
     second's side swaps the first two axes.  C^2 = (l1 - l2)^2 over tau's
     values: ||tau||_F^2 - 2 |det tau|."""
-    rho = reduce(state, [qubit, partner])
     w, v = np.linalg.eigh(rho.data)
     amps = (v[..., 2:] * np.sqrt(_floor(w[..., None, 2:]))).reshape(w.shape[:-1] + (2, 2, 2))
     squares = []
@@ -228,8 +230,9 @@ def monogamy_chain(p, kt):
     state0 = global_output_state(p, 0.0)
     state = global_output_state(p, kt)
     c_init = pure_bipartite_concurrence_sq(state0, ["c1"])
-    c_pair = pure_bipartite_concurrence_sq(state, ["c1", "r1"])
-    c_c1, c_r1 = _pair_block_concurrences_sq(state, "c1", "r1")
+    pair = reduce(state, ["c1", "r1"])
+    c_pair = _marginal_concurrence_sq(pair.data)
+    c_c1, c_r1 = _pair_block_concurrences_sq(pair, "c1")
     n_cav = marginal_negativity(state, CAVITY_LAYOUT.labels)
     n_res = marginal_negativity(state, RESERVOIR_LAYOUT.labels)
     return MonogamyChainRecord(c_init_sq=c_init, c_pair_sq=c_pair, c_c1_sq=c_c1,

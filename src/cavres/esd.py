@@ -8,6 +8,7 @@ cavity/reservoir swap relation all live here.
 """
 
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -15,9 +16,8 @@ from .entanglement import (ZERO_ENTANGLEMENT, Check, _at_most, _row_blocks, _squ
                            closed_form_pt_eigenvalues, dense_cavity_negativity, grid_worst,
                            marginal_negativity, negativity_from_spectrum)
 from .linalg import _item
-from .states import (RESERVOIR_LAYOUT, _check_probability, _check_time, _partner_amplitude,
-                     amplitudes, ghz, global_output_state, global_output_state_from_amplitudes,
-                     reduce, w)
+from .states import (RESERVOIR_LAYOUT, _check_probability, _check_time, _global_state,
+                     _partner_amplitude, amplitudes, ghz, global_output_state, reduce, w)
 
 # Large-time limit of the lambda7 boundary curve: below this mix probability
 # the eigenvalue never turns positive and the decay stays asymptotic.
@@ -190,12 +190,16 @@ def min_initial_negativity(lo=0.0, hi=1.0):
     """The (p, negativity) minimum of the undamped mixture's entanglement
     over [lo, hi]: at an edge or at a real root of its stationary
     polynomial.  Comparing N also discards the spurious root."""
-    roots = np.roots(INITIAL_NEGATIVITY_STATIONARY)
-    stationary = roots.real[(np.abs(roots.imag) <= 1e-9)
-                            & (roots.real >= lo) & (roots.real <= hi)]
-    p = np.array([lo, hi, *stationary])
+    p = np.array([lo, hi, *(r for r in _stationary_points() if lo <= r <= hi)])
     n = initial_negativity(p)
     return float(p[np.argmin(n)]), float(np.min(n))  # argmin: the first minimum wins
+
+
+@lru_cache
+def _stationary_points():
+    """The real roots of INITIAL_NEGATIVITY_STATIONARY, solved once per process."""
+    roots = np.roots(INITIAL_NEGATIVITY_STATIONARY)
+    return tuple(roots.real[np.abs(roots.imag) <= 1e-9].tolist())
 
 
 def esd_threshold_probability():
@@ -246,8 +250,8 @@ def swap_check(p, kt):
     the amplitudes interchanged, each qubit through the Kraus pair
     K0 = diag(1, chi), K1 = [[0, xi], [0, 0]]; returns (ok, max entrywise
     deviation), elementwise for arrays of p and kt."""
-    xi, chi = amplitudes(kt)
-    res = reduce(global_output_state_from_amplitudes(p, xi, chi), RESERVOIR_LAYOUT.labels)
+    xi, chi = amplitudes(kt)  # unit by construction, so the unchecked builder
+    res = reduce(_global_state(p, xi, chi), RESERVOIR_LAYOUT.labels)
     pair = np.zeros(np.shape(kt) + (2, 2, 2))  # (..., Kraus index, row, column)
     pair[..., 0, 0, 0], pair[..., 0, 1, 1], pair[..., 1, 0, 1] = 1.0, chi, xi
     kraus = np.einsum("...aij,...bkl,...cmn->...abcikmjln", pair, pair, pair)

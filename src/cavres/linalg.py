@@ -9,7 +9,7 @@ significant bit of the computational-basis index.  A state or density
 matrix may be a stack, `(..., dim)` or `(..., dim, dim)`, one member per
 point, validated in one pass; every function on it keeps the leading
 axes.  Exact zeros are skipped: a Hermitian stack is eigensolved block by
-block (`_block_eigvalsh`), and `states.reduce` sums nonzero amplitudes.
+block, 2x2 ones in closed form, and `states.reduce` sums nonzero amplitudes.
 """
 
 from dataclasses import dataclass
@@ -219,26 +219,51 @@ def partial_transpose(rho, subsystem):
     n = rho.layout.n_qubits
     if len(pos) == n:
         raise ValueError("subsystem must be a proper subset of the layout")
-    arr = rho.data.reshape(rho.data.shape[:-2] + (2,) * (2 * n))
-    for i in pos:
-        arr = np.swapaxes(arr, i - 2 * n, i - n)
-    return arr.reshape(rho.data.shape)
+    flat = rho.data.reshape(rho.data.shape[:-2] + (-1,))
+    return flat[..., _transposed(n, tuple(pos))].reshape(rho.data.shape)
+
+
+@lru_cache
+def _transposed(n, pos):
+    """Flat indices gathering an n-qubit matrix's partial transpose over the qubits at pos."""
+    axes = [(i + n) % (2 * n) if i % n in pos else i for i in range(2 * n)]
+    idx = np.arange(4 ** n).reshape((2,) * (2 * n)).transpose(axes).ravel()
+    idx.setflags(write=False)  # the cache hands it to every call
+    return idx
 
 
 def _block_eigvalsh(h):
-    """Eigenvalues of a Hermitian matrix, or of each member of a stack, sorted
-    ascending: the union of the spectra of the connected blocks of the entries
-    nonzero in any member, as in LAPACK's balancing.  Blocks of one size go to
-    one eigvalsh call, a 1x1 block is its diagonal, and a matrix that is one
-    block, such as a dense one, gets eigvalsh's own bits."""
+    """Eigenvalues of a Hermitian matrix, or of each member of a stack, sorted ascending."""
+    return np.sort(_block_spectrum(h), axis=-1)
+
+
+def _block_spectrum(h):
+    """Eigenvalues of a Hermitian matrix, or of each member of a stack, block
+    by block: the union of the spectra of the connected blocks of the entries
+    nonzero in any member (LAPACK's balancing), one `_eigvalsh_of_size` call
+    per size, so one block of 3 or more rows, as a dense matrix, gets eigvalsh's bits."""
     n = h.shape[-1]
     flat = h.reshape(h.shape[:-2] + (n * n,))
-    parts = []
-    for idx in _blocks((flat.reshape(-1, n * n) != 0).any(axis=0).tobytes(), n):
-        sub = flat[..., idx]  # (..., blocks, size, size)
-        vals = np.linalg.eigvalsh(sub) if idx.shape[-1] > 1 else sub[..., 0].real
-        parts.append(vals.reshape(h.shape[:-2] + (-1,)))
-    return np.sort(np.concatenate(parts, axis=-1), axis=-1)
+    pattern = (flat.reshape(-1, n * n) != 0).any(axis=0).tobytes()
+    parts = [_eigvalsh_of_size(flat[..., idx]) for idx in _blocks(pattern, n)]
+    return np.concatenate([v.reshape(h.shape[:-2] + (-1,)) for v in parts], axis=-1)
+
+
+def _eigvalsh_of_size(sub):
+    """Eigenvalues of a (..., blocks, size, size) stack of Hermitian blocks,
+    each member's along its trailing axes.  A 1x1 block is its diagonal, and
+    [[a, b], [b*, c]] has min(a, c) - t and max(a, c) + t, t = |b| (|b| /
+    (hypot(d, |b|) + d)), d = |a - c| / 2, a form like LAPACK's dlae2: exact
+    at b = 0, with no cancellation and no |b|^2.  Larger blocks go to eigvalsh."""
+    if sub.shape[-1] > 2:
+        return np.linalg.eigvalsh(sub)
+    a, c = sub[..., 0, 0].real, sub[..., -1, -1].real
+    if sub.shape[-1] == 1:
+        return a
+    b, d = np.abs(sub[..., 0, 1]), np.abs(a - c) / 2.0
+    # the least positive double: the divisor is 0 only where b = 0, and t = 0 there
+    t = b * (b / np.maximum(np.hypot(d, b) + d, 5e-324))
+    return np.concatenate((np.minimum(a, c) - t, np.maximum(a, c) + t), axis=-1)
 
 
 @lru_cache

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cavres import (cli, equal_entanglement_range, esb_time_numeric, esd_threshold_probability,
-                    min_esd_point, min_initial_negativity)
+                    linalg, min_esd_point, min_initial_negativity)
 from cavres.entanglement import (closed_form_pt_eigenvalues, gghz_grid_deviation,
                                  gghz_negativity_closed, negativity_from_spectrum)
 
@@ -541,6 +541,42 @@ class TestSurfaceOraclePinned:
             ORACLE_LINE.match(text).groups() for text in (line, PINNED_ORACLE[family]))
         assert head == p_head and _alike_but_tiny(value, p_value), line
         assert at == p_at or _tiny(value, p_value), line
+
+
+# every run whose printed values the dense oracle decides
+DENSE_RUNS = {**{suite: ["verify", suite] for suite in cli.SUITES},
+              **{f"surface-{family}": ["surface", "--family", family, "--param-steps", "21",
+                                       "--kt-steps", "31", "--oracle"]
+                 for family in ("mixed", "gghz")}}
+# the block sizes each run solves: swap only compares marginals
+BLOCK_SIZES = {"swap": set(), "surface-gghz": {1, 2}}
+LOCATION = re.compile(r" at (\([^)]*\)|p=[^:]*)")
+
+
+class TestClosedFormBlocksAgainstEigvalsh:
+    """Each run prints the same values, to 1e-15, when `_block_spectrum` sends
+    blocks of every size, 1x1 and 2x2 ones too, to eigvalsh; a worst point
+    may move between near ties, and the surface file keeps its bytes."""
+
+    @pytest.mark.parametrize("run", list(DENSE_RUNS))
+    def test_printed_values_agree(self, monkeypatch, tmp_path, capsys, run):
+        out = tmp_path / "surf.csv"
+        argv = DENSE_RUNS[run] + (["--out", str(out)] if run.startswith("surface") else [])
+        assert run_cli(argv) == 0
+        fast, fast_file = capsys.readouterr().out, out.exists() and out.read_bytes()
+        sizes = set()
+
+        def lapack(sub):
+            sizes.add(sub.shape[-1])
+            return np.linalg.eigvalsh(sub)
+        monkeypatch.setattr(linalg, "_eigvalsh_of_size", lapack)
+        assert run_cli(argv) == 0
+        slow, slow_file = capsys.readouterr().out, out.exists() and out.read_bytes()
+        assert sizes == BLOCK_SIZES.get(run, {1, 2, 3}) and fast_file == slow_file
+        fast, slow = LOCATION.sub("", fast), LOCATION.sub("", slow)
+        assert NUMBER.sub("#", fast) == NUMBER.sub("#", slow), (fast, slow)
+        for a, b in zip(NUMBER.findall(fast), NUMBER.findall(slow)):
+            assert abs(float(a) - float(b)) <= 1e-15, (fast, slow)
 
 
 class TestLandmarks:

@@ -402,6 +402,11 @@ def _dense_block_concurrence_sq(state, qubit, partner):
     return conc * conc
 
 
+def _block_pair(state, qubit, partner):
+    # the block route on the pair's marginal, results in argument order
+    return _pair_block_concurrences_sq(reduce(state, [qubit, partner]), qubit)
+
+
 GRID_9x9 = [(p, kt) for p in np.linspace(0.0, 1.0, 9) for kt in np.linspace(0.0, 3.0, 9)]
 
 
@@ -410,7 +415,7 @@ class TestBlockConcurrenceFastPath:
         worst = 0.0
         for p, kt in GRID_9x9:
             state = global_output_state(p, kt)
-            got = _pair_block_concurrences_sq(state, "c1", "r1")
+            got = _block_pair(state, "c1", "r1")
             want = (_dense_block_concurrence_sq(state, "c1", "r1"),
                     _dense_block_concurrence_sq(state, "r1", "c1"))
             worst = max(worst, *np.abs(np.subtract(got, want)))
@@ -419,16 +424,16 @@ class TestBlockConcurrenceFastPath:
     def test_qubit_need_not_come_first(self):
         # the block route takes any pair; c2 and r2 against the block of the rest
         state = global_output_state(0.6, 0.8)
-        got = _pair_block_concurrences_sq(state, "c2", "r2")
-        want = _pair_block_concurrences_sq(state, "c1", "r1")
+        got = _block_pair(state, "c2", "r2")
+        want = _block_pair(state, "c1", "r1")
         assert np.max(np.abs(np.subtract(got, want))) < 1e-14
 
     def test_the_pair_may_come_in_either_order(self):
         # the marginal from reduce is in layout order, the results in argument order
         state = global_output_state(0.6, 0.8)
-        c1, r1 = _pair_block_concurrences_sq(state, "c1", "r1")
+        c1, r1 = _block_pair(state, "c1", "r1")
         assert c1 != r1
-        assert _pair_block_concurrences_sq(state, "r1", "c1") == (r1, c1)
+        assert _block_pair(state, "r1", "c1") == (r1, c1)
 
     def test_chain_members_match_closed_forms(self):
         # e = exp(-kt); C0^2 = 4 (p/2 + 2(1-p)/3) (p/2 + (1-p)/3)
@@ -465,8 +470,8 @@ class TestComplexStates:
             want = marginal_negativity(real, qubits)
             got = marginal_negativity(phased, qubits)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
-        for want, got in zip(_pair_block_concurrences_sq(real, "c1", "r1"),
-                             _pair_block_concurrences_sq(phased, "c1", "r1")):
+        for want, got in zip(_block_pair(real, "c1", "r1"),
+                             _block_pair(phased, "c1", "r1")):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 

@@ -1,13 +1,15 @@
 import copy
 import pickle
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from cavres import (DensityMatrix, PureState, SystemLayout,
                     hermitian_eigenvalues, partial_trace, partial_transpose,
                     psd_sqrt, trace_norm)
-from cavres.linalg import _block_eigvalsh
+from cavres.linalg import _block_eigvalsh, _block_spectrum, _eigvalsh_of_size
 from cavres.states import (CAVITY_LAYOUT, RESERVOIR_LAYOUT, ghz, gghz_output_state,
                            global_output_state, purified_initial, mixed_ghz_w, reduce)
 
@@ -207,7 +209,9 @@ def _permuted_blocks(rng, sizes, dtype=float):
 
 
 class TestBlockEigvalsh:
-    """The block-by-block spectrum of `_block_eigvalsh` against eigvalsh."""
+    """The block-by-block spectrum of `_block_eigvalsh` against eigvalsh: a
+    block of 3 or more rows gets eigvalsh's bits, and a 2x2 block, solved in
+    closed form, is certified in TestTwoByTwoBlocks."""
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_a_dense_stack_gets_eigvalshs_bits(self, rng, dtype):
@@ -224,9 +228,10 @@ class TestBlockEigvalsh:
             got = _block_eigvalsh(h)
             want = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
-            # each block solved as it sits in h, in its rows' order
-            in_place = [np.linalg.eigvalsh(h[np.ix_(r, r)]) for r in rows]
-            assert np.array_equal(got, np.sort(np.concatenate(in_place)))
+            # each block of 3 or more rows solved by eigvalsh as it sits in h
+            for r in rows:
+                if len(r) > 2:
+                    assert np.isin(np.linalg.eigvalsh(h[np.ix_(r, r)]), got).all()
             assert got.dtype == np.float64
 
     def test_members_with_finer_patterns_keep_their_solo_bits(self, rng):
@@ -252,10 +257,76 @@ class TestBlockEigvalsh:
                                layout.labels[:1])
         got = _block_eigvalsh(pt)
         assert np.max(np.abs(got - np.linalg.eigvalsh(pt))) <= 1e-15
+        # at most two eigenvalues are negative, so the negativity's sum over
+        # the unsorted spectrum has the bits of the sum over the sorted one
+        spectrum = _block_spectrum(pt)
+        assert np.array_equal(np.sum(np.abs(spectrum) - spectrum, axis=-1),
+                              np.sum(np.abs(got) - got, axis=-1))
         for i in range(len(params)):
             assert np.array_equal(got[i], _block_eigvalsh(pt[i]))
             for j in range(len(kts)):
                 assert np.array_equal(got[i, j], _block_eigvalsh(pt[i, j]))
+
+
+def _two_by_two(rng, n, dtype, scale):
+    """n random Hermitian 2x2 blocks with entries of the given scale, the
+    second quarter degenerate (a == c) and the third diagonal (b == 0)."""
+    h = _hermitian(rng, (n, 2, 2), dtype) * scale
+    h[n // 4:n // 2, 1, 1] = h[n // 4:n // 2, 0, 0]
+    h[n // 2:3 * n // 4, 0, 1] = h[n // 2:3 * n // 4, 1, 0] = 0.0
+    return h
+
+
+def _mp_error(block, got):
+    """The largest error of got against the block's eigenvalues to 50
+    digits, in units of eps times its largest entry."""
+    with mp.workdps(50):
+        a, c, b = mp.mpf(block[0, 0].real), mp.mpf(block[1, 1].real), complex(block[0, 1])
+        mean = (a + c) / 2
+        r = mp.sqrt(((a - c) / 2) ** 2 + mp.mpf(b.real) ** 2 + mp.mpf(b.imag) ** 2)
+        err = max(abs(mp.mpf(g) - w) for g, w in zip(got, (mean - r, mean + r)))
+        return float(err / (np.max(np.abs(block)) * np.finfo(float).eps))
+
+
+class TestTwoByTwoBlocks:
+    """A 2x2 block's closed form against 50-digit eigenvalues: within 2 eps
+    of its largest entry from 1e-200 to 1e200, exact on a diagonal block,
+    and no floating-point warning anywhere."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_against_mpmath(self, rng, dtype):
+        worst = 0.0
+        for scale in 10.0 ** np.arange(-200, 201, 50):
+            h = _two_by_two(rng, 40, dtype, scale)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _block_eigvalsh(h)
+            worst = max(worst, *(_mp_error(block, vals) for block, vals in zip(h, got)))
+        assert worst <= 2.0
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_entries_of_unlike_scales(self, rng, dtype):
+        # |b|^2 would underflow or overflow here; |b| (|b| / ...) does not
+        h = _two_by_two(rng, 200, dtype, 1.0)
+        h *= 10.0 ** rng.uniform(-200, 200, size=(200, 2, 2))
+        h[:, 1, 0] = h[:, 0, 1].conj()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _block_eigvalsh(h)
+        assert max(_mp_error(block, vals) for block, vals in zip(h, got)) <= 2.0
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_a_diagonal_block_gives_its_diagonal_exactly(self, rng, dtype):
+        diag = np.concatenate([rng.normal(size=(30, 2)) * 10.0 ** rng.uniform(-200, 200, (30, 2)),
+                               [[0.0, 0.0], [-0.0, 0.0], [2.5, 2.5], [-1.0, 3.0], [5e-324, 0.0]]])
+        h = np.zeros((len(diag), 1, 2, 2), dtype=dtype)  # one block per member
+        h[:, 0, 0, 0], h[:, 0, 1, 1] = diag.T
+        with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise",
+                                                     over="raise"):
+            warnings.simplefilter("error")
+            got = _eigvalsh_of_size(h)
+        assert np.array_equal(got, np.sort(diag, axis=-1))
+        assert got.dtype == np.float64
 
 
 class TestTraceNorm:

@@ -8,8 +8,8 @@ bit for bit to the per-row evaluation (a marginal sums its terms in a fixed
 plan order, and a term that is zero in one member adds exactly 0), and
 count the LAPACK calls each grid audit makes on its fixed grid: one stack
 per block of at most STACK_POINTS points, not one per row or per grid
-point, and in it one eigvalsh per size of the blocks a partial transpose
-splits into.  The birth search takes two levels of its bisection per
+point, and in it one eigvalsh per size, above 2, of the blocks a partial
+transpose splits into.  The birth search takes two levels of its bisection per
 stack of states, with the roots of a one-level bisection bit for bit.  No
 dense path re-validates a state that a builder or `reorder` writes or a
 marginal that `reduce` derives.
@@ -269,7 +269,7 @@ def _record_lapack(monkeypatch):
 
     def recording(name, fn):
         def wrapper(a, *args, **kwargs):
-            grouped = sys._getframe(1).f_code is linalg._block_eigvalsh.__code__
+            grouped = sys._getframe(1).f_code is linalg._eigvalsh_of_size.__code__
             shapes[name].append(np.shape(a))
             points.append(int(np.prod(np.shape(a)[:-3 if grouped else -2])))
             return fn(a, *args, **kwargs)
@@ -292,13 +292,13 @@ def _lapack_calls(monkeypatch, run):
 
 
 def _count_dense(monkeypatch):
-    """Record the shape of each stack `_block_eigvalsh` solves."""
+    """Record the shape of each stack `negativity` solves."""
     stacks = []
 
     def counting(h):
         stacks.append(h.shape)
-        return linalg._block_eigvalsh(h)
-    monkeypatch.setattr(entanglement, "_block_eigvalsh", counting)
+        return linalg._block_spectrum(h)
+    monkeypatch.setattr(entanglement, "_block_spectrum", counting)
     return stacks
 
 
@@ -309,21 +309,23 @@ def _count_dense(monkeypatch):
 # `reduce` is not checked again, so a block costs only the measures' own
 # calls.  A partial transpose of the mixture splits into blocks of 3, 2, 2
 # and 1 rows, one of the generalized GHZ into a block of 2 and six of 1, and
-# `_block_eigvalsh` makes one eigvalsh per size above 1: 2 calls for the
-# mixture and 1 for the generalized GHZ.  So monogamy makes 5 (one eigh for
-# both pair blocks and 2 for each negativity; the pure-cut concurrences need
-# none), swap compares marginals and makes none, closedform and regions make
-# 2 and gghz 1.  One 8x8 eigvalsh per partial transpose made 2, 6, 0, 4 and
-# 2 calls in all, one stack per row 25, 75, 0, 40 and 25.
+# `_block_spectrum` makes one eigvalsh per size above 2 (1x1 and 2x2 blocks
+# are solved in closed form): 1 call for the mixture and none for the
+# generalized GHZ.  So monogamy makes 3 (one eigh for both pair blocks and 1
+# for each negativity; the pure-cut concurrences need none), swap compares
+# marginals and gghz solves only 2x2 and 1x1 blocks, so both make none, and
+# closedform and regions make 1.  With eigvalsh on the 2x2 blocks too they
+# made 4, 10, 0, 8 and 2 calls in all; with one 8x8 eigvalsh per partial
+# transpose 2, 6, 0, 4 and 2; with one stack per row 25, 75, 0, 40 and 25.
 AUDITS = {
-    "closedform": (closed_form_grid_deviation, 2, 2),
-    "monogamy": (monogamy_grid_audit, 5, 2),
+    "closedform": (closed_form_grid_deviation, 1, 2),
+    "monogamy": (monogamy_grid_audit, 3, 2),
     "swap": (swap_grid_deviation, 0, 1),
-    "regions": (region_grid_audit, 2, 4),
-    "gghz": (gghz_grid_deviation, 1, 2),
+    "regions": (region_grid_audit, 1, 4),
+    "gghz": (gghz_grid_deviation, 0, 2),
 }
 # eigvalsh calls per partial transpose of each family's marginals
-EIGVALSH_PER_PT = {"mixed": 2, "gghz": 1}
+EIGVALSH_PER_PT = {"mixed": 1, "gghz": 0}
 
 
 class TestLapackCallsPerRow:
@@ -338,10 +340,10 @@ class TestLapackCallsPerRow:
     def test_esb_bisects_in_lockstep(self, monkeypatch):
         # 11 dense negativities however many p values: the two bracket ends
         # in one, then the midpoint and both quarter points for each two of
-        # the 20 steps; each makes 2 eigvalsh calls, so 22 in all
+        # the 20 steps; each makes 1 eigvalsh call, for its blocks of 3, so 11
         for run in (lambda: esb_time_numeric(np.array([0.3, 0.6])), esb_grid_deviation):
             stacks = _count_dense(monkeypatch)
-            assert _lapack_calls(monkeypatch, run) == 22
+            assert _lapack_calls(monkeypatch, run) == 11
             assert len(stacks) == 11 and stacks[0][0] == 2
             assert all(shape[0] == 3 for shape in stacks[1:])
 
@@ -415,9 +417,9 @@ class TestRowBlocks:
         assert cli.main(argv) == 0 and "oracle check" in capsys.readouterr().out
         # each block one row, split as its own partial transposes are: W (p = 0)
         # into blocks of 3, 2, 1, 1 and 1 rows, GHZ (p = 1) into one of 2 and six
-        # of 1; the generalized GHZ at a = 0 and 1 is a product, all 1x1 blocks
-        assert shapes["eigvalsh"] == {"mixed": [(1, 600, 1, 2, 2), (1, 600, 1, 3, 3),
-                                                (1, 600, 1, 2, 2)], "gghz": []}[family]
+        # of 1; the generalized GHZ at a = 0 and 1 is a product, all 1x1 blocks.
+        # Only W's block of 3 goes to eigvalsh
+        assert shapes["eigvalsh"] == {"mixed": [(1, 600, 1, 3, 3)], "gghz": []}[family]
         (f, params, kts, grid), = grids
         assert np.array_equal(grid, _per_row(f, params, kts))
 
