@@ -3,7 +3,7 @@ the exact dissipative evolution of three cavity-reservoir pairs.
 
 Each cavity qubit shares its single excitation with an independent
 reservoir qubit; the surviving amplitude is xi = exp(-kt/2) and the leaked
-one chi = sqrt(1 - exp(-kt)).  An ancilla z purifies the GHZ/W mixture so
+one chi = sqrt(-expm1(-kt)).  An ancilla z purifies the GHZ/W mixture so
 the whole evolution stays a pure state on seven qubits.
 """
 
@@ -11,7 +11,6 @@ import numpy as np
 
 from cavres import (amplitudes, ghz, w, mixed_ghz_w, purified_initial,
                     global_output_state, reduce, reorder)
-from cavres.linalg import hermitian_eigenvalues
 from cavres.states import GLOBAL_LAYOUT
 
 print("=" * 70)
@@ -27,7 +26,7 @@ print("=" * 70)
 p = 0.5
 rho = mixed_ghz_w(p)
 print(f"p = {p}: trace = {rho.data.trace().real:.12f}")
-print("eigenvalues:", np.round(hermitian_eigenvalues(rho.data), 12))
+print("eigenvalues:", np.round(np.linalg.eigvalsh(rho.data)[::-1], 12))
 psi0 = purified_initial(p)
 print("purification layout:", psi0.layout.labels)
 recovered = reduce(psi0, ["c1", "c2", "c3"])

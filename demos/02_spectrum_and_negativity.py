@@ -10,8 +10,8 @@ small negativity surface.
 import numpy as np
 
 from cavres import (closed_form_pt_eigenvalues, global_output_state,
-                    negativity, negativity_from_spectrum, reduce)
-from cavres.linalg import hermitian_eigenvalues, partial_transpose
+                    negativity, negativity_from_spectrum, partial_transpose,
+                    reduce)
 
 print("=" * 70)
 print("1. Spectrum vs dense oracle at sample points")
@@ -19,7 +19,7 @@ print("=" * 70)
 for p, kt in [(1.0, 0.0), (0.0, 0.0), (0.5, 0.3), (0.385, 1.091), (0.8, 2.5)]:
     spec = closed_form_pt_eigenvalues(p, kt)
     cav = reduce(global_output_state(p, kt), ["c1", "c2", "c3"])
-    numeric = np.sort(hermitian_eigenvalues(partial_transpose(cav, ["c1"])))
+    numeric = np.linalg.eigvalsh(partial_transpose(cav, ["c1"]))
     closed = np.sort(np.asarray(spec.lambdas))
     print(f"p = {p:5.3f}, kt = {kt:5.3f}: "
           f"max |closed - numeric| = {np.max(np.abs(closed - numeric)):.2e}, "

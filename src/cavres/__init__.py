@@ -10,9 +10,7 @@ relation, all backed by dense numerical oracles.
 
 __version__ = "0.1.0"
 
-from .linalg import (DensityMatrix, PureState, SystemLayout,
-                     hermitian_eigenvalues, partial_trace, partial_transpose,
-                     psd_sqrt, trace_norm)
+from .linalg import DensityMatrix, PureState, SystemLayout, partial_transpose
 from .states import (amplitudes, gghz_output_state,
                      gghz_output_state_from_amplitudes, ghz, global_output_state,
                      global_output_state_from_amplitudes, mixed_ghz_w,
@@ -20,7 +18,7 @@ from .states import (amplitudes, gghz_output_state,
 from .entanglement import (MonogamyChainRecord, PtSpectrum,
                            closed_form_pt_eigenvalues, gghz_negativity_closed,
                            monogamy_chain, negativity, negativity_from_spectrum,
-                           pure_bipartite_concurrence_sq, wootters_concurrence)
+                           pure_bipartite_concurrence_sq)
 from .esd import (RegionClass, classify_region, equal_entanglement_range,
                   esb_time, esb_time_numeric, esd_threshold_probability,
                   esd_time, gghz_esd_boundary, gghz_esd_time,
@@ -31,9 +29,7 @@ from .esd import (RegionClass, classify_region, equal_entanglement_range,
 __all__ = [
     "__version__",
     # linear algebra
-    "SystemLayout", "PureState", "DensityMatrix",
-    "partial_trace", "partial_transpose", "hermitian_eigenvalues",
-    "trace_norm", "psd_sqrt",
+    "SystemLayout", "PureState", "DensityMatrix", "partial_transpose",
     # states
     "ghz", "w", "mixed_ghz_w", "amplitudes",
     "purified_initial", "global_output_state",
@@ -42,8 +38,7 @@ __all__ = [
     # entanglement
     "negativity", "PtSpectrum", "closed_form_pt_eigenvalues",
     "negativity_from_spectrum", "pure_bipartite_concurrence_sq",
-    "wootters_concurrence", "gghz_negativity_closed", "MonogamyChainRecord",
-    "monogamy_chain",
+    "gghz_negativity_closed", "MonogamyChainRecord", "monogamy_chain",
     # sudden death / birth
     "RegionClass", "lambda5_boundary", "lambda7_boundary",
     "classify_region", "esd_time", "min_esd_point", "min_initial_negativity",

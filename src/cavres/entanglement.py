@@ -14,7 +14,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .linalg import _block_eigvalsh, _block_spectrum, _item, partial_transpose
+from .linalg import _block_spectrum, _item, partial_transpose
 from .states import (CAVITY_LAYOUT, RESERVOIR_LAYOUT, _check_probability, _check_time,
                      _partner_amplitude, gghz_output_state, global_output_state, reduce)
 
@@ -297,8 +297,8 @@ def closed_form_grid_deviation(tolerance=1e-10):
     ps, kts = _square_grid(25)
     spec = closed_form_pt_eigenvalues(ps[:, None], kts)
     lam = np.sort(np.stack(spec.lambdas, axis=-1), axis=-1)
-    num = _row_blocks(lambda p, kt: _block_eigvalsh(partial_transpose(
-        reduce(global_output_state(p, kt), CAVITY_LAYOUT.labels), ["c1"])), ps, kts)
+    num = _row_blocks(lambda p, kt: np.sort(_block_spectrum(partial_transpose(
+        reduce(global_output_state(p, kt), CAVITY_LAYOUT.labels), ["c1"])), axis=-1), ps, kts)
     return [_at_most("spectrum vs eigensolver", tolerance,
                      np.max(np.abs(lam - num), axis=-1), ps, kts)]
 

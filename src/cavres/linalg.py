@@ -188,7 +188,9 @@ def _derived(cls, layout, array):
 def partial_trace(rho, keep):
     """Trace out every qubit not listed in `keep`.
 
-    The result keeps the input layout's ordering restricted to `keep`.
+    The result keeps the input layout's ordering restricted to `keep`; a
+    marginal of a checked DensityMatrix is one by construction, so it is
+    built unchecked, as `reduce`'s are.
     """
     keep = list(keep)
     if not keep:
@@ -203,7 +205,7 @@ def partial_trace(rho, keep):
     for i in sorted(traced, reverse=True):
         arr = np.trace(arr, axis1=i - 2 * m, axis2=i - m)
         m -= 1
-    return DensityMatrix(sub, arr.reshape(lead + (sub.dim, sub.dim)))
+    return _derived(DensityMatrix, sub, arr.reshape(lead + (sub.dim, sub.dim)))
 
 
 def partial_transpose(rho, subsystem):
@@ -230,11 +232,6 @@ def _transposed(n, pos):
     idx = np.arange(4 ** n).reshape((2,) * (2 * n)).transpose(axes).ravel()
     idx.setflags(write=False)  # the cache hands it to every call
     return idx
-
-
-def _block_eigvalsh(h):
-    """Eigenvalues of a Hermitian matrix, or of each member of a stack, sorted ascending."""
-    return np.sort(_block_spectrum(h), axis=-1)
 
 
 def _block_spectrum(h):

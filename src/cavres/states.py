@@ -3,7 +3,7 @@
 Three cavity qubits (c1, c2, c3) each leak a single excitation into an
 independent reservoir qubit (r1, r2, r3).  The elementary damping map sends
 |1>_c|0>_r to xi(t)|10> + chi(t)|01> with xi = exp(-kt/2) and
-chi = sqrt(1 - exp(-kt)), where kt is the dimensionless time (decay rate
+chi = sqrt(-expm1(-kt)), where kt is the dimensionless time (decay rate
 times time).  An ancilla qubit z purifies GHZ/W mixtures so every evolved
 state is a global pure state; arrays of kt and of p (or a) broadcast into
 stacks of them, whose marginals sum nonzero amplitudes in a cached plan.

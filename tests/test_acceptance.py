@@ -16,14 +16,14 @@ import numpy as np
 from cavres import (DensityMatrix, SystemLayout, esb_time, esd_time,
                     esd_threshold_probability, equal_entanglement_range,
                     gghz_esd_boundary, mixed_ghz_w, min_esd_point,
-                    min_initial_negativity, negativity, reduce,
-                    wootters_concurrence)
+                    min_initial_negativity, negativity, reduce)
 from cavres.cli import CONVENTIONS
 from cavres.entanglement import (closed_form_grid_deviation, closed_form_pt_eigenvalues,
-                                 gghz_grid_deviation, monogamy_grid_audit)
+                                 gghz_grid_deviation, monogamy_grid_audit,
+                                 wootters_concurrence)
 from cavres.esd import (_bisect, esb_grid_deviation, lambda7_boundary,
                         region_grid_audit, swap_grid_deviation)
-from cavres.linalg import partial_transpose
+from cavres.linalg import partial_trace, partial_transpose
 from cavres.states import global_output_state
 
 from conftest import (random_density_matrix, random_separable_density_matrix,
@@ -133,7 +133,6 @@ def test_criterion_7_property_suite():
     failures = []
 
     # density-matrix invariants survive partial tracing
-    from cavres import partial_trace
     for _ in range(5):
         rho = random_density_matrix(rng, ("c1", "r1", "c2", "r2"))
         for keep in (["c1"], ["c1", "r1"], ["c1", "r1", "c2"]):

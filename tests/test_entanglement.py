@@ -7,12 +7,12 @@ from cavres import (DensityMatrix, PureState, SystemLayout, closed_form_pt_eigen
                     gghz_negativity_closed, gghz_output_state,
                     global_output_state, mixed_ghz_w, monogamy_chain,
                     negativity, negativity_from_spectrum,
-                    pure_bipartite_concurrence_sq, reduce, w,
-                    wootters_concurrence)
+                    pure_bipartite_concurrence_sq, reduce, w)
 from cavres.entanglement import (PtSpectrum, _pair_block_concurrences_sq,
-                                 gghz_grid_deviation, grid_worst, marginal_negativity)
+                                 gghz_grid_deviation, grid_worst, marginal_negativity,
+                                 wootters_concurrence)
 from cavres.esd import reservoir_negativity, swap_check
-from cavres.linalg import hermitian_eigenvalues, partial_trace, partial_transpose
+from cavres.linalg import partial_trace, partial_transpose
 from cavres.states import CAVITY_LAYOUT, RESERVOIR_LAYOUT, ghz, purified_initial
 
 from conftest import random_unitary
@@ -94,7 +94,7 @@ class TestClosedFormSpectrum:
             for kt in np.linspace(0.0, 3.0, 9):
                 lam = np.sort(np.asarray(closed_form_pt_eigenvalues(p, kt).lambdas))
                 cav = reduce(global_output_state(p, kt), ["c1", "c2", "c3"])
-                num = np.sort(hermitian_eigenvalues(partial_transpose(cav, ["c1"])))
+                num = np.linalg.eigvalsh(partial_transpose(cav, ["c1"]))
                 np.testing.assert_allclose(lam, num, atol=1e-12)
 
     def test_six_entries_stay_nonnegative(self):

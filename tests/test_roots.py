@@ -2,11 +2,13 @@
 
 The polynomials and the closed-form eigenvalues are checked against a
 sympy certificate derived from the model (the factored characteristic
-polynomial of the damped mixture's partial transpose), the closed forms'
-radicands are proved positive by interval arithmetic, and the roots
-against scipy's bisection on the closed forms (where double precision
-resolves their sign change) and against a 60-digit mpmath bisection (over
-the whole domain).
+polynomial of the damped mixture's partial transpose), and so is the
+algebra the landmarks rest on: the stationary polynomial of N(p, 0), the
+resultant behind the earliest death and lambda7_boundary's form in o = 1 - e.
+The closed forms' radicands are proved positive by interval arithmetic,
+and the roots are checked against scipy's bisection on the closed forms
+(where double precision resolves their sign change) and against a
+60-digit mpmath bisection (over the whole domain).
 """
 
 import mpmath as mp
@@ -22,6 +24,7 @@ from cavres.esd import (ESD_ONSET_PROBABILITY, INITIAL_NEGATIVITY_STATIONARY, _b
                         _q5, _q7, initial_negativity, min_initial_negativity)
 
 E, P, LAM = sp.symbols("e p lambda", positive=True)  # the damping model's symbols
+O = sp.Symbol("o", positive=True)  # o = 1 - e
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 P_STAR, KT_STAR = 0.3850407, 1.0909553   # the earliest death, to 1e-7
 
@@ -85,6 +88,11 @@ def _exact(coeffs):
     return [sp.expand(sp.nsimplify(c, rational=True)) for c in coeffs]
 
 
+def _in_e(poly):
+    """The program's polynomial _q5 or _q7 as an exact expression in E and P."""
+    return sum(c * E ** k for k, c in enumerate(reversed(_exact(poly(P)))))
+
+
 class TestCertificate:
     def test_factors_into_four_lines_and_two_quadratics(self, certificate):
         assert sorted(certificate) == [1, 2]
@@ -140,19 +148,22 @@ class TestPolynomials:
             expected = [float(c.subs(P, p)) for c in poly.all_coeffs()]
             np.testing.assert_allclose(coeffs, expected, rtol=1e-14, atol=1e-14)
 
-    def test_stationary_polynomial_of_the_initial_negativity(self):
-        # 6 N(p, 0) = sqrt(f1) + sqrt(f2) - 2 - p, so 6 N' = 0 reads
-        # g1 / sqrt(f1) + g2 / sqrt(f2) = 1; clear both roots by squaring
-        f1, f2 = 40 * P ** 2 - 8 * P + 4, 41 * P ** 2 - 64 * P + 32
-        g1, g2 = 40 * P - 4, 41 * P - 32
-        n0 = (sp.sqrt(f1) + sp.sqrt(f2) - 2 - P) / 6
-        assert sp.simplify(sp.diff(n0, P) - (g1 / sp.sqrt(f1) + g2 / sp.sqrt(f2) - 1) / 6) == 0
-        poly = sp.Poly(sp.expand((f1 * f2 - g1 ** 2 * f2 - g2 ** 2 * f1) ** 2
-                                 - 4 * g1 ** 2 * g2 ** 2 * f1 * f2), P)
-        coeffs = poly.all_coeffs()
-        ratio = sp.Rational(coeffs[0], INITIAL_NEGATIVITY_STATIONARY[0])
-        assert [sp.Rational(c) for c in coeffs] == [
-            ratio * c for c in INITIAL_NEGATIVITY_STATIONARY]
+    def test_stationary_polynomial_of_the_initial_negativity(self, certificate):
+        # at e = 1 both quadratic factors a lambda^2 + b lambda + c have the
+        # radicand f = 36 disc / a^2 (D_a and D_b of the closed forms) and the
+        # lower root (-b / a - sqrt(f) / 6) / 2; lambda5 and lambda7 are at most
+        # 0 there, so N = -2 (lambda5 + lambda7) reads
+        # 6 N(p, 0) = sqrt(f1) + sqrt(f2) + 6 (b1 / a1 + b2 / a2)
+        quads = _quadratics(certificate)
+        assert all(quad.LC().is_positive for quad in quads)
+        f1, f2 = (sp.expand(sp.cancel(36 * sp.discriminant(quad) / quad.LC() ** 2).subs(E, 1))
+                  for quad in quads)
+        assert sp.expand(6 * sum(quad.nth(1) / quad.LC() for quad in quads).subs(E, 1)) == -2 - P
+        # so 6 N' = 0 reads f1' / sqrt(f1) + f2' / sqrt(f2) = 2; clear both roots by squaring
+        h1, h2 = sp.diff(f1, P), sp.diff(f2, P)
+        poly = sp.Poly(sp.expand((4 * f1 * f2 + h2 ** 2 * f1 - h1 ** 2 * f2) ** 2
+                                 - 16 * h2 ** 2 * f1 ** 2 * f2), P)
+        assert poly.all_coeffs() == [256 * c for c in INITIAL_NEGATIVITY_STATIONARY]
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.4647, 0.8, 1.0])
     def test_initial_negativity_closed_form(self, p):
@@ -253,6 +264,21 @@ class TestLandmarks:
         assert abs(p - P_STAR) < 1e-7 and abs(kt - KT_STAR) < 1e-7
         # the earliest death sits where both eigenvalues vanish together
         assert abs(esd_time(p) - kt) < 1e-7
+
+    def test_resultant_of_q5_and_q7(self):
+        # both eigenvalues vanish together where the resultant in p vanishes;
+        # e (e^2 - 3e + 3) = 1 - o^3, o = 1 - e, gives min_esd_point's closed form
+        resultant = sp.resultant(_in_e(_q5), _in_e(_q7), P)
+        assert sp.expand(resultant + 72 * (2 * E ** 2 * (E ** 2 - 3 * E + 3) ** 2 - 1)) == 0
+        assert sp.expand(resultant.subs(E, 1 - O) + 72 * (2 * (1 - O ** 3) ** 2 - 1)) == 0
+        kt = min_esd_point()[1]
+        assert abs((-np.expm1(-kt)) ** 3 - (1.0 - np.sqrt(0.5))) < 1e-15
+
+    def test_lambda7_boundary_identity(self):
+        # Q7 = A p^2 + B p - 8 with B = 18o^2 + 16 and B^2 + 32A = 36o(17o^3 + 8)
+        a, b, c = sp.Poly(sp.expand(_in_e(_q7).subs(E, 1 - O)), P).all_coeffs()
+        assert c == -8 and sp.expand(b - (18 * O ** 2 + 16)) == 0
+        assert sp.expand(b ** 2 + 32 * a - 36 * O * (17 * O ** 3 + 8)) == 0
 
     def test_onset_is_exactly_a_quarter(self):
         assert esd_threshold_probability() == 0.25

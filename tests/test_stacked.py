@@ -23,15 +23,16 @@ import pytest
 
 from cavres import (DensityMatrix, PureState, amplitudes, esb_time_numeric,
                     gghz_output_state, ghz, global_output_state, mixed_ghz_w,
-                    monogamy_chain, purified_initial, reduce, reorder, swap_check, w,
-                    wootters_concurrence)
+                    monogamy_chain, purified_initial, reduce, reorder, swap_check, w)
 from cavres import cli, entanglement, esd, linalg
 from cavres.entanglement import (STACK_POINTS, ZERO_ENTANGLEMENT, _row_blocks,
                                  closed_form_grid_deviation,
                                  dense_cavity_negativity, gghz_grid_deviation,
-                                 marginal_negativity, monogamy_grid_audit)
+                                 marginal_negativity, monogamy_grid_audit,
+                                 wootters_concurrence)
 from cavres.esd import (_bisect, esb_grid_deviation, region_grid_audit,
                         reservoir_negativity, swap_grid_deviation)
+from cavres.linalg import partial_trace
 from cavres.states import CAVITY_LAYOUT, GLOBAL_LAYOUT, RESERVOIR_LAYOUT
 
 PS = np.array([0.0, 0.3, 0.62, 1.0])
@@ -262,7 +263,7 @@ class TestStackValidation:
 
 def _record_lapack(monkeypatch):
     """Record the input shape of each eigvalsh, eigh and svd call, and the
-    grid points it holds.  A call from `_block_eigvalsh` stacks its blocks
+    grid points it holds.  A call from `_eigvalsh_of_size` stacks its blocks
     on an axis of their own, (..., blocks, size, size), so its points are
     the axes before that one; any other call's are all but the matrix axes."""
     shapes, points = {"eigvalsh": [], "eigh": [], "svd": []}, []
@@ -439,8 +440,9 @@ def _count_checks(monkeypatch):
 class TestValidatedOnce:
     """A state that a builder writes from checked parameters is unit-norm, a
     permutation of checked amplitudes is too, and a marginal that `reduce`
-    derives from either is a density matrix, by construction; only data from
-    outside, copies and pickles go through the checks."""
+    derives from either, or `partial_trace` from a checked density matrix, is
+    a density matrix, by construction; only data from outside, copies and
+    pickles go through the checks."""
 
     @pytest.mark.parametrize("run", [
         *(audit for audit, _, _ in AUDITS.values()),
@@ -464,8 +466,9 @@ class TestValidatedOnce:
         ghz, w, lambda: mixed_ghz_w(0.3), lambda: mixed_ghz_w(PS[:, None]),
         lambda: purified_initial(0.3), lambda: purified_initial(PS[:, None]),
         lambda: reorder(global_output_state(PS[:, None], KTS), ORDER),
+        lambda: partial_trace(mixed_ghz_w(PS[:, None]), ["c1", "c3"]),
     ], ids=["ghz", "w", "mixed_ghz_w", "mixed_ghz_w-stack", "purified_initial",
-            "purified_initial-stack", "reorder"])
+            "purified_initial-stack", "reorder", "partial_trace"])
     def test_builders_run_no_checks(self, monkeypatch, build):
         runs = _count_checks(monkeypatch)
         out = build()
