@@ -1,6 +1,10 @@
 """Command-line front end: grid sweeps, boundary extraction, verification
 suites, landmark reproduction, and point queries.
 
+Each verify suite audits one of the paper's claims against the dense oracle
+on a fixed grid, evaluated in blocks of whole parameter rows of at most
+STACK_POINTS points, and returns its verdicts as Check records.
+
 Exit codes: 0 on success, 1 when a verification or landmark check fails
 or a computation fails on valid input, 2 on usage errors.  Identical
 configurations give byte-identical files.
@@ -11,26 +15,29 @@ import itertools
 import json
 import math
 import sys
+from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from . import __version__
-from .entanglement import (cavity_negativity_check, closed_form_grid_deviation,
-                           closed_form_pt_eigenvalues, gghz_negativity_closed,
-                           monogamy_chain, monogamy_grid_audit, negativity_from_spectrum)
-from .esd import (esb_grid_deviation, esd_threshold_probability, esd_time,
-                  equal_entanglement_range, gghz_esd_time,
-                  min_esd_point, min_initial_negativity, region_grid_audit,
-                  sample_boundary, swap_grid_deviation)
-from .states import gghz_output_state, global_output_state
+from .entanglement import (ZERO_ENTANGLEMENT, closed_form_pt_eigenvalues,
+                           gghz_negativity_closed, marginal_negativity, monogamy_chain,
+                           negativity_from_spectrum)
+from .esd import (RegionClass, _death_time, classify_region, esb_time, esb_time_numeric,
+                  esd_threshold_probability, esd_time, equal_entanglement_range,
+                  gghz_esd_time, min_esd_point, min_initial_negativity, sample_boundary,
+                  swap_check)
+from .linalg import _block_spectrum, partial_transpose
+from .states import CAVITY_LAYOUT, gghz_output_state, global_output_state, reduce
 
 CSV_HEADER = "param,kt,negativity"
 
 CONVENTIONS = {
-    "amplitudes": "xi = exp(-kt/2), chi = sqrt(1 - exp(-kt))",
+    "amplitudes": "xi = exp(-kt/2), chi = sqrt(-expm1(-kt))",
     "mixture_weights": "p * |GHZ><GHZ| + (1 - p) * |W><W|",
     "qubit_order": "big-endian, global layout (c1, r1, c2, r2, c3, r3, z)",
-    "negativity_zero_threshold": 1e-10,
+    "negativity_zero_threshold": ZERO_ENTANGLEMENT,
 }
 
 # reference landmark values and acceptance tolerances, in cmd_landmarks' order
@@ -47,6 +54,121 @@ LANDMARKS = {
     "equal_entanglement_a_high": (0.363, 0.003),
     "max_gghz_esd_kt": (0.763, 0.005),
 }
+
+STACK_POINTS = 512  # grid points per dense stack, at most: it bounds peak memory
+
+
+@dataclass(frozen=True)
+class Check:
+    """One audit verdict: value against threshold, with the grid point
+    where the value was found: (p, kt), (p,) or () when it has none."""
+
+    label: str
+    value: float
+    threshold: float
+    ok: bool
+    at: tuple = ()
+
+
+def grid_worst(values, params, kts=(), pick=np.argmax):
+    """The extreme of a param-major grid of values and its (param, kt)
+    point, or its (param,) point on a 1-D grid.  pick is np.argmax or
+    np.argmin: the first grid point wins a tie, and a nan wins over any
+    number."""
+    idx = np.unravel_index(pick(values), np.shape(values))
+    return float(values[idx]), tuple(float(ax[i]) for ax, i in zip((params, kts), idx))
+
+
+def _square_grid(steps):
+    """The audit axes: steps values of p (or a) in [0, 1] and of kt in [0, 3]."""
+    return np.linspace(0.0, 1.0, steps), np.linspace(0.0, 3.0, steps)
+
+
+def _at_most(label, tolerance, values, ps, kts):
+    value, at = grid_worst(values, ps, kts)
+    return Check(label, value, tolerance, value <= tolerance, at)  # a nan fails
+
+
+def _row_blocks(f, params, kts):
+    """f(params[i:i + rows, None], kts) over blocks of whole rows, each at most
+    STACK_POINTS points or one row, joined along the row axis: a param-major grid."""
+    rows = max(1, STACK_POINTS // len(kts))
+    return np.concatenate([f(params[i:i + rows, None], kts)
+                           for i in range(0, len(params), rows)])
+
+
+def dense_cavity_negativity(state, params, kts):
+    """The dense cavity negativity of state(param, kt) on the params x kts grid."""
+    return _row_blocks(lambda p, kt: marginal_negativity(state(p, kt), CAVITY_LAYOUT.labels),
+                       params, kts)
+
+
+def closed_form_grid_deviation(tolerance=1e-10):
+    """The closed-form spectrum against the dense eigensolver over a 25x25
+    (p, kt) grid: one Check of the worst entrywise deviation."""
+    ps, kts = _square_grid(25)
+    spec = closed_form_pt_eigenvalues(ps[:, None], kts)
+    lam = np.sort(np.stack(spec.lambdas, axis=-1), axis=-1)
+    num = _row_blocks(lambda p, kt: np.sort(_block_spectrum(partial_transpose(
+        reduce(global_output_state(p, kt), CAVITY_LAYOUT.labels), ["c1"])), axis=-1), ps, kts)
+    return [_at_most("spectrum vs eigensolver", tolerance,
+                     np.max(np.abs(lam - num), axis=-1), ps, kts)]
+
+
+def monogamy_grid_audit(tolerance=1e-10):
+    """The monogamy chain over a 25x25 (p, kt) grid: the pair equality
+    holds to tolerance, and the pair and tail slacks are at least
+    -tolerance."""
+    ps, kts = _square_grid(25)
+    slacks = attrgetter("equality_deviation", "pair_slack", "tail_slack")
+    grid = _row_blocks(lambda p, kt: np.stack(slacks(monogamy_chain(p, kt)), axis=-1), ps, kts)
+    eq, pair, tail = np.moveaxis(grid, -1, 0)
+    checks = [_at_most("pair-equality deviation", tolerance, eq, ps, kts)]
+    for label, slack in (("pair bound slack", pair), ("negativity tail slack", tail)):
+        value, at = grid_worst(slack, ps, kts, np.argmin)
+        checks.append(Check(label, value, -tolerance, value >= -tolerance, at))
+    return checks
+
+
+def swap_grid_deviation(tolerance=1e-12):
+    """The swap relation over a 20x20 (p, kt) grid: one Check of the worst
+    entrywise deviation."""
+    ps, kts = _square_grid(20)
+    devs = _row_blocks(lambda p, kt: swap_check(p, kt)[1], ps, kts)
+    return [_at_most("cavity/reservoir swap", tolerance, devs, ps, kts)]
+
+
+def esb_grid_deviation(tolerance=1e-3):
+    """The closed-form birth time against the bisection-located one over ten
+    probabilities in [0.30, 0.95], each with a finite death time: one Check
+    of the worst gap."""
+    p_values = np.linspace(0.30, 0.95, 10)
+    births = [esb_time(t) for t in _death_time(p_values)]
+    gaps = np.abs(np.array(births) - esb_time_numeric(p_values))
+    return [_at_most("birth-time formula vs bisection", tolerance, gaps, p_values, ())]
+
+
+def region_grid_audit(tolerance=ZERO_ENTANGLEMENT):
+    """Check that region IV means numeric negativity at most tolerance and
+    regions I-III mean negativity above it, over a 40x40 (p, kt) grid.
+
+    One Check: its value is the largest negativity inside IV, and its
+    verdict needs both sides to hold.  A failure points at the extreme of
+    a failing side, inside IV first.
+    """
+    ps, kts = _square_grid(40)
+    n = dense_cavity_negativity(global_output_state, ps, kts)
+    sep = classify_region(ps[:, None], kts) == RegionClass.IV
+    sound = np.where(sep, n <= tolerance, n > tolerance)  # a nan fails
+    max_sep, at_sep = grid_worst(np.where(sep, n, -np.inf), ps, kts)
+    min_ent, at_ent = grid_worst(np.where(sep, np.inf, n), ps, kts, np.argmin)
+    max_sep = max(max_sep, 0.0)
+    label = (f"region soundness: min N outside IV = {min_ent:.3e}, "
+             f"max N inside IV = {max_sep:.3e}, violations = {np.count_nonzero(~sound)}")
+    ok = bool(sound.all())
+    at = () if ok else at_sep if (sep & ~sound).any() else at_ent
+    return [Check(label, max_sep, tolerance, ok, at)]
+
 
 # each audit takes only its tolerance, and defaults it
 SUITES = {
@@ -125,12 +247,12 @@ def cmd_surface(args):
     print(f"wrote {grid.size} rows to {args.out}")
     if args.oracle:
         tolerance = args.tolerance if args.tolerance is not None else 1e-10
-        c = cavity_negativity_check("closed form vs numeric", tolerance, grid,
-                                    global_output_state if mixed else gghz_output_state,
-                                    params, kts)
-        print(f"oracle check: max |closed form - numeric| = {c.value:.3e} "
-              f"at (param={c.at[0]:.6g}, kt={c.at[1]:.6g})")
-        if not c.ok:
+        dense = dense_cavity_negativity(global_output_state if mixed else gghz_output_state,
+                                        params, kts)
+        value, at = grid_worst(np.abs(dense - grid), params, kts)
+        print(f"oracle check: max |closed form - numeric| = {value:.3e} "
+              f"at (param={at[0]:.6g}, kt={at[1]:.6g})")
+        if not value <= tolerance:  # a nan fails
             print(f"oracle mismatch beyond tolerance {tolerance:.3e}", file=sys.stderr)
             return 1
     return 0

@@ -4,22 +4,20 @@ Includes the exact eight-eigenvalue spectrum of the partially transposed
 cavity state of the evolving GHZ/W mixture, the closed-form negativity of
 the evolved generalized GHZ state, Wootters concurrence, and the monogamy
 chain that constrains how entanglement distributes between cavities and
-reservoirs during dissipation.  The dense measures act on stacks; a grid
-audit stacks blocks of whole parameter rows, at most STACK_POINTS points,
-and a partial transpose is eigensolved block by block.
+reservoirs during dissipation.  The dense measures act on stacks, and a
+partial transpose is eigensolved block by block; the grid audits of the
+closed forms are the verify suites in cavres.cli.
 """
 
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
 from .linalg import _block_spectrum, _item, partial_transpose
 from .states import (CAVITY_LAYOUT, RESERVOIR_LAYOUT, _check_probability, _check_time,
-                     _partner_amplitude, gghz_output_state, global_output_state, reduce)
+                     _partner_amplitude, global_output_state, reduce)
 
 ZERO_ENTANGLEMENT = 1e-10  # decision threshold for "no entanglement"
-STACK_POINTS = 512  # grid points per dense stack, at most: it bounds peak memory
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y).real  # exactly real, so real states stay real
@@ -237,91 +235,3 @@ def monogamy_chain(p, kt):
     n_res = marginal_negativity(state, RESERVOIR_LAYOUT.labels)
     return MonogamyChainRecord(c_init_sq=c_init, c_pair_sq=c_pair, c_c1_sq=c_c1,
                                c_r1_sq=c_r1, n_cav_sq=n_cav * n_cav, n_res_sq=n_res * n_res)
-
-
-@dataclass(frozen=True)
-class Check:
-    """One audit verdict: value against threshold, with the grid point
-    where the value was found: (p, kt), (p,) or () when it has none."""
-
-    label: str
-    value: float
-    threshold: float
-    ok: bool
-    at: tuple = ()
-
-
-def grid_worst(values, params, kts=(), pick=np.argmax):
-    """The extreme of a param-major grid of values and its (param, kt)
-    point, or its (param,) point on a 1-D grid.  pick is np.argmax or
-    np.argmin: the first grid point wins a tie, and a nan wins over any
-    number."""
-    idx = np.unravel_index(pick(values), np.shape(values))
-    return float(values[idx]), tuple(float(ax[i]) for ax, i in zip((params, kts), idx))
-
-
-def _square_grid(steps):
-    """The audit axes: steps values of p (or a) in [0, 1] and of kt in [0, 3]."""
-    return np.linspace(0.0, 1.0, steps), np.linspace(0.0, 3.0, steps)
-
-
-def _at_most(label, tolerance, values, ps, kts):
-    value, at = grid_worst(values, ps, kts)
-    return Check(label, value, tolerance, value <= tolerance, at)  # a nan fails
-
-
-def _row_blocks(f, params, kts):
-    """f(params[i:i + rows, None], kts) over blocks of whole rows, each at most
-    STACK_POINTS points or one row, joined along the row axis: a param-major grid."""
-    rows = max(1, STACK_POINTS // len(kts))
-    return np.concatenate([f(params[i:i + rows, None], kts)
-                           for i in range(0, len(params), rows)])
-
-
-def dense_cavity_negativity(state, params, kts):
-    """The dense cavity negativity of state(param, kt) on the params x kts grid."""
-    return _row_blocks(lambda p, kt: marginal_negativity(state(p, kt), CAVITY_LAYOUT.labels),
-                       params, kts)
-
-
-def cavity_negativity_check(label, tolerance, closed, state, params, kts):
-    """A param-major grid of closed-form cavity negativities against the
-    dense negativity of state(param, kt): one Check of the worst deviation."""
-    dense = dense_cavity_negativity(state, params, kts)
-    return _at_most(label, tolerance, np.abs(dense - closed), params, kts)
-
-
-def closed_form_grid_deviation(tolerance=1e-10):
-    """The closed-form spectrum against the dense eigensolver over a 25x25
-    (p, kt) grid: one Check of the worst entrywise deviation."""
-    ps, kts = _square_grid(25)
-    spec = closed_form_pt_eigenvalues(ps[:, None], kts)
-    lam = np.sort(np.stack(spec.lambdas, axis=-1), axis=-1)
-    num = _row_blocks(lambda p, kt: np.sort(_block_spectrum(partial_transpose(
-        reduce(global_output_state(p, kt), CAVITY_LAYOUT.labels), ["c1"])), axis=-1), ps, kts)
-    return [_at_most("spectrum vs eigensolver", tolerance,
-                     np.max(np.abs(lam - num), axis=-1), ps, kts)]
-
-
-def monogamy_grid_audit(tolerance=1e-10):
-    """The monogamy chain over a 25x25 (p, kt) grid: the pair equality
-    holds to tolerance, and the pair and tail slacks are at least
-    -tolerance."""
-    ps, kts = _square_grid(25)
-    slacks = attrgetter("equality_deviation", "pair_slack", "tail_slack")
-    grid = _row_blocks(lambda p, kt: np.stack(slacks(monogamy_chain(p, kt)), axis=-1), ps, kts)
-    eq, pair, tail = np.moveaxis(grid, -1, 0)
-    checks = [_at_most("pair-equality deviation", tolerance, eq, ps, kts)]
-    for label, slack in (("pair bound slack", pair), ("negativity tail slack", tail)):
-        value, at = grid_worst(slack, ps, kts, np.argmin)
-        checks.append(Check(label, value, -tolerance, value >= -tolerance, at))
-    return checks
-
-
-def gghz_grid_deviation(tolerance=1e-10):
-    """The generalized-GHZ closed form against the dense computation over
-    a 25x25 (a, kt) grid: one Check of the worst deviation."""
-    a_s, kts = _square_grid(25)
-    return [cavity_negativity_check("generalized GHZ vs eigensolver", tolerance,
-                                    gghz_negativity_closed(a_s[:, None], kts),
-                                    gghz_output_state, a_s, kts)]

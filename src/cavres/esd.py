@@ -4,7 +4,8 @@ The two sign-changing partial-transpose eigenvalues carve the (kt, p) plane
 into four regions.  Where both are positive the cavity photons are
 separable, so entanglement dies at a finite time; the boundary curves, the
 death times they induce, the generalized-GHZ counterpart, and the exact
-cavity/reservoir swap relation all live here.
+cavity/reservoir swap relation all live here; the grid audits of them are
+the verify suites in cavres.cli.
 """
 
 from enum import Enum
@@ -12,9 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .entanglement import (ZERO_ENTANGLEMENT, Check, _at_most, _row_blocks, _square_grid,
-                           closed_form_pt_eigenvalues, dense_cavity_negativity, grid_worst,
-                           marginal_negativity, negativity_from_spectrum)
+from .entanglement import (ZERO_ENTANGLEMENT, closed_form_pt_eigenvalues, marginal_negativity,
+                           negativity_from_spectrum)
 from .linalg import _item
 from .states import (RESERVOIR_LAYOUT, _check_probability, _check_time, _global_state,
                      _partner_amplitude, amplitudes, ghz, global_output_state, reduce, w)
@@ -320,43 +320,3 @@ def esb_time_numeric(p):
     """
     f = lambda kt: reservoir_negativity(p, kt) - ZERO_ENTANGLEMENT
     return _bisect(f, np.full(np.shape(p), 1e-8), 1.0, 1e-6)[0]
-
-
-def swap_grid_deviation(tolerance=1e-12):
-    """The swap relation over a 20x20 (p, kt) grid: one Check of the worst
-    entrywise deviation."""
-    ps, kts = _square_grid(20)
-    devs = _row_blocks(lambda p, kt: swap_check(p, kt)[1], ps, kts)
-    return [_at_most("cavity/reservoir swap", tolerance, devs, ps, kts)]
-
-
-def esb_grid_deviation(tolerance=1e-3):
-    """The closed-form birth time against the bisection-located one over ten
-    probabilities in [0.30, 0.95], each with a finite death time: one Check
-    of the worst gap."""
-    p_values = np.linspace(0.30, 0.95, 10)
-    births = [esb_time(t) for t in _death_time(p_values)]
-    gaps = np.abs(np.array(births) - esb_time_numeric(p_values))
-    return [_at_most("birth-time formula vs bisection", tolerance, gaps, p_values, ())]
-
-
-def region_grid_audit(tolerance=ZERO_ENTANGLEMENT):
-    """Check that region IV means numeric negativity at most tolerance and
-    regions I-III mean negativity above it, over a 40x40 (p, kt) grid.
-
-    One Check: its value is the largest negativity inside IV, and its
-    verdict needs both sides to hold.  A failure points at the extreme of
-    a failing side, inside IV first.
-    """
-    ps, kts = _square_grid(40)
-    n = dense_cavity_negativity(global_output_state, ps, kts)
-    sep = classify_region(ps[:, None], kts) == RegionClass.IV
-    sound = np.where(sep, n <= tolerance, n > tolerance)  # a nan fails
-    max_sep, at_sep = grid_worst(np.where(sep, n, -np.inf), ps, kts)
-    min_ent, at_ent = grid_worst(np.where(sep, np.inf, n), ps, kts, np.argmin)
-    max_sep = max(max_sep, 0.0)
-    label = (f"region soundness: min N outside IV = {min_ent:.3e}, "
-             f"max N inside IV = {max_sep:.3e}, violations = {np.count_nonzero(~sound)}")
-    ok = bool(sound.all())
-    at = () if ok else at_sep if (sep & ~sound).any() else at_ent
-    return [Check(label, max_sep, tolerance, ok, at)]

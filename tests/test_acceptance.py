@@ -17,14 +17,14 @@ from cavres import (DensityMatrix, SystemLayout, esb_time, esd_time,
                     esd_threshold_probability, equal_entanglement_range,
                     gghz_esd_boundary, mixed_ghz_w, min_esd_point,
                     min_initial_negativity, negativity, reduce)
-from cavres.cli import CONVENTIONS
-from cavres.entanglement import (closed_form_grid_deviation, closed_form_pt_eigenvalues,
-                                 gghz_grid_deviation, monogamy_grid_audit,
+from cavres.cli import (CONVENTIONS, _square_grid, closed_form_grid_deviation,
+                        dense_cavity_negativity, esb_grid_deviation, grid_worst,
+                        monogamy_grid_audit, region_grid_audit, swap_grid_deviation)
+from cavres.entanglement import (closed_form_pt_eigenvalues, gghz_negativity_closed,
                                  wootters_concurrence)
-from cavres.esd import (_bisect, esb_grid_deviation, lambda7_boundary,
-                        region_grid_audit, swap_grid_deviation)
+from cavres.esd import _bisect, lambda7_boundary
 from cavres.linalg import partial_trace, partial_transpose
-from cavres.states import global_output_state
+from cavres.states import gghz_output_state, global_output_state
 
 from conftest import (random_density_matrix, random_separable_density_matrix,
                       random_unitary)
@@ -71,9 +71,10 @@ def test_criterion_2_landmark_reproduction():
 
 def test_criterion_3_generalized_ghz_branch():
     parts = []
-    (c,) = gghz_grid_deviation(1e-10)
-    parts.append((c.value <= 1e-10,
-                  f"closed form vs eigensolver 25x25: max dev {c.value:.3e} at {c.at}"))
+    a_s, kts = _square_grid(25)
+    dev, at = grid_worst(np.abs(dense_cavity_negativity(gghz_output_state, a_s, kts)
+                                - gghz_negativity_closed(a_s[:, None], kts)), a_s, kts)
+    parts.append((dev <= 1e-10, f"closed form vs eigensolver 25x25: max dev {dev:.3e} at {at}"))
     boundary_gap = abs(gghz_esd_boundary(20.0) - np.sqrt(0.5))
     parts.append((boundary_gap <= 1e-4,
                   f"boundary limit at kt=20: |a - sqrt(2)/2| = {boundary_gap:.3e}"))

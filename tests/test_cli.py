@@ -14,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from cavres import (cli, equal_entanglement_range, esb_time_numeric, esd_threshold_probability,
                     linalg, min_esd_point, min_initial_negativity)
-from cavres.entanglement import (closed_form_pt_eigenvalues, gghz_grid_deviation,
+from cavres.entanglement import (ZERO_ENTANGLEMENT, closed_form_pt_eigenvalues,
                                  gghz_negativity_closed, negativity_from_spectrum)
+from cavres.states import amplitudes
 
 
 def run_cli(args):
@@ -165,8 +166,16 @@ class TestSurface:
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc["meta"]["family"] == "mixed"
-        assert "amplitudes" in doc["meta"]["conventions"]
+        assert doc["meta"]["conventions"] == cli.CONVENTIONS
         assert len(doc["rows"]) == 9
+
+    def test_conventions_name_what_is_computed(self):
+        # the stated amplitude formulas, evaluated as written, give the program's bits
+        conventions = cli.CONVENTIONS
+        assert conventions["amplitudes"] == "xi = exp(-kt/2), chi = sqrt(-expm1(-kt))"
+        for kt in (1e-13, 0.3, 5.0):
+            assert amplitudes(kt) == (np.exp(-kt / 2), np.sqrt(-np.expm1(-kt)))
+        assert conventions["negativity_zero_threshold"] is ZERO_ENTANGLEMENT
 
     def test_oracle_agrees(self, tmp_path):
         out = tmp_path / "surf.csv"
@@ -398,8 +407,7 @@ class TestVerify:
         assert run_cli(["verify", "monogamy", "--tolerance", "1e-30"]) == 1
         assert "[FAIL]" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("audit", [*cli.SUITES.values(), gghz_grid_deviation],
-                             ids=[*cli.SUITES, "gghz"])
+    @pytest.mark.parametrize("audit", cli.SUITES.values(), ids=list(cli.SUITES))
     def test_audits_take_only_a_tolerance(self, audit):
         # each grid is fixed, and pinned by DEFAULT_GRIDS and TestVerifyPinned
         assert list(inspect.signature(audit).parameters) == ["tolerance"]

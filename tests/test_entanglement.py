@@ -8,8 +8,9 @@ from cavres import (DensityMatrix, PureState, SystemLayout, closed_form_pt_eigen
                     global_output_state, mixed_ghz_w, monogamy_chain,
                     negativity, negativity_from_spectrum,
                     pure_bipartite_concurrence_sq, reduce, w)
-from cavres.entanglement import (PtSpectrum, _pair_block_concurrences_sq,
-                                 gghz_grid_deviation, grid_worst, marginal_negativity,
+from cavres import cli
+from cavres.cli import grid_worst
+from cavres.entanglement import (PtSpectrum, _pair_block_concurrences_sq, marginal_negativity,
                                  wootters_concurrence)
 from cavres.esd import reservoir_negativity, swap_check
 from cavres.linalg import partial_trace, partial_transpose
@@ -202,9 +203,14 @@ class TestGridWorst:
         assert grid_worst(values, self.PARAMS, pick=np.argmin) == (1.0, (0.0,))
 
     def test_check_verdict_is_value_against_threshold(self):
-        (c,) = gghz_grid_deviation(1e-10)
+        # the generalized GHZ closed form against the dense oracle on the
+        # 25x25 (a, kt) audit square, as `surface --oracle` compares them
+        a_s, kts = cli._square_grid(25)
+        dev = np.abs(cli.dense_cavity_negativity(gghz_output_state, a_s, kts)
+                     - gghz_negativity_closed(a_s[:, None], kts))
+        c = cli._at_most("generalized GHZ vs eigensolver", 1e-10, dev, a_s, kts)
         assert c.ok and c.value <= c.threshold == 1e-10 and len(c.at) == 2
-        (c,) = gghz_grid_deviation(0.0)
+        c = cli._at_most("generalized GHZ vs eigensolver", 0.0, dev, a_s, kts)
         assert c.ok is (c.value <= 0.0)
 
 

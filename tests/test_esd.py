@@ -14,7 +14,7 @@ from cavres import (RegionClass, classify_region, equal_entanglement_range,
                     sample_boundary, swap_check)
 from cavres.entanglement import closed_form_pt_eigenvalues, negativity_from_spectrum
 from cavres import cli, esd, states
-from cavres.esd import region_grid_audit
+from cavres.cli import region_grid_audit
 from cavres.states import amplitudes, global_output_state, reduce
 from cavres.entanglement import negativity
 
@@ -228,8 +228,8 @@ class TestRegionGridAudit:
 
     def test_threshold_binds_inside_region_iv(self, monkeypatch):
         # lifted by 1e-9, every IV point is above the default 1e-10
-        dense = esd.dense_cavity_negativity
-        monkeypatch.setattr(esd, "dense_cavity_negativity",
+        dense = cli.dense_cavity_negativity
+        monkeypatch.setattr(cli, "dense_cavity_negativity",
                             lambda *args: dense(*args) + 1e-9)
         (c,) = region_grid_audit()
         assert not c.ok and c.value > c.threshold == 1e-10
@@ -539,5 +539,5 @@ class TestStackedDeathTimes:
             shapes.append(a.shape)
             return eigvals(a)
         monkeypatch.setattr(np.linalg, "eigvals", counting)
-        (check,) = esd.esb_grid_deviation()
+        (check,) = cli.esb_grid_deviation()
         assert check.ok and shapes == [(10, 3, 3), (10, 4, 4)]

@@ -16,7 +16,9 @@ marginal that `reduce` derives.
 """
 
 import copy
+import os
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -24,14 +26,12 @@ import pytest
 from cavres import (DensityMatrix, PureState, amplitudes, esb_time_numeric,
                     gghz_output_state, ghz, global_output_state, mixed_ghz_w,
                     monogamy_chain, purified_initial, reduce, reorder, swap_check, w)
-from cavres import cli, entanglement, esd, linalg
-from cavres.entanglement import (STACK_POINTS, ZERO_ENTANGLEMENT, _row_blocks,
-                                 closed_form_grid_deviation,
-                                 dense_cavity_negativity, gghz_grid_deviation,
-                                 marginal_negativity, monogamy_grid_audit,
-                                 wootters_concurrence)
-from cavres.esd import (_bisect, esb_grid_deviation, region_grid_audit,
-                        reservoir_negativity, swap_grid_deviation)
+from cavres import cli, entanglement, linalg
+from cavres.cli import (STACK_POINTS, _row_blocks, closed_form_grid_deviation,
+                        dense_cavity_negativity, esb_grid_deviation, monogamy_grid_audit,
+                        region_grid_audit, swap_grid_deviation)
+from cavres.entanglement import ZERO_ENTANGLEMENT, marginal_negativity, wootters_concurrence
+from cavres.esd import _bisect, reservoir_negativity
 from cavres.linalg import partial_trace
 from cavres.states import CAVITY_LAYOUT, GLOBAL_LAYOUT, RESERVOIR_LAYOUT
 
@@ -303,6 +303,14 @@ def _count_dense(monkeypatch):
     return stacks
 
 
+def _gghz_oracle():
+    """`surface --family gghz --oracle` on the 25x25 (a, kt) audit square."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["surface", "--family", "gghz", "--oracle", "--param-steps", "25",
+                "--kt-steps", "25", "--out", os.path.join(tmp, "s.csv")]
+        assert cli.main(argv) == 0
+
+
 # each audit on its fixed grid: (audit, LAPACK calls per block, blocks).
 # A block holds as many whole rows as fit in STACK_POINTS = 512 points: 20
 # rows of 25 kts, so 2 blocks for a 25x25 grid; 12 rows of 40, so 4 for the
@@ -323,7 +331,7 @@ AUDITS = {
     "monogamy": (monogamy_grid_audit, 3, 2),
     "swap": (swap_grid_deviation, 0, 1),
     "regions": (region_grid_audit, 1, 4),
-    "gghz": (gghz_grid_deviation, 0, 2),
+    "gghz": (_gghz_oracle, 0, 2),
 }
 # eigvalsh calls per partial transpose of each family's marginals
 EIGVALSH_PER_PT = {"mixed": 1, "gghz": 0}
@@ -369,8 +377,7 @@ def _recording_blocks(monkeypatch):
     def recording(f, params, kts):
         grids.append((f, params, kts, _row_blocks(f, params, kts)))
         return grids[-1][-1]
-    for module in (entanglement, esd):
-        monkeypatch.setattr(module, "_row_blocks", recording)
+    monkeypatch.setattr(cli, "_row_blocks", recording)
     return grids
 
 
