@@ -24,7 +24,7 @@ from .esd import (RegionClass, classify_region, equal_entanglement_range,
                   esd_time, gghz_esd_boundary, gghz_esd_time,
                   initial_negativity, lambda5_boundary, lambda7_boundary,
                   min_esd_point, min_initial_negativity, reservoir_negativity,
-                  sample_boundary, swap_check)
+                  swap_check)
 
 __all__ = [
     "__version__",
@@ -44,5 +44,5 @@ __all__ = [
     "classify_region", "esd_time", "min_esd_point", "min_initial_negativity",
     "initial_negativity", "esd_threshold_probability", "gghz_esd_boundary",
     "gghz_esd_time", "equal_entanglement_range", "swap_check", "esb_time",
-    "esb_time_numeric", "reservoir_negativity", "sample_boundary",
+    "esb_time_numeric", "reservoir_negativity",
 ]

@@ -26,8 +26,8 @@ from .entanglement import (ZERO_ENTANGLEMENT, closed_form_pt_eigenvalues,
                            negativity_from_spectrum)
 from .esd import (RegionClass, _death_time, classify_region, esb_time, esb_time_numeric,
                   esd_threshold_probability, esd_time, equal_entanglement_range,
-                  gghz_esd_time, min_esd_point, min_initial_negativity, sample_boundary,
-                  swap_check)
+                  gghz_esd_boundary, gghz_esd_time, lambda5_boundary, lambda7_boundary,
+                  min_esd_point, min_initial_negativity, swap_check)
 from .linalg import _block_spectrum, partial_transpose
 from .states import CAVITY_LAYOUT, gghz_output_state, global_output_state, reduce
 
@@ -143,8 +143,7 @@ def esb_grid_deviation(tolerance=1e-3):
     probabilities in [0.30, 0.95], each with a finite death time: one Check
     of the worst gap."""
     p_values = np.linspace(0.30, 0.95, 10)
-    births = [esb_time(t) for t in _death_time(p_values)]
-    gaps = np.abs(np.array(births) - esb_time_numeric(p_values))
+    gaps = np.abs(esb_time(_death_time(p_values)) - esb_time_numeric(p_values))
     return [_at_most("birth-time formula vs bisection", tolerance, gaps, p_values, ())]
 
 
@@ -262,10 +261,17 @@ def cmd_boundary(args):
     if not 0.0 < args.kt_min < args.kt_max < math.inf or args.kt_steps < 2:
         raise ValueError("boundary needs finite 0 < kt-min < kt-max and steps >= 2")
     kts = np.linspace(args.kt_min, args.kt_max, args.kt_steps)
-    samples = sample_boundary(args.kind, kts)
-    _write_table(args.out, args.format, "kt,param", [kts.tolist()], [v for _, v in samples],
+    if (np.diff(kts) <= 0.0).any():  # a range too narrow for kt-steps doubles
+        raise ValueError("kt samples must be strictly increasing")
+    # looked up per call, so a replaced curve is the one evaluated
+    curve = {"lambda5": lambda5_boundary, "lambda7": lambda7_boundary,
+             "gghz": gghz_esd_boundary}[args.kind]
+    values = curve(kts)
+    if not ((values >= 0.0) & (values <= 1.0)).all():  # a numerical failure; nan fails
+        raise RuntimeError("boundary parameter values must lie in [0, 1]")
+    _write_table(args.out, args.format, "kt,param", [kts.tolist()], values.tolist(),
                  {"kind": args.kind, "conventions": CONVENTIONS}, "samples")
-    print(f"wrote {len(samples)} samples to {args.out}")
+    print(f"wrote {kts.size} samples to {args.out}")
     return 0
 
 

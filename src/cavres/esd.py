@@ -15,13 +15,21 @@ import numpy as np
 
 from .entanglement import (ZERO_ENTANGLEMENT, closed_form_pt_eigenvalues, marginal_negativity,
                            negativity_from_spectrum)
-from .linalg import _item
+from .linalg import _item, _require
 from .states import (RESERVOIR_LAYOUT, _check_probability, _check_time, _global_state,
                      _partner_amplitude, amplitudes, ghz, global_output_state, reduce, w)
 
 # Large-time limit of the lambda7 boundary curve: below this mix probability
 # the eigenvalue never turns positive and the decay stays asymptotic.
 ESD_ONSET_PROBABILITY = 0.25
+
+# The mixture's anomalous window ~ [0.2918, 0.6269], where it is entangled
+# although the pairwise concurrences and the three-tangle vanish (Lohmayer et
+# al., PRL 97, 260502, 2006): the roots in (0, 1) of p^2 - 14p + 4 and of
+# 27p^3 - 128(1 - p)^3.  The first, 7 - sqrt(45), is taken as 4 / (7 +
+# sqrt(45)), which does not cancel: the difference is 6 ulp off.
+ANOMALOUS_WINDOW = (4.0 / (7.0 + np.sqrt(45.0)),
+                    4.0 * 2.0 ** (1.0 / 3.0) / (3.0 + 4.0 * 2.0 ** (1.0 / 3.0)))
 
 # 6 dN(p, 0)/dp = 0 with both square roots cleared by squaring twice
 # (sympy), highest power first.  Squaring adds a spurious root near 0.3214.
@@ -54,8 +62,7 @@ def _q7(p):
 
 def _chi_sq(kt):
     """The leaked weight chi^2 = 1 - e, exact as kt -> 0 and as kt -> inf."""
-    if not kt > 0.0:  # nan fails too
-        raise ValueError(f"boundary curves need kt > 0, got {kt}")
+    _require(kt > 0.0, kt, "boundary curves need kt > 0, got {}")  # nan fails too
     return -np.expm1(-kt)
 
 
@@ -63,11 +70,11 @@ def lambda5_boundary(kt):
     """Mix probability where the lambda5 eigenvalue crosses zero at time kt.
 
     The root of Q5 in p: 2(1 - e) / (3e^3 - 9e^2 + 7e + 2).  Increases from
-    0 toward 1 with kt.
+    0 toward 1 with kt.  Like the other two curves, elementwise for arrays.
     """
     om = _chi_sq(kt)
     e = 1.0 - om
-    return float(2.0 * om / (((3.0 * e - 9.0) * e + 7.0) * e + 2.0))
+    return _item(2.0 * om / (((3.0 * e - 9.0) * e + 7.0) * e + 2.0))
 
 
 def lambda7_boundary(kt):
@@ -79,8 +86,8 @@ def lambda7_boundary(kt):
     Decreases from 1 toward 1/4 with kt.
     """
     om = _chi_sq(kt)
-    return float(16.0 / (18.0 * om * om + 16.0
-                         + 6.0 * np.sqrt(om * (17.0 * om ** 3 + 8.0))))
+    return _item(16.0 / (18.0 * om * om + 16.0
+                         + 6.0 * np.sqrt(om * (17.0 * np.float_power(om, 3) + 8.0))))
 
 
 def gghz_esd_boundary(kt):
@@ -89,27 +96,8 @@ def gghz_esd_boundary(kt):
     a^2 = (1 - e)^3 / ((1 - e)^3 + 1).  Increases from 0 toward sqrt(2)/2
     with kt.
     """
-    g = _chi_sq(kt) ** 3
-    return float(np.sqrt(g / (g + 1.0)))
-
-
-def sample_boundary(kind, kt_values):
-    """Evaluate one boundary curve on an increasing kt grid.
-
-    Returns the (kt, parameter) pairs in grid order.
-    """
-    fn = {"lambda5": lambda5_boundary,
-          "lambda7": lambda7_boundary,
-          "gghz": gghz_esd_boundary}.get(kind)
-    if fn is None:
-        raise ValueError(f"unknown boundary kind {kind!r}")
-    kts = [float(kt) for kt in kt_values]
-    if any(b <= a for a, b in zip(kts, kts[1:])):
-        raise ValueError("kt samples must be strictly increasing")
-    samples = tuple((kt, fn(kt)) for kt in kts)
-    if any(not 0.0 <= v <= 1.0 for _, v in samples):  # a numerical failure
-        raise RuntimeError("boundary parameter values must lie in [0, 1]")
-    return samples
+    g = np.float_power(_chi_sq(kt), 3)
+    return _item(np.sqrt(g / (g + 1.0)))
 
 
 # indexed by (lambda5 negative, lambda7 negative)
@@ -190,6 +178,8 @@ def min_initial_negativity(lo=0.0, hi=1.0):
     """The (p, negativity) minimum of the undamped mixture's entanglement
     over [lo, hi]: at an edge or at a real root of its stationary
     polynomial.  Comparing N also discards the spurious root."""
+    if not lo <= hi:  # nan fails too
+        raise ValueError(f"the interval needs lo <= hi, got [{lo}, {hi}]")
     p = np.array([lo, hi, *(r for r in _stationary_points() if lo <= r <= hi)])
     n = initial_negativity(p)
     return float(p[np.argmin(n)]), float(np.min(n))  # argmin: the first minimum wins
@@ -225,19 +215,15 @@ def equal_entanglement_range():
     """Amplitude window where the generalized GHZ matches the mixture's
     initial entanglement across its anomalous mixing window.
 
-    The anomalous window p in [7 - sqrt(45), 4 * 2^(1/3) / (3 + 4 * 2^(1/3))]
-    ~ [0.2918, 0.6269] is where the mixture is entangled although both the
-    pairwise concurrences and the three-tangle vanish (Lohmayer et al.,
-    PRL 97, 260502, 2006).  Each p on it is matched by the amplitude
-    solving 2ab = N(p, kt=0).  N is not monotone there: it falls from the
+    Each p on ANOMALOUS_WINDOW is matched by the amplitude solving
+    2ab = N(p, kt=0).  N is not monotone there: it falls from the
     lower edge to its minimum 0.6426 at p ~ 0.4647 and rises again, so the
     window's lower amplitude comes from that interior minimum and the
     upper one from the larger edge negativity.
     Returns (a_low, a_high, largest generalized-GHZ death time on the
     window) ~ (0.3419, 0.3632, 0.7628).
     """
-    p_lo = 7.0 - np.sqrt(45.0)
-    p_hi = 4.0 * 2.0 ** (1.0 / 3.0) / (3.0 + 4.0 * 2.0 ** (1.0 / 3.0))
+    p_lo, p_hi = ANOMALOUS_WINDOW
     n_low = min_initial_negativity(p_lo, p_hi)[1]
     n_high = float(np.max(initial_negativity(np.array([p_lo, p_hi]))))
     a_low, a_high = (float(np.sqrt((1.0 - np.sqrt(1.0 - n * n)) / 2.0))
@@ -268,14 +254,15 @@ def esb_time(t_esd):
 
     The amplitude swap pairs the two events: the reservoirs ignite when
     the leaked amplitude reaches the value the surviving amplitude had at
-    death, giving kt_birth = -ln(1 - exp(-kt_death)).
+    death, giving kt_birth = -ln(1 - exp(-kt_death)).  Elementwise for
+    an array of death times.
     """
-    if not t_esd > 0.0:  # nan fails too
-        raise ValueError(f"death time must be positive, got {t_esd}")
-    # -ln(1 - e^-t), in the branch of log1mexp that keeps full precision
-    if t_esd < np.log(2.0):
-        return float(-np.log(-np.expm1(-t_esd)))
-    return float(-np.log1p(-np.exp(-t_esd)))
+    _require(t_esd > 0.0, t_esd, "death time must be positive, got {}")  # nan fails too
+    # -ln(1 - e^-t), in the branch of log1mexp that keeps full precision; the
+    # long branch is evaluated at t >= ln 2 only, so log1p never meets -1
+    ln2 = np.log(2.0)
+    return _item(np.where(t_esd < ln2, -np.log(-np.expm1(-t_esd)),
+                          -np.log1p(-np.exp(-np.maximum(t_esd, ln2)))))
 
 
 def reservoir_negativity(p, kt):

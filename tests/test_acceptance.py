@@ -22,7 +22,7 @@ from cavres.cli import (CONVENTIONS, _square_grid, closed_form_grid_deviation,
                         monogamy_grid_audit, region_grid_audit, swap_grid_deviation)
 from cavres.entanglement import (closed_form_pt_eigenvalues, gghz_negativity_closed,
                                  wootters_concurrence)
-from cavres.esd import _bisect, lambda7_boundary
+from cavres.esd import ANOMALOUS_WINDOW, _bisect, lambda7_boundary
 from cavres.linalg import partial_trace, partial_transpose
 from cavres.states import gghz_output_state, global_output_state
 
@@ -85,9 +85,7 @@ def test_criterion_3_generalized_ghz_branch():
                   f"amplitude-window lower edge: computed {a_low:.6f} vs {a_ref:.3f} "
                   f"+/- 0.003 (2ab = 0.643); DISCREPANCY RECORD: the paper prints "
                   f"0.319, which 2ab = N(p, 0) cannot give since N(p, 0) >= 0.6426"))
-    p_window = np.linspace(7.0 - np.sqrt(45.0),
-                           4.0 * 2.0 ** (1.0 / 3.0) / (3.0 + 4.0 * 2.0 ** (1.0 / 3.0)),
-                           4001)
+    p_window = np.linspace(*ANOMALOUS_WINDOW, 4001)
     n_floor = min(negativity(mixed_ghz_w(p), ["c1"]) for p in p_window)
     match_gap = abs(2.0 * a_low * np.sqrt(1.0 - a_low ** 2) - n_floor)
     parts.append((match_gap <= 1e-8,

@@ -6,7 +6,9 @@ negativity, the cavity/reservoir swap and the conserved chain members are
 checked against derivations, not against the dense code they replace.
 The landmarks are checked to 1e-12 against 50-digit mpmath roots of the
 undamped mixture's and the damped generalized GHZ's characteristic
-polynomials, and of Q5 and Q7, not against the program's closed forms.
+polynomials, and of Q5 and Q7, not against the program's closed forms;
+the edges of the anomalous window to 1 ulp against the roots of the two
+polynomials that define them.
 """
 
 import mpmath as mp
@@ -16,7 +18,7 @@ import sympy as sp
 
 from cavres import (equal_entanglement_range, gghz_negativity_closed, min_esd_point,
                     min_initial_negativity, monogamy_chain)
-from cavres.esd import _q5, _q7
+from cavres.esd import ANOMALOUS_WINDOW, _q5, _q7
 from cavres.states import CAVITY_LAYOUT, RESERVOIR_LAYOUT, global_output_state, reduce
 
 A, B = sp.symbols("a b", positive=True)
@@ -54,6 +56,17 @@ def _mp_roots(coeffs):
     a, b, c = coeffs
     rad = mp.sqrt(b * b - 4 * a * c)
     return [(-b - rad) / (2 * a), (-b + rad) / (2 * a)]
+
+
+def _mp_anomalous_window():
+    """The roots in (0, 1) of p^2 - 14p + 4 and of 27p^3 - 128(1 - p)^3, the
+    anomalous window's edges (Lohmayer et al., PRL 97, 260502, 2006)."""
+    edges = []
+    for poly in (P ** 2 - 14 * P + 4, 27 * P ** 3 - 128 * (1 - P) ** 3):
+        roots = mp.polyroots([int(c) for c in sp.Poly(poly, P).all_coeffs()], extraprec=100)
+        (edge,) = [r.real for r in roots if abs(mp.im(r)) < 1e-40 and 0 < mp.re(r) < 1]
+        edges.append(edge)
+    return tuple(edges)
 
 
 def _mp_weakest(n):
@@ -142,6 +155,11 @@ class TestLandmarks:
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
         assert abs(got[0] - 0.385041) < 5e-7 and abs(got[1] - 1.090955) < 5e-7
 
+    def test_anomalous_window_edges(self):
+        with mp.workdps(DIGITS):
+            for edge, root in zip(ANOMALOUS_WINDOW, _mp_anomalous_window()):
+                assert abs(mp.mpf(edge) - root) <= np.spacing(edge), (edge, root)
+
     def test_equal_entanglement_range(self, initial_negativity_mp, gghz_certificate):
         n = initial_negativity_mp
         # generalized GHZ death: the quadratic factor's constant term, over e^3,
@@ -156,8 +174,7 @@ class TestLandmarks:
             return -mp.log(e)
 
         with mp.workdps(DIGITS):
-            # the anomalous window (Lohmayer et al., PRL 97, 260502, 2006)
-            p_lo, p_hi = 7 - mp.sqrt(45), 4 * mp.cbrt(2) / (3 + 4 * mp.cbrt(2))
+            p_lo, p_hi = _mp_anomalous_window()
             p_min = _mp_weakest(n)
             assert p_lo < p_min < p_hi
             edges = (n(p_lo), n(p_hi))

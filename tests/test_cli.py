@@ -212,6 +212,27 @@ class TestSurface:
                                 f"among them is {177 if family == 'mixed' else 178}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("family, closed_form",
+                             [("mixed", "negativity_from_spectrum"),
+                              ("gghz", "gghz_negativity_closed")])
+    def test_a_nan_cell_is_refused(self, tmp_path, capsys, monkeypatch, family, closed_form):
+        # one nan cell at kt = 1.5, made without any overflow
+        def one_nan(*args):
+            grid = np.array(real(*args))
+            grid[1, 3] = np.nan
+            return grid
+
+        real = getattr(cli, closed_form)
+        monkeypatch.setattr(cli, closed_form, one_nan)
+        out = tmp_path / "nan.csv"
+        rc = run_cli(["surface", "--family", family, "--param-steps", "3", "--kt-max", "2",
+                      "--kt-steps", "5", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 1 cells are not finite; the smallest kt among them is 1.5\n"
+        assert not out.exists()
+
     def test_invalid_steps_usage_error(self, tmp_path):
         rc = run_cli(["surface", "--family", "mixed", "--param-steps", "1",
                       "--kt-steps", "5", "--out", str(tmp_path / "x.csv")])
@@ -280,11 +301,26 @@ class TestBoundary:
     def test_bad_computed_value_is_a_numerical_failure(self, tmp_path, capsys,
                                                        monkeypatch):
         # a boundary value outside [0, 1] on valid input exits 1, not 2
-        monkeypatch.setattr("cavres.esd.lambda5_boundary", lambda kt: 1.5)
+        monkeypatch.setattr(cli, "lambda5_boundary", lambda kts: np.full_like(kts, 1.5))
         out = tmp_path / "b.csv"
         assert run_cli(["boundary", "lambda5", "--out", str(out)]) == 1
         assert capsys.readouterr().err == ("error: boundary parameter values "
                                            "must lie in [0, 1]\n")
+        assert not out.exists()
+
+    def test_degenerate_grid_usage_error(self, tmp_path, capsys):
+        # 10 steps across 2 ulp: linspace repeats values
+        out = tmp_path / "b.csv"
+        rc = run_cli(["boundary", "lambda5", "--kt-min", "1", "--kt-max", "1.0000000000000004",
+                      "--kt-steps", "10", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: kt samples must be strictly increasing\n"
+        assert not out.exists()
+
+    def test_unknown_kind_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        assert run_cli(["boundary", "bogus", "--out", str(out)]) == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_range_usage_error(self, tmp_path, capsys):

@@ -10,10 +10,10 @@ from cavres import (RegionClass, classify_region, equal_entanglement_range,
                     esd_time, gghz_esd_boundary, gghz_esd_time,
                     gghz_negativity_closed, initial_negativity,
                     lambda5_boundary, lambda7_boundary, min_esd_point,
-                    min_initial_negativity, reservoir_negativity,
-                    sample_boundary, swap_check)
+                    min_initial_negativity, reservoir_negativity, swap_check)
 from cavres.entanglement import closed_form_pt_eigenvalues, negativity_from_spectrum
 from cavres import cli, esd, states
+from cavres.esd import ANOMALOUS_WINDOW
 from cavres.cli import region_grid_audit
 from cavres.states import amplitudes, global_output_state, reduce
 from cavres.entanglement import negativity
@@ -293,6 +293,14 @@ class TestMinInitialNegativity:
     def test_threshold_probability(self):
         assert abs(esd_threshold_probability() - 0.25) < 5e-3
 
+    def test_inverted_interval_is_refused(self):
+        with pytest.raises(ValueError) as info:
+            min_initial_negativity(0.9, 0.1)
+        assert str(info.value) == "the interval needs lo <= hi, got [0.9, 0.1]"
+
+    def test_a_point_interval_is_its_point(self):
+        assert min_initial_negativity(0.5, 0.5) == (0.5, initial_negativity(0.5))
+
 
 class TestGghzBoundary:
     def test_small_time_limit(self):
@@ -350,14 +358,13 @@ class TestGghzBoundary:
 
 class TestEqualEntanglementRange:
     def test_window_edges(self):
-        assert abs((7.0 - np.sqrt(45.0)) - 0.292) < 1e-3
-        p0 = 4.0 * 2.0 ** (1.0 / 3.0) / (3.0 + 4.0 * 2.0 ** (1.0 / 3.0))
-        assert abs(p0 - 0.627) < 1e-3
+        p_lo, p_hi = ANOMALOUS_WINDOW
+        assert abs(p_lo - 0.292) < 1e-3
+        assert abs(p_hi - 0.627) < 1e-3
 
     def test_amplitudes_solve_the_matching_equation(self):
         a_low, a_high, _ = equal_entanglement_range()
-        p_lo = 7.0 - np.sqrt(45.0)
-        p_hi = 4.0 * 2.0 ** (1.0 / 3.0) / (3.0 + 4.0 * 2.0 ** (1.0 / 3.0))
+        p_lo, p_hi = ANOMALOUS_WINDOW
         # N(p, 0) dips inside the window, so its minimum is interior
         assert p_lo < min_initial_negativity()[0] < p_hi
         n_floor = minimize_scalar(initial_negativity, bounds=(p_lo, p_hi),
@@ -474,23 +481,35 @@ class TestEsbTime:
         assert reservoir_negativity(p, birth * 2.0) > 1e-6
 
 
-class TestBoundarySampling:
-    def test_curve_kinds(self):
-        kts = np.linspace(0.1, 2.0, 10)
-        for kind, fn in (("lambda5", lambda5_boundary),
-                         ("lambda7", lambda7_boundary),
-                         ("gghz", gghz_esd_boundary)):
-            samples = sample_boundary(kind, kts)
-            assert len(samples) == 10
-            assert samples == tuple((float(kt), fn(kt)) for kt in kts)
+class TestArrayCalls:
+    # 5e-324 to 1e300 and inf: where e underflows, where it rounds to 1, and
+    # both sides of esb_time's branch point ln 2
+    KTS = np.concatenate([[5e-324, 1e-300, np.nextafter(np.log(2.0), 0.0), np.log(2.0)],
+                          np.geomspace(1e-20, 1e300, 997), [np.inf]])
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            sample_boundary("bogus", [0.5, 1.0])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fn", [lambda5_boundary, lambda7_boundary, gghz_esd_boundary,
+                                    esb_time], ids=lambda fn: fn.__name__)
+    def test_array_call_is_the_scalar_calls_bit_for_bit(self, fn):
+        grid = self.KTS.reshape(2, -1)
+        values = fn(grid)
+        assert type(values) is np.ndarray and values.shape == grid.shape
+        scalars = [fn(float(kt)) for kt in grid.flat]
+        assert all(type(v) is float for v in scalars)
+        assert values.ravel().tobytes() == np.array(scalars).tobytes()
 
-    def test_decreasing_kt_rejected(self):
-        with pytest.raises(ValueError):
-            sample_boundary("lambda5", [1.0, 0.5])
+    @pytest.mark.parametrize("fn, message", [
+        (lambda5_boundary, "boundary curves need kt > 0, got {}"),
+        (lambda7_boundary, "boundary curves need kt > 0, got {}"),
+        (gghz_esd_boundary, "boundary curves need kt > 0, got {}"),
+        (esb_time, "death time must be positive, got {}"),
+    ], ids=["lambda5", "lambda7", "gghz", "esb"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, NAN])
+    def test_array_names_its_first_bad_entry(self, fn, message, bad):
+        for arg in (bad, np.array([1.0, bad, -2.0])):
+            with pytest.raises(ValueError) as info:
+                fn(arg)
+            assert str(info.value) == message.format(bad)
 
 
 def _np_roots_death_time(p):
