@@ -11,8 +11,7 @@ relation, all backed by dense numerical oracles.
 __version__ = "0.1.0"
 
 from .linalg import DensityMatrix, PureState, SystemLayout, partial_transpose
-from .states import (amplitudes, gghz_output_state,
-                     gghz_output_state_from_amplitudes, ghz, global_output_state,
+from .states import (amplitudes, gghz_output_state, ghz, global_output_state,
                      global_output_state_from_amplitudes, mixed_ghz_w,
                      purified_initial, reduce, reorder, w)
 from .entanglement import (MonogamyChainRecord, PtSpectrum,
@@ -33,8 +32,8 @@ __all__ = [
     # states
     "ghz", "w", "mixed_ghz_w", "amplitudes",
     "purified_initial", "global_output_state",
-    "global_output_state_from_amplitudes", "gghz_output_state",
-    "gghz_output_state_from_amplitudes", "reduce", "reorder",
+    "global_output_state_from_amplitudes", "gghz_output_state", "reduce",
+    "reorder",
     # entanglement
     "negativity", "PtSpectrum", "closed_form_pt_eigenvalues",
     "negativity_from_spectrum", "pure_bipartite_concurrence_sq",

@@ -93,11 +93,12 @@ def lambda7_boundary(kt):
 def gghz_esd_boundary(kt):
     """Generalized-GHZ amplitude whose negativity dies exactly at time kt.
 
-    a^2 = (1 - e)^3 / ((1 - e)^3 + 1).  Increases from 0 toward sqrt(2)/2
-    with kt.
+    a^2 = o^3 / (o^3 + 1) with o = 1 - e, taken as o sqrt(o / (o^3 + 1)),
+    which stays normal where o^3 underflows (kt below ~1e-108) down to kt
+    ~ 1e-205.  Increases from 0 toward sqrt(2)/2 with kt.
     """
-    g = np.float_power(_chi_sq(kt), 3)
-    return _item(np.sqrt(g / (g + 1.0)))
+    om = _chi_sq(kt)
+    return _item(om * np.sqrt(om / (np.float_power(om, 3) + 1.0)))
 
 
 # indexed by (lambda5 negative, lambda7 negative)
@@ -111,16 +112,23 @@ def classify_region(p, kt):
 
     The signs come from Q5 and Q7, with no tie tolerance: lambda5 lambda6
     = -e^3 p Q5 / 12 and lambda7 lambda8 = e^2 Q7 / 36, where lambda6 and
-    lambda8 are positive.  Both stay bounded in e, so the result is exact
-    on [0, inf).  Where e underflows (kt > ~745), the smallest positive e
-    keeps the sign of the lowest nonzero term, so the GHZ row (p = 1)
-    stays in region II.
+    lambda8 are positive; p and Q5 are tested apart, as p Q5 can underflow.
+    The e-forms cancel as kt -> 0, so in o = 1 - e they are taken as
+    Q5 = 3p e (1 + o + o^2) - 2(1 - p) o and, where e > 1/2, as
+    Q7 = 9p^2 o^4 + 18p(1 - p) o^2 + 9p^2 o - 8(1 - p)^2: a positive part
+    less a positive part, each to a few ulp.  Q7's o-form cancels near
+    p = 1/4 as e -> 0, where its e-form is kept.  Where e underflows (kt >
+    ~745), the smallest positive e keeps the sign of the lowest nonzero
+    term, so the GHZ row (p = 1) stays in region II.
     """
     _check_probability(p)
     _check_time(kt)
     e = np.maximum(np.exp(-kt), np.finfo(float).smallest_subnormal)
-    q5, q7 = np.polyval(_q5(p), e), np.polyval(_q7(p), e)
-    return _REGIONS[np.greater(p * q5, 0.0).astype(int), np.less(q7, 0.0).astype(int)]
+    o, r = -np.expm1(-kt), 1.0 - p
+    q5 = 3.0 * p * e * (1.0 + o + o * o) - 2.0 * r * o
+    q7_o = ((9.0 * p * p * o * o + 18.0 * p * r) * o + 9.0 * p * p) * o - 8.0 * r * r
+    q7 = np.where(e > 0.5, q7_o, np.polyval(_q7(p), e))
+    return _REGIONS[((p > 0.0) & (q5 > 0.0)).astype(int), np.less(q7, 0.0).astype(int)]
 
 
 def _death_time(p):

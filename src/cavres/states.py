@@ -96,11 +96,6 @@ def _pair_amplitudes(xi, chi):
     return q, q[..., :, None, None] * q[..., None, :, None] * q[..., None, None, :]
 
 
-def _check_unit_pair(xi, chi):  # amplitudes from outside; unit ones make unit-norm states
-    sq = chi * chi + xi * xi
-    _require(abs(sq - 1) <= NORM_TOL, sq, f"xi^2 + chi^2 = {{}} deviates from 1 beyond {NORM_TOL}")
-
-
 def _global_state(p, xi, chi):
     _check_probability(p)
     p = np.asarray(p, dtype=float)[..., None]
@@ -124,8 +119,11 @@ def global_output_state_from_amplitudes(p, xi, chi):
 
     Layout (c1, r1, c2, r2, c3, r3, z).  The GHZ branch is tagged by z=0 and
     the W branch by z=1, so tracing out z recovers the evolved mixture.
+    The amplitudes come from outside: each member must have xi^2 + chi^2 = 1,
+    which makes the state unit-norm.
     """
-    _check_unit_pair(xi, chi)
+    sq = chi * chi + xi * xi
+    _require(abs(sq - 1) <= NORM_TOL, sq, f"xi^2 + chi^2 = {{}} deviates from 1 beyond {NORM_TOL}")
     return _global_state(p, xi, chi)
 
 
@@ -143,12 +141,6 @@ def _gghz_state(a, xi, chi):
     amps[..., 0, 0, 0] = a[..., 0, 0, 0]
     amps[..., 1:3, 1:3, 1:3] = b * cube
     return _derived(PureState, PAIR_LAYOUT, amps.reshape(amps.shape[:-3] + (-1,)))
-
-
-def gghz_output_state_from_amplitudes(a, xi, chi):
-    """Evolved 6-qubit generalized-GHZ state at explicit amplitudes."""
-    _check_unit_pair(xi, chi)
-    return _gghz_state(a, xi, chi)
 
 
 def gghz_output_state(a, kt):

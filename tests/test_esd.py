@@ -220,6 +220,52 @@ class TestRegionClassification:
         np.testing.assert_array_equal(l7_neg, spec.lambda7[clear] < 0.0)
 
 
+def _exact_boundaries(kt):
+    # the root of Q5 in p, and lambda7's certified form in o (tests/test_roots.py)
+    o = -mp.expm1(-mp.mpf(kt))
+    e = 1 - o
+    return (2 * o / (((3 * e - 9) * e + 7) * e + 2),
+            16 / (18 * o * o + 16 + 6 * mp.sqrt(o * (17 * o ** 3 + 8))))
+
+
+class TestRegionSignsNearTheBoundaries:
+    """classify_region against 60-digit signs of Q5 and Q7 at the exact
+    exp(-kt), with p placed a relative 4e-16 to 1e-7 off a boundary and kt
+    log-uniform in [1e-12, 30], where the e-forms of Q5 and Q7 cancel.  A
+    sign may differ only within BAND_ULPS ulp of p from the exact boundary;
+    100 000 points within 3e-15 of a boundary gave at most 3.4."""
+
+    BAND_ULPS = 5
+
+    def test_signs_in_a_band_around_both_boundaries(self):
+        rng = np.random.default_rng(7)
+        kt = np.exp(rng.uniform(np.log(1e-12), np.log(30.0), 3000))
+        off = np.exp(rng.uniform(np.log(4e-16), np.log(1e-7), kt.size)) * rng.choice([-1, 1], kt.size)
+        near5 = rng.integers(0, 2, kt.size) == 0
+        p = np.where(near5, lambda5_boundary(kt), lambda7_boundary(kt)) * (1.0 + off)
+        p, kt = p[p <= 1.0], kt[p <= 1.0]
+        region = classify_region(p, kt)
+        negative = (np.isin(region, [RegionClass.I, RegionClass.II]),
+                    np.isin(region, [RegionClass.I, RegionClass.III]))
+        wrong = []
+        with mp.workdps(60):
+            for i, (pi, kti) in enumerate(zip(p.tolist(), kt.tolist())):
+                pm, e = mp.mpf(pi), mp.exp(-mp.mpf(kti))
+                exact = (pm * mp.polyval(esd._q5(pm), e) > 0, mp.polyval(esd._q7(pm), e) < 0)
+                for got, want, edge in zip((negative[0][i], negative[1][i]), exact,
+                                           _exact_boundaries(kti)):
+                    if got != want and abs(pm - edge) > self.BAND_ULPS * np.spacing(pi):
+                        wrong.append((pi, kti))
+        assert wrong == []
+
+    @pytest.mark.parametrize("kt", [1e-300, 1e-250, 1e-200, 1e-160])
+    def test_lambda5_sign_where_p_q5_underflows(self, kt):
+        # p Q5 is below the smallest subnormal here, so p and Q5 are tested apart
+        p = lambda5_boundary(kt)
+        assert classify_region(p * (1.0 + 1e-6), kt) is RegionClass.I
+        assert classify_region(p * (1.0 - 1e-6), kt) is RegionClass.III
+
+
 class TestRegionGridAudit:
     def test_default_threshold_passes(self):
         (c,) = region_grid_audit()
@@ -338,6 +384,18 @@ class TestGghzBoundary:
         assert gghz_esd_time(0.9) is None
         with pytest.raises(ValueError):
             gghz_esd_time(1.2)
+
+    @pytest.mark.filterwarnings("error")
+    def test_against_mpmath_down_to_1e_300(self):
+        # o^3 underflows below kt ~ 1e-108, while the curve o^1.5 stays normal
+        # to kt ~ 1e-205; the subnormal ulp covers the values below that
+        kts = np.concatenate([np.geomspace(1e-300, 700.0, 2001), [1e300, np.inf]])
+        got = gghz_esd_boundary(kts)
+        with mp.workdps(50):
+            for kt, value in zip(kts.tolist(), got.tolist()):
+                o = -mp.expm1(-mp.mpf(kt))
+                want = o * mp.sqrt(o / (o ** 3 + 1))
+                assert abs(value - want) <= 4e-16 * want + np.finfo(float).smallest_subnormal
 
     @pytest.mark.parametrize("a", [1e-300, 1e-200, 1e-160, 1e-150, 1e-9, 1e-6, 1e-3])
     def test_death_time_at_small_amplitude_against_mpmath(self, a):

@@ -473,9 +473,10 @@ class TestValidatedOnce:
         ghz, w, lambda: mixed_ghz_w(0.3), lambda: mixed_ghz_w(PS[:, None]),
         lambda: purified_initial(0.3), lambda: purified_initial(PS[:, None]),
         lambda: reorder(global_output_state(PS[:, None], KTS), ORDER),
+        lambda: gghz_output_state(PS[:, None], KTS),
         lambda: partial_trace(mixed_ghz_w(PS[:, None]), ["c1", "c3"]),
     ], ids=["ghz", "w", "mixed_ghz_w", "mixed_ghz_w-stack", "purified_initial",
-            "purified_initial-stack", "reorder", "partial_trace"])
+            "purified_initial-stack", "reorder", "gghz_output_state-stack", "partial_trace"])
     def test_builders_run_no_checks(self, monkeypatch, build):
         runs = _count_checks(monkeypatch)
         out = build()

@@ -4,8 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from cavres import (DensityMatrix, PureState, amplitudes, states,
-                    gghz_output_state, gghz_output_state_from_amplitudes, ghz,
+from cavres import (DensityMatrix, PureState, amplitudes, states, gghz_output_state, ghz,
                     global_output_state, global_output_state_from_amplitudes,
                     mixed_ghz_w, purified_initial, reduce, reorder, w)
 from cavres.linalg import partial_trace
@@ -235,7 +234,7 @@ class TestOutputStatesAgainstKronChain:
     def test_gghz_output_state(self):
         for a, kt in self.GRID:
             xi, chi = amplitudes(kt)
-            got = gghz_output_state_from_amplitudes(a, xi, chi)
+            got = states._gghz_state(a, xi, chi)
             assert got.layout == PAIR_LAYOUT
             np.testing.assert_array_equal(got.amplitudes, _kron_gghz(a, xi, chi))
 
@@ -258,10 +257,10 @@ class TestOutputStatesAgainstKronChain:
 
 
 class TestBuilderAmplitudes:
-    """The builders check xi^2 + chi^2 = 1 in each member where the
-    amplitudes enter, then write the state without checking it again."""
+    """The explicit-amplitude builder checks xi^2 + chi^2 = 1 in each member
+    where the amplitudes enter, then writes the state without checking it again."""
 
-    BUILDERS = [global_output_state_from_amplitudes, gghz_output_state_from_amplitudes]
+    BUILDERS = [global_output_state_from_amplitudes]
 
     @pytest.mark.parametrize("build", BUILDERS)
     def test_one_member_off_the_unit_circle_is_refused(self, build):
