@@ -62,11 +62,10 @@ class SystemLayout:
 
     def restrict(self, keep):
         """Sub-layout of the kept labels, preserving this layout's order."""
-        keep = set(keep)
-        missing = keep - set(self.labels)
-        if missing:
-            raise ValueError(f"labels {sorted(missing)} not in layout {self.labels}")
-        return SystemLayout(lab for lab in self.labels if lab in keep)
+        pos = self.positions(keep)
+        if not pos:
+            raise ValueError("keep set must be nonempty")
+        return SystemLayout(self.labels[i] for i in pos)
 
     def __iter__(self):
         return iter(self.labels)
@@ -117,9 +116,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        layout = self.layout
-        if not isinstance(layout, SystemLayout):
-            layout = SystemLayout(layout)
+        layout = SystemLayout(self.layout)
         amps = _as_array(self.amplitudes, 1, stack=True)
         if amps.shape[-1] != layout.dim:
             raise ValueError(f"amplitude vector of length {amps.shape[-1]} does not "
@@ -151,9 +148,7 @@ class DensityMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        layout = self.layout
-        if not isinstance(layout, SystemLayout):
-            layout = SystemLayout(layout)
+        layout = SystemLayout(self.layout)
         mat = _as_array(self.data, 2, stack=True)
         if mat.shape[-2:] != (layout.dim, layout.dim):
             raise ValueError(f"matrix shape {mat.shape} does not match layout "
@@ -192,11 +187,8 @@ def partial_trace(rho, keep):
     marginal of a checked DensityMatrix is one by construction, so it is
     built unchecked, as `reduce`'s are.
     """
-    keep = list(keep)
-    if not keep:
-        raise ValueError("keep set must be nonempty")
     sub = rho.layout.restrict(keep)
-    pos = rho.layout.positions(keep)
+    pos = rho.layout.positions(sub)
     n = rho.layout.n_qubits
     traced = [i for i in range(n) if i not in pos]
     lead = rho.data.shape[:-2]
@@ -214,13 +206,10 @@ def partial_transpose(rho, subsystem):
     The result is Hermitian but generally not positive, so it is returned as
     a raw array rather than a DensityMatrix.
     """
-    subsystem = list(subsystem)
-    if not subsystem:
-        raise ValueError("subsystem must be nonempty")
     pos = rho.layout.positions(subsystem)
     n = rho.layout.n_qubits
-    if len(pos) == n:
-        raise ValueError("subsystem must be a proper subset of the layout")
+    if not 0 < len(pos) < n:
+        raise ValueError("subsystem must be a nonempty proper subset of the layout")
     flat = rho.data.reshape(rho.data.shape[:-2] + (-1,))
     return flat[..., _transposed(n, tuple(pos))].reshape(rho.data.shape)
 

@@ -159,8 +159,6 @@ def reduce(state, keep):
     when it was built, so the marginal is read-only and not checked again.
     """
     keep = tuple(keep)
-    if not keep:
-        raise ValueError("keep set must be nonempty")
     amps = state.amplitudes
     sub, left, right, rounds, upper, lower = _plan(
         amps.reshape(-1, amps.shape[-1]).any(axis=0).tobytes(), state.layout, keep)
@@ -201,8 +199,7 @@ def _plan(pattern, layout, keep):
 
 def reorder(state, new_layout):
     """Permute tensor factors of a pure state into a new label order, unchecked."""
-    if not isinstance(new_layout, SystemLayout):
-        new_layout = SystemLayout(new_layout)
+    new_layout = SystemLayout(new_layout)
     if set(new_layout.labels) != set(state.layout.labels):
         raise ValueError(f"new layout {new_layout.labels} is not a permutation "
                          f"of {state.layout.labels}")

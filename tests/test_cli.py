@@ -512,7 +512,7 @@ PINNED_VERIFY = {
     "swap": "[PASS] swap: cavity/reservoir swap, worst at (p=0.2105, kt=0): value 4.441e-16 vs "
             "1.000e-12",
     "esb": "[PASS] esb: birth-time formula vs bisection, worst at p=0.95: value 7.174e-07 vs "
-           "1.000e-03",
+           "2.000e-06",
     "monogamy": "[PASS] monogamy: pair-equality deviation, worst at (p=0, kt=2.625): value "
                 "8.882e-16 vs 1.000e-10\n"
                 "[PASS] monogamy: pair bound slack, worst at (p=0.2083, kt=2.125): value "

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from cavres import DensityMatrix, PtSpectrum, PureState, SystemLayout, cli
+from cavres import DensityMatrix, PtSpectrum, PureState, SystemLayout, cli, partial_transpose
 from cavres.linalg import _as_array
 
 
@@ -23,6 +23,29 @@ def test_tolerance_that_is_not_a_number():
 def test_position_of_a_label_not_in_the_layout():
     with _raises(ValueError, "label 'r1' not in layout ('c1', 'c2')"):
         SystemLayout(("c1", "c2")).position("r1")
+
+
+def test_restrict_to_no_labels():
+    with _raises(ValueError, "keep set must be nonempty"):
+        SystemLayout(("c1", "c2")).restrict([])
+
+
+def test_restrict_to_a_label_not_in_the_layout():
+    with _raises(ValueError, "label 'r1' not in layout ('c1', 'c2')"):
+        SystemLayout(("c1", "c2")).restrict(["r1"])
+
+
+@pytest.mark.parametrize("subsystem", [[], ["c1", "c2"]], ids=["empty", "every-label"])
+def test_partial_transpose_over_no_or_every_label(subsystem):
+    rho = DensityMatrix(("c1", "c2"), np.eye(4) / 4.0)
+    with _raises(ValueError, "subsystem must be a nonempty proper subset of the layout"):
+        partial_transpose(rho, subsystem)
+
+
+def test_state_layout_from_a_layout_or_its_labels():
+    amps = np.ones(4) / 2.0
+    labels = ("c1", "r1")
+    assert PureState(SystemLayout(labels), amps).layout == PureState(labels, amps).layout
 
 
 @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)], ids=["too-few", "too-many"])

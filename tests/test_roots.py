@@ -19,9 +19,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import bisect
 
 from cavres import esd_threshold_probability, esd_time, min_esd_point
-from cavres.entanglement import closed_form_pt_eigenvalues
+from cavres.entanglement import (closed_form_pt_eigenvalues, gghz_negativity_closed,
+                                 negativity_from_spectrum)
 from cavres.esd import (ESD_ONSET_PROBABILITY, INITIAL_NEGATIVITY_STATIONARY, _bisect,
-                        _q5, _q7, initial_negativity, min_initial_negativity)
+                        _q5, _q7, gghz_esd_boundary, initial_negativity,
+                        min_initial_negativity)
 
 E, P, LAM = sp.symbols("e p lambda", positive=True)  # the damping model's symbols
 O = sp.Symbol("o", positive=True)  # o = 1 - e
@@ -294,3 +296,57 @@ class TestBisect:
     def test_needs_a_sign_change(self):
         with pytest.raises(RuntimeError, match="no sign change"):
             _bisect(lambda x: x + 1.0, 0.0, 1.0, 1e-6)
+
+
+LONG_TIMES = [200.0, 700.0, 1e300, np.inf]
+OPEN_DEFECT = pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+
+
+def _mp_gghz_negativity(a, kt):
+    """gghz_negativity_closed's formula in 50-digit mpmath, at the same doubles."""
+    with mp.workdps(50):
+        a, kt = mp.mpf(a), mp.mpf(kt)
+        b, u = mp.sqrt(1 - a * a), mp.exp(kt)
+        radicand = 4 * a * a * u ** 3 + b * b * (2 - 3 * u + u * u) ** 2
+        return b * mp.exp(-3 * kt) * (mp.sqrt(radicand) - b * u * (u - 1))
+
+
+class TestWholeDomain:
+    """The closed forms on the documented domain kt in [0, inf): finite and
+    non-negative at long times, and right to rounding at short ones.  The
+    u = exp(kt) form overflows past kt ~ 177 and cancels in u - 1 as kt -> 0,
+    so each case fails until the bounded (e, o) kernel lands."""
+
+    @OPEN_DEFECT
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kt", LONG_TIMES)
+    @pytest.mark.parametrize("p", [0.0, 0.25, 0.6, 1.0])
+    def test_mixture_negativity_at_long_times(self, p, kt):
+        n = negativity_from_spectrum(closed_form_pt_eigenvalues(p, kt))
+        assert np.isfinite(n) and n >= 0.0
+
+    @OPEN_DEFECT
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kt", LONG_TIMES)
+    @pytest.mark.parametrize("a", [0.0, 0.3, 0.8, 1.0])
+    def test_gghz_negativity_at_long_times(self, a, kt):
+        n = gghz_negativity_closed(a, kt)
+        assert np.isfinite(n) and n >= 0.0
+
+    @OPEN_DEFECT
+    @pytest.mark.parametrize("kt", [1e-6, 1e-9])
+    def test_gghz_negativity_near_its_boundary_at_short_times(self, kt):
+        a = 2.0 * gghz_esd_boundary(kt)
+        want = _mp_gghz_negativity(a, kt)
+        assert abs(gghz_negativity_closed(a, kt) - want) <= 1e-12 * want
+
+    @OPEN_DEFECT
+    @pytest.mark.parametrize("index", [1, 2], ids=["l2", "l3"])
+    def test_leaked_eigenvalues_at_short_times(self, index):
+        # l2 = e^2 o p / 2 and l3 = e o^2 p / 2, e = exp(-kt), o = 1 - e
+        p, kt = 0.5, 1e-12
+        with mp.workdps(50):
+            e = mp.exp(-mp.mpf(kt))
+            want = e ** (3 - index) * (1 - e) ** index * p / 2
+        got = closed_form_pt_eigenvalues(p, kt).lambdas[index]
+        assert abs(got - want) <= 1e-12 * want
