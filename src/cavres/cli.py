@@ -218,17 +218,11 @@ def cmd_surface(args):
     # main reports each ValueError as a usage error (exit 2)
     if args.tolerance is not None and not args.oracle:
         raise ValueError("--tolerance needs --oracle")
-    bounds = (args.param_min, args.param_max, args.kt_min, args.kt_max)
-    if not all(map(math.isfinite, bounds)):
-        raise ValueError("range bounds must be finite")
-    if not (args.param_min < args.param_max and args.kt_min < args.kt_max):
-        raise ValueError("min must be strictly below max")
-    if args.param_steps < 2 or args.kt_steps < 2:
-        raise ValueError("steps must be at least 2")
-    if not (0.0 <= args.param_min and args.param_max <= 1.0):
-        raise ValueError("parameter range must lie inside [0, 1]")
-    if args.kt_min < 0.0:
-        raise ValueError("kt range must be nonnegative")
+    if not (0.0 <= args.param_min < args.param_max <= 1.0
+            and 0.0 <= args.kt_min < args.kt_max < math.inf
+            and min(args.param_steps, args.kt_steps) >= 2):  # nan fails too
+        raise ValueError("surface needs 0 <= param-min < param-max <= 1, "
+                         "finite 0 <= kt-min < kt-max and steps >= 2")
     params = np.linspace(args.param_min, args.param_max, args.param_steps)
     kts = np.linspace(args.kt_min, args.kt_max, args.kt_steps)
     mixed = args.family == "mixed"

@@ -9,7 +9,6 @@ the verify suites in cavres.cli.
 """
 
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -188,16 +187,11 @@ def min_initial_negativity(lo=0.0, hi=1.0):
     polynomial.  Comparing N also discards the spurious root."""
     if not lo <= hi:  # nan fails too
         raise ValueError(f"the interval needs lo <= hi, got [{lo}, {hi}]")
-    p = np.array([lo, hi, *(r for r in _stationary_points() if lo <= r <= hi)])
+    roots = np.roots(INITIAL_NEGATIVITY_STATIONARY)
+    real = roots.real[np.abs(roots.imag) <= 1e-9].tolist()
+    p = np.array([lo, hi, *(r for r in real if lo <= r <= hi)])
     n = initial_negativity(p)
     return float(p[np.argmin(n)]), float(np.min(n))  # argmin: the first minimum wins
-
-
-@lru_cache
-def _stationary_points():
-    """The real roots of INITIAL_NEGATIVITY_STATIONARY, solved once per process."""
-    roots = np.roots(INITIAL_NEGATIVITY_STATIONARY)
-    return tuple(roots.real[np.abs(roots.imag) <= 1e-9].tolist())
 
 
 def esd_threshold_probability():

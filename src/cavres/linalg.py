@@ -57,8 +57,9 @@ class SystemLayout:
             raise ValueError(f"label {label!r} not in layout {self.labels}") from None
 
     def positions(self, labels):
-        """Positions of the given labels, sorted in layout order."""
-        return sorted(self.position(lab) for lab in set(labels))
+        """Positions of the given labels, sorted in layout order; the first
+        unknown label, in the order given, is the one refused."""
+        return sorted({self.position(lab) for lab in labels})
 
     def restrict(self, keep):
         """Sub-layout of the kept labels, preserving this layout's order."""

@@ -2,7 +2,11 @@
 the named error and message."""
 
 import argparse
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,29 @@ def test_restrict_to_no_labels():
 def test_restrict_to_a_label_not_in_the_layout():
     with _raises(ValueError, "label 'r1' not in layout ('c1', 'c2')"):
         SystemLayout(("c1", "c2")).restrict(["r1"])
+
+
+# a bare string is a set of one-character labels; each call prints its refusal
+_BARE_STRING_CALLS = """
+import numpy as np
+from cavres import DensityMatrix, PureState, partial_transpose, reduce
+for call in (lambda: reduce(PureState(("c1", "c2"), np.ones(4) / 2.0), "c1"),
+             lambda: partial_transpose(DensityMatrix(("c1", "c2"), np.eye(4) / 4.0), "c1")):
+    try:
+        call()
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+def test_bare_string_refusal_is_the_same_under_every_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = {subprocess.run([sys.executable, "-c", _BARE_STRING_CALLS], check=True,
+                              env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(seed)),
+                              capture_output=True, text=True).stdout
+               for seed in range(6)}
+    assert outputs == {"label 'c' not in layout ('c1', 'c2')\n" * 2}
 
 
 @pytest.mark.parametrize("subsystem", [[], ["c1", "c2"]], ids=["empty", "every-label"])

@@ -39,6 +39,7 @@ class TestSystemLayout:
         assert layout.dim == 8
         assert layout.position("z") == 2
         assert layout.positions(["z", "c1"]) == [0, 2]
+        assert layout.positions(iter(["z", "c1", "z"])) == [0, 2]  # one pass; repeats collapse
 
     def test_restrict_preserves_order(self):
         layout = SystemLayout(("c1", "r1", "c2", "r2"))

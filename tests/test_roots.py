@@ -191,28 +191,30 @@ def _bisect_death(p):
     return max(crossing("lambda5"), crossing("lambda7"))
 
 
+def _mp_lambda5_lambda7(p, kt):
+    """12 lambda5 and 12 lambda7, the closed forms in the caller's mpmath
+    precision: the only eigenvalues that can be negative."""
+    e = mp.exp(-kt)
+    u = 1 / e
+    lin_a = e * (2 - 2 * p + 3 * (1 - e) * p)
+    disc_a = (18 * u ** 3 * p * (p - 2) + 36 * p ** 2 - 108 * u * p ** 2
+              + u ** 4 * (p + 2) ** 2 + 3 * u ** 2 * p * (8 + 31 * p))
+    lin_b = 3 * (p + (1 - e) ** 3 * p + (1 - e) * (2 - 2 * p + e ** 2 * p))
+    disc_b = (36 * (u ** 4 + p ** 2 - u ** 3 * (p + 2) - u * p * (p + 2))
+              + u ** 2 * (68 + 44 * p + 41 * p ** 2))
+    return lin_a - e ** 3 * mp.sqrt(disc_a), lin_b - e ** 2 * mp.sqrt(disc_b)
+
+
 def _mp_death(p):
     """Death time by 60-digit bisection on the closed-form eigenvalues."""
     with mp.workdps(60):
         p = mp.mpf(p)
-
-        def lambdas(kt):
-            e = mp.exp(-kt)
-            u = 1 / e
-            lin_a = e * (2 - 2 * p + 3 * (1 - e) * p)
-            disc_a = (18 * u ** 3 * p * (p - 2) + 36 * p ** 2 - 108 * u * p ** 2
-                      + u ** 4 * (p + 2) ** 2 + 3 * u ** 2 * p * (8 + 31 * p))
-            lin_b = 3 * (p + (1 - e) ** 3 * p + (1 - e) * (2 - 2 * p + e ** 2 * p))
-            disc_b = (36 * (u ** 4 + p ** 2 - u ** 3 * (p + 2) - u * p * (p + 2))
-                      + u ** 2 * (68 + 44 * p + 41 * p ** 2))
-            return lin_a - e ** 3 * mp.sqrt(disc_a), lin_b - e ** 2 * mp.sqrt(disc_b)
-
         crossings = []
         for index in (0, 1):
             lo, hi = mp.mpf(0), mp.mpf(40)
             for _ in range(80):
                 mid = (lo + hi) / 2
-                lo, hi = (mid, hi) if lambdas(mid)[index] < 0 else (lo, mid)
+                lo, hi = (mid, hi) if _mp_lambda5_lambda7(p, mid)[index] < 0 else (lo, mid)
             crossings.append((lo + hi) / 2)
         return float(max(crossings))
 
@@ -313,9 +315,10 @@ def _mp_gghz_negativity(a, kt):
 
 class TestWholeDomain:
     """The closed forms on the documented domain kt in [0, inf): finite and
-    non-negative at long times, and right to rounding at short ones.  The
-    u = exp(kt) form overflows past kt ~ 177 and cancels in u - 1 as kt -> 0,
-    so each case fails until the bounded (e, o) kernel lands."""
+    non-negative at long times, and right to rounding at short ones and just
+    before a death.  The u = exp(kt) form overflows past kt ~ 177, cancels
+    in u - 1 as kt -> 0 and in lin - rad as lambda5 or lambda7 -> 0, so each
+    case fails until the bounded (e, o) kernel lands."""
 
     @OPEN_DEFECT
     @pytest.mark.filterwarnings("error")
@@ -350,3 +353,14 @@ class TestWholeDomain:
             want = e ** (3 - index) * (1 - e) ** index * p / 2
         got = closed_form_pt_eigenvalues(p, kt).lambdas[index]
         assert abs(got - want) <= 1e-12 * want
+
+    @OPEN_DEFECT
+    @pytest.mark.parametrize("p, rel", [(0.27, 1e-6), (0.27, 1e-8), (0.9, 1e-8)])
+    def test_mixture_negativity_just_before_its_death(self, p, rel):
+        # N = -2 lambda over the negative ones; N ~ esd_time - kt here, so rounding
+        # exp(-kt) alone costs at most 1.1e-16 / (rel esd_time) relative: 5e-9 here
+        kt = esd_time(p) * (1.0 - rel)
+        with mp.workdps(60):
+            want = float(sum(-x for x in _mp_lambda5_lambda7(mp.mpf(p), mp.mpf(kt)) if x < 0) / 6)
+        got = negativity_from_spectrum(closed_form_pt_eigenvalues(p, kt))
+        assert abs(got - want) <= 1e-7 * want
