@@ -6,8 +6,8 @@ on a fixed grid, evaluated in blocks of whole parameter rows of at most
 STACK_POINTS points, and returns its verdicts as Check records.
 
 Exit codes: 0 on success, 1 when a verification or landmark check fails
-or a computation fails on valid input, 2 on usage errors.  Identical
-configurations give byte-identical files.
+or a computation fails on valid input, 2 on usage errors and on an --out
+that cannot be written.  Identical configurations give byte-identical files.
 """
 
 import argparse
@@ -84,9 +84,9 @@ def _square_grid(steps):
     return np.linspace(0.0, 1.0, steps), np.linspace(0.0, 3.0, steps)
 
 
-def _at_most(label, tolerance, values, ps, kts):
+def _at_most(label, threshold, values, ps, kts):
     value, at = grid_worst(values, ps, kts)
-    return Check(label, value, tolerance, value <= tolerance, at)  # a nan fails
+    return Check(label, value, threshold, value <= threshold, at)  # a nan fails
 
 
 def _row_blocks(f, params, kts):
@@ -103,7 +103,7 @@ def dense_cavity_negativity(state, params, kts):
                        params, kts)
 
 
-def closed_form_grid_deviation(tolerance=1e-10):
+def closed_form_grid_deviation():
     """The closed-form spectrum against the dense eigensolver over a 25x25
     (p, kt) grid: one Check of the worst entrywise deviation."""
     ps, kts = _square_grid(25)
@@ -111,34 +111,33 @@ def closed_form_grid_deviation(tolerance=1e-10):
     lam = np.sort(np.stack(spec.lambdas, axis=-1), axis=-1)
     num = _row_blocks(lambda p, kt: np.sort(_block_spectrum(partial_transpose(
         reduce(global_output_state(p, kt), CAVITY_LAYOUT.labels), ["c1"])), axis=-1), ps, kts)
-    return [_at_most("spectrum vs eigensolver", tolerance,
+    return [_at_most("spectrum vs eigensolver", 1e-10,
                      np.max(np.abs(lam - num), axis=-1), ps, kts)]
 
 
-def monogamy_grid_audit(tolerance=1e-10):
+def monogamy_grid_audit():
     """The monogamy chain over a 25x25 (p, kt) grid: the pair equality
-    holds to tolerance, and the pair and tail slacks are at least
-    -tolerance."""
+    holds to 1e-10, and the pair and tail slacks are at least -1e-10."""
     ps, kts = _square_grid(25)
     slacks = attrgetter("equality_deviation", "pair_slack", "tail_slack")
     grid = _row_blocks(lambda p, kt: np.stack(slacks(monogamy_chain(p, kt)), axis=-1), ps, kts)
     eq, pair, tail = np.moveaxis(grid, -1, 0)
-    checks = [_at_most("pair-equality deviation", tolerance, eq, ps, kts)]
+    checks = [_at_most("pair-equality deviation", 1e-10, eq, ps, kts)]
     for label, slack in (("pair bound slack", pair), ("negativity tail slack", tail)):
         value, at = grid_worst(slack, ps, kts, np.argmin)
-        checks.append(Check(label, value, -tolerance, value >= -tolerance, at))
+        checks.append(Check(label, value, -1e-10, value >= -1e-10, at))
     return checks
 
 
-def swap_grid_deviation(tolerance=1e-12):
+def swap_grid_deviation():
     """The swap relation over a 20x20 (p, kt) grid: one Check of the worst
     entrywise deviation."""
     ps, kts = _square_grid(20)
     devs = _row_blocks(lambda p, kt: swap_check(p, kt)[1], ps, kts)
-    return [_at_most("cavity/reservoir swap", tolerance, devs, ps, kts)]
+    return [_at_most("cavity/reservoir swap", 1e-12, devs, ps, kts)]
 
 
-def esb_grid_deviation(tolerance=2e-6):
+def esb_grid_deviation():
     """The closed-form birth time against the bisection-located one over ten
     probabilities in [0.30, 0.95], each with a finite death time: one Check
     of the worst gap."""
@@ -147,12 +146,13 @@ def esb_grid_deviation(tolerance=2e-6):
     # 1e-10 / N'(birth), at most 2.6e-7 (p = 0.95, slope 3.9e-4): a gap of at most 7.3e-7
     p_values = np.linspace(0.30, 0.95, 10)
     gaps = np.abs(esb_time(_death_time(p_values)) - esb_time_numeric(p_values))
-    return [_at_most("birth-time formula vs bisection", tolerance, gaps, p_values, ())]
+    return [_at_most("birth-time formula vs bisection", 2e-6, gaps, p_values, ())]
 
 
-def region_grid_audit(tolerance=ZERO_ENTANGLEMENT):
-    """Check that region IV means numeric negativity at most tolerance and
-    regions I-III mean negativity above it, over a 40x40 (p, kt) grid.
+def region_grid_audit():
+    """Check that region IV means numeric negativity at most
+    ZERO_ENTANGLEMENT and regions I-III mean negativity above it, over a
+    40x40 (p, kt) grid.
 
     One Check: its value is the largest negativity inside IV, and its
     verdict needs both sides to hold.  A failure points at the extreme of
@@ -161,7 +161,7 @@ def region_grid_audit(tolerance=ZERO_ENTANGLEMENT):
     ps, kts = _square_grid(40)
     n = dense_cavity_negativity(global_output_state, ps, kts)
     sep = classify_region(ps[:, None], kts) == RegionClass.IV
-    sound = np.where(sep, n <= tolerance, n > tolerance)  # a nan fails
+    sound = np.where(sep, n <= ZERO_ENTANGLEMENT, n > ZERO_ENTANGLEMENT)  # a nan fails
     max_sep, at_sep = grid_worst(np.where(sep, n, -np.inf), ps, kts)
     min_ent, at_ent = grid_worst(np.where(sep, np.inf, n), ps, kts, np.argmin)
     max_sep = max(max_sep, 0.0)
@@ -169,10 +169,10 @@ def region_grid_audit(tolerance=ZERO_ENTANGLEMENT):
              f"max N inside IV = {max_sep:.3e}, violations = {np.count_nonzero(~sound)}")
     ok = bool(sound.all())
     at = () if ok else at_sep if (sep & ~sound).any() else at_ent
-    return [Check(label, max_sep, tolerance, ok, at)]
+    return [Check(label, max_sep, ZERO_ENTANGLEMENT, ok, at)]
 
 
-# each audit takes only its tolerance, and defaults it
+# each audit takes no arguments and checks at its stated threshold
 SUITES = {
     "closedform": closed_form_grid_deviation,
     "monogamy": monogamy_grid_audit,
@@ -184,17 +184,6 @@ SUITES = {
 
 def _fmt(x):
     return format(float(x), ".12g")
-
-
-def _tolerance(text):
-    """argparse type of --tolerance: a finite number of at least 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 <= value < math.inf:  # nan fails too
-        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text!r}")
-    return value
 
 
 def _write_table(path, fmt, header, axes, cells, meta, key):
@@ -216,8 +205,6 @@ def _write_table(path, fmt, header, axes, cells, meta, key):
 
 def cmd_surface(args):
     # main reports each ValueError as a usage error (exit 2)
-    if args.tolerance is not None and not args.oracle:
-        raise ValueError("--tolerance needs --oracle")
     if not (0.0 <= args.param_min < args.param_max <= 1.0
             and 0.0 <= args.kt_min < args.kt_max < math.inf
             and min(args.param_steps, args.kt_steps) >= 2):  # nan fails too
@@ -242,14 +229,13 @@ def cmd_surface(args):
                  grid.ravel().tolist(), meta, "rows")
     print(f"wrote {grid.size} rows to {args.out}")
     if args.oracle:
-        tolerance = args.tolerance if args.tolerance is not None else 1e-10
         dense = dense_cavity_negativity(global_output_state if mixed else gghz_output_state,
                                         params, kts)
         value, at = grid_worst(np.abs(dense - grid), params, kts)
         print(f"oracle check: max |closed form - numeric| = {value:.3e} "
               f"at (param={at[0]:.6g}, kt={at[1]:.6g})")
-        if not value <= tolerance:  # a nan fails
-            print(f"oracle mismatch beyond tolerance {tolerance:.3e}", file=sys.stderr)
+        if not value <= 1e-10:  # a nan fails
+            print("oracle mismatch beyond tolerance 1.000e-10", file=sys.stderr)
             return 1
     return 0
 
@@ -279,8 +265,7 @@ def _worst_at(at):
 
 
 def cmd_verify(args):
-    audit = SUITES[args.suite]
-    checks = audit() if args.tolerance is None else audit(args.tolerance)
+    checks = SUITES[args.suite]()
     for c in checks:
         print(f"[{'PASS' if c.ok else 'FAIL'}] {args.suite}: {c.label}{_worst_at(c.at)}: "
               f"value {c.value:.3e} vs {c.threshold:.3e}")
@@ -306,10 +291,10 @@ def cmd_landmarks(_args):
 def cmd_esd_time(args):
     if args.p is not None:
         t = esd_time(args.p)
-        label = f"mixed family, p = {_fmt(args.p)}"
+        label = f"mixed family, p = {args.p!r}"
     else:
         t = gghz_esd_time(args.a)
-        label = f"generalized-GHZ family, a = {_fmt(args.a)}"
+        label = f"generalized-GHZ family, a = {args.a!r}"
     if t is None:
         print(f"{label}: no finite death time (asymptotic decay)")
     else:
@@ -319,7 +304,7 @@ def cmd_esd_time(args):
 
 def cmd_monogamy(args):
     rec = monogamy_chain(args.p, args.kt)
-    print(f"monogamy chain at p = {_fmt(args.p)}, kt = {_fmt(args.kt)}")
+    print(f"monogamy chain at p = {args.p!r}, kt = {args.kt!r}")
     for field in ("c_init_sq", "c_pair_sq", "c_c1_sq", "c_r1_sq",
                   "n_cav_sq", "n_res_sq"):
         print(f"  {field:10s} = {_fmt(getattr(rec, field))}")
@@ -349,7 +334,6 @@ def build_parser():
     surface.add_argument("--out", required=True)
     surface.add_argument("--oracle", action="store_true",
                          help="recompute every cell numerically and compare")
-    surface.add_argument("--tolerance", type=_tolerance, default=None)
     surface.set_defaults(func=cmd_surface)
 
     boundary = sub.add_parser("boundary", help="sample one boundary curve")
@@ -363,7 +347,6 @@ def build_parser():
 
     verify = sub.add_parser("verify", help="run one verification suite")
     verify.add_argument("suite", choices=tuple(SUITES))
-    verify.add_argument("--tolerance", type=_tolerance, default=None)
     verify.set_defaults(func=cmd_verify)
 
     landmarks = sub.add_parser("landmarks",
@@ -389,10 +372,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # a RuntimeError is a numerical failure on valid input, not misuse
-        return 2 if isinstance(exc, ValueError) else 1
+        return 1 if isinstance(exc, RuntimeError) else 2
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import itertools
 import json
@@ -189,13 +190,15 @@ class TestSurface:
         assert rc == 0
         assert "oracle check: max |closed form - numeric|" in capsys.readouterr().out
 
-    def test_oracle_mismatch_exit_code(self, tmp_path):
-        # an impossible tolerance forces the mismatch path
+    def test_oracle_mismatch_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a dense side lifted by 1e-9 differs from every cell beyond 1e-10
+        dense = cli.dense_cavity_negativity
+        monkeypatch.setattr(cli, "dense_cavity_negativity", lambda *args: dense(*args) + 1e-9)
         out = tmp_path / "surf.csv"
         rc = run_cli(["surface", "--family", "mixed", "--param-steps", "3",
-                      "--kt-steps", "3", "--out", str(out), "--oracle",
-                      "--tolerance", "1e-30"])
+                      "--kt-steps", "3", "--out", str(out), "--oracle"])
         assert rc == 1
+        assert capsys.readouterr().err == "oracle mismatch beyond tolerance 1.000e-10\n"
 
     @pytest.mark.parametrize("family, count", [("mixed", 1554), ("gghz", 1533)])
     def test_non_finite_cells_are_refused(self, tmp_path, capsys, family, count):
@@ -332,6 +335,17 @@ class TestBoundary:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["surface", "--family", "mixed"], ["boundary", "gghz"]],
+                         ids=["surface", "boundary"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "x.csv"
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+    assert not out.exists()
+
+
 class TestTableBytes:
     """The table writer lays its text out byte for byte as json.dumps and a
     %.12g row template do."""
@@ -414,6 +428,10 @@ class TestTableProperties:
 _NUM = r"[-+0-9.eE]+|nan|inf"
 VERIFY_LINE = re.compile(rf"^\[(PASS|FAIL)\] (\w+): (.*): value ({_NUM}) vs ({_NUM})$")
 
+# each suite's thresholds, one per check, as README states them
+STATED_THRESHOLDS = {"closedform": [1e-10], "monogamy": [1e-10, -1e-10, -1e-10],
+                     "swap": [1e-12], "esb": [2e-6], "regions": [ZERO_ENTANGLEMENT]}
+
 # each suite's documented default grid: (p axis, kt axis)
 DEFAULT_GRIDS = {
     "closedform": (np.linspace(0.0, 1.0, 25), np.linspace(0.0, 3.0, 25)),
@@ -438,14 +456,28 @@ class TestVerify:
     def test_esb_passes(self):
         assert run_cli(["verify", "esb"]) == 0
 
-    def test_forced_failure_with_absurd_tolerance(self, capsys):
-        assert run_cli(["verify", "monogamy", "--tolerance", "1e-30"]) == 1
-        assert "[FAIL]" in capsys.readouterr().out
+    @pytest.mark.parametrize("member, failing", [("c_init_sq", 0), ("c_c1_sq", 1),
+                                                  ("n_cav_sq", 2)],
+                             ids=["equality", "pair", "tail"])
+    def test_a_broken_link_fails(self, capsys, monkeypatch, member, failing):
+        # raising one member by 1e-9 breaks exactly one link beyond its 1e-10
+        chain = cli.monogamy_chain
 
-    @pytest.mark.parametrize("audit", cli.SUITES.values(), ids=list(cli.SUITES))
-    def test_audits_take_only_a_tolerance(self, audit):
+        def broken(p, kt):
+            rec = chain(p, kt)
+            return dataclasses.replace(rec, **{member: getattr(rec, member) + 1e-9})
+
+        monkeypatch.setattr(cli, "monogamy_chain", broken)
+        assert run_cli(["verify", "monogamy"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.startswith("[FAIL]") for line in lines] == [i == failing for i in range(3)]
+
+    @pytest.mark.parametrize("suite", list(cli.SUITES))
+    def test_audits_check_at_their_stated_thresholds(self, suite):
         # each grid is fixed, and pinned by DEFAULT_GRIDS and TestVerifyPinned
-        assert list(inspect.signature(audit).parameters) == ["tolerance"]
+        audit = cli.SUITES[suite]
+        assert list(inspect.signature(audit).parameters) == []
+        assert [c.threshold for c in audit()] == STATED_THRESHOLDS[suite]
 
     def test_birth_bisection_takes_only_p(self):
         assert list(inspect.signature(esb_time_numeric).parameters) == ["p"]
@@ -453,36 +485,24 @@ class TestVerify:
     def test_unknown_suite_usage_error(self):
         assert run_cli(["verify", "bogus"]) == 2
 
-    def test_regions_tolerance_sets_the_threshold(self, capsys):
-        # the dense negativity inside region IV is exactly 0, so any positive
-        # threshold holds there; 1e-3 lies above the smallest N outside IV
-        assert run_cli(["verify", "regions", "--tolerance", "1e-30"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("[PASS] regions:") and out.endswith("vs 1.000e-30\n")
-        assert run_cli(["verify", "regions", "--tolerance", "1e-3"]) == 1
-        out = capsys.readouterr().out
-        assert out.startswith("[FAIL] regions:") and out.endswith("vs 1.000e-03\n")
-
-    def test_regions_zero_tolerance_passes(self, capsys):
-        # inside region IV the verdict is value <= threshold, as in every suite
-        assert run_cli(["verify", "regions", "--tolerance", "0"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("[PASS] regions:")
-        assert out.endswith("violations = 0: value 0.000e+00 vs 0.000e+00\n")
-
+    # no command takes --tolerance, whatever its value: each threshold is fixed
     @pytest.mark.parametrize("argv", [
+        ["verify", "swap", "--tolerance", "1"],
         ["verify", "swap", "--tolerance", "nan"],
         ["verify", "swap", "--tolerance", "-1"],
         ["verify", "swap", "--tolerance", "inf"],
+        ["surface", "--family", "mixed", "--oracle", "--tolerance", "1"],
         ["surface", "--family", "mixed", "--oracle", "--tolerance", "nan"],
         ["surface", "--family", "mixed", "--tolerance", "1e-30"],
-    ], ids=["nan", "negative", "inf", "surface-nan", "surface-without-oracle"])
+    ], ids=["one", "nan", "negative", "inf", "surface-one", "surface-nan",
+            "surface-without-oracle"])
     def test_bad_tolerance_usage_error(self, tmp_path, capsys, argv):
         out = tmp_path / "surf.csv"
         if argv[0] == "surface":
             argv = argv + ["--out", str(out)]
         assert run_cli(argv) == 2
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --tolerance" in captured.err
         assert not out.exists()
 
     @pytest.mark.parametrize("suite", list(DEFAULT_GRIDS))
@@ -501,8 +521,8 @@ class TestVerify:
             assert all(p in ps and (kt is None or kt in kts) for p, kt in points), line
 
 
-# `verify` stdout at the default tolerances, as the per-point oracle printed
-# it before the dense path was stacked
+# `verify` stdout, as the per-point oracle printed it before the dense path
+# was stacked
 PINNED_VERIFY = {
     "closedform": "[PASS] closedform: spectrum vs eigensolver, worst at (p=0.9167, kt=0): "
                   "value 6.106e-16 vs 1.000e-10",
@@ -705,9 +725,19 @@ class TestPointQueries:
                                            "a number at least 0\n")
 
     def test_monogamy_point(self, capsys):
-        assert run_cli(["monogamy", "--p", "0.5", "--kt", "1.0"]) == 0
+        assert run_cli(["monogamy", "--p", "0.5", "--kt", "1"]) == 0
         out = capsys.readouterr().out
+        assert out.startswith("monogamy chain at p = 0.5, kt = 1.0\n")
         assert "c_pair_sq" in out and "tail slack" in out
+
+    @pytest.mark.parametrize("a, answer", [
+        ("0.7071067811865475", "death at kt = 36.7368005697"),
+        ("0.7071067811865476", "no finite death time (asymptotic decay)"),
+    ], ids=["finite", "asymptotic"])
+    def test_esd_time_echoes_its_input_exactly(self, capsys, a, answer):
+        # two neighbouring doubles, which 12 significant digits would print alike
+        assert run_cli(["esd-time", "--a", a]) == 0
+        assert capsys.readouterr().out == f"generalized-GHZ family, a = {a}: {answer}\n"
 
 
 def _run_python(args):

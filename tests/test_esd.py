@@ -271,6 +271,7 @@ class TestRegionGridAudit:
         (c,) = region_grid_audit()
         assert c.ok and c.threshold == 1e-10 and c.at == ()
         assert c.label.endswith("violations = 0")
+        assert c.value == 0.0  # the dense negativity inside region IV is exactly 0
 
     def test_threshold_binds_inside_region_iv(self, monkeypatch):
         # lifted by 1e-9, every IV point is above the default 1e-10
@@ -281,10 +282,13 @@ class TestRegionGridAudit:
         assert not c.ok and c.value > c.threshold == 1e-10
         assert classify_region(*c.at) is RegionClass.IV
 
-    def test_threshold_binds_outside_region_iv(self):
-        # no negativity exceeds 2, so every entangled point violates
-        (c,) = region_grid_audit(2.0)
-        assert not c.ok and c.value < 2.0
+    def test_threshold_binds_outside_region_iv(self, monkeypatch):
+        # scaled by 1e-12, no negativity exceeds 1e-10, so every entangled point violates
+        dense = cli.dense_cavity_negativity
+        monkeypatch.setattr(cli, "dense_cavity_negativity",
+                            lambda *args: dense(*args) * 1e-12)
+        (c,) = region_grid_audit()
+        assert not c.ok and c.value <= c.threshold == 1e-10
         assert classify_region(*c.at) is not RegionClass.IV
 
 

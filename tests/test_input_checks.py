@@ -1,7 +1,6 @@
 """Input checks that no other test reaches: each refuses its input with
 the named error and message."""
 
-import argparse
 import os
 import re
 import subprocess
@@ -11,17 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavres import DensityMatrix, PtSpectrum, PureState, SystemLayout, cli, partial_transpose
+from cavres import DensityMatrix, PtSpectrum, PureState, SystemLayout, partial_transpose
 from cavres.linalg import _as_array
 
 
 def _raises(error, message):
     return pytest.raises(error, match=f"^{re.escape(message)}$")
-
-
-def test_tolerance_that_is_not_a_number():
-    with _raises(argparse.ArgumentTypeError, "must be finite and at least 0, got 'abc'"):
-        cli._tolerance("abc")
 
 
 def test_position_of_a_label_not_in_the_layout():
