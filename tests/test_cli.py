@@ -479,6 +479,16 @@ class TestVerify:
         assert list(inspect.signature(audit).parameters) == []
         assert [c.threshold for c in audit()] == STATED_THRESHOLDS[suite]
 
+    def test_regions_zero_tolerance_passes(self, capsys):
+        # inside region IV the dense N is exactly 0, so the verdict
+        # value <= threshold would hold even at a threshold of 0
+        assert run_cli(["verify", "regions"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("[PASS] regions:")
+        assert out.endswith("violations = 0: value 0.000e+00 vs 1.000e-10\n")
+        (c,) = cli.SUITES["regions"]()
+        assert c.ok and c.value <= 0.0
+
     def test_birth_bisection_takes_only_p(self):
         assert list(inspect.signature(esb_time_numeric).parameters) == ["p"]
 
