@@ -2,8 +2,9 @@
 suites, landmark reproduction, and point queries.
 
 Each verify suite audits one of the paper's claims against the dense oracle
-on a fixed grid, evaluated in blocks of whole parameter rows of at most
-STACK_POINTS points, and returns its verdicts as Check records.
+on a fixed grid and returns its verdicts as Check records.  A (p, kt) grid
+is evaluated in blocks of whole parameter rows of at most STACK_POINTS
+points; esb's ten p values are bisected in lockstep, all at once.
 
 Exit codes: 0 on success, 1 when a verification or landmark check fails
 or a computation fails on valid input, 2 on usage errors and on an --out
@@ -16,7 +17,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import partial
 
 import numpy as np
 
@@ -84,9 +85,11 @@ def _square_grid(steps):
     return np.linspace(0.0, 1.0, steps), np.linspace(0.0, 3.0, steps)
 
 
-def _at_most(label, threshold, values, ps, kts):
-    value, at = grid_worst(values, ps, kts)
-    return Check(label, value, threshold, value <= threshold, at)  # a nan fails
+def _verdict(label, threshold, floor, values, params, kts=()):
+    """The Check of values against a floor (value >= threshold at the least
+    value) or a ceiling (value <= threshold at the greatest): a nan fails."""
+    value, at = grid_worst(values, params, kts, np.argmin if floor else np.argmax)
+    return Check(label, value, threshold, value >= threshold if floor else value <= threshold, at)
 
 
 def _row_blocks(f, params, kts):
@@ -103,50 +106,48 @@ def dense_cavity_negativity(state, params, kts):
                        params, kts)
 
 
-def closed_form_grid_deviation():
-    """The closed-form spectrum against the dense eigensolver over a 25x25
-    (p, kt) grid: one Check of the worst entrywise deviation."""
-    ps, kts = _square_grid(25)
-    spec = closed_form_pt_eigenvalues(ps[:, None], kts)
-    lam = np.sort(np.stack(spec.lambdas, axis=-1), axis=-1)
-    num = _row_blocks(lambda p, kt: np.sort(_block_spectrum(partial_transpose(
-        reduce(global_output_state(p, kt), CAVITY_LAYOUT.labels), ["c1"])), axis=-1), ps, kts)
-    return [_at_most("spectrum vs eigensolver", 1e-10,
-                     np.max(np.abs(lam - num), axis=-1), ps, kts)]
+def _spectrum_deviation(p, kt):
+    lam = np.sort(np.stack(closed_form_pt_eigenvalues(p, kt).lambdas, axis=-1), axis=-1)
+    num = np.sort(_block_spectrum(partial_transpose(
+        reduce(global_output_state(p, kt), CAVITY_LAYOUT.labels), ["c1"])), axis=-1)
+    return np.max(np.abs(lam - num), axis=-1, keepdims=True)
 
 
-def monogamy_grid_audit():
-    """The monogamy chain over a 25x25 (p, kt) grid: the pair equality
-    holds to 1e-10, and the pair and tail slacks are at least -1e-10."""
-    ps, kts = _square_grid(25)
-    slacks = attrgetter("equality_deviation", "pair_slack", "tail_slack")
-    grid = _row_blocks(lambda p, kt: np.stack(slacks(monogamy_chain(p, kt)), axis=-1), ps, kts)
-    eq, pair, tail = np.moveaxis(grid, -1, 0)
-    checks = [_at_most("pair-equality deviation", 1e-10, eq, ps, kts)]
-    for label, slack in (("pair bound slack", pair), ("negativity tail slack", tail)):
-        value, at = grid_worst(slack, ps, kts, np.argmin)
-        checks.append(Check(label, value, -1e-10, value >= -1e-10, at))
-    return checks
+def _monogamy_slacks(p, kt):
+    rec = monogamy_chain(p, kt)
+    return np.stack((rec.equality_deviation, rec.pair_slack, rec.tail_slack), axis=-1)
 
 
-def swap_grid_deviation():
-    """The swap relation over a 20x20 (p, kt) grid: one Check of the worst
-    entrywise deviation."""
-    ps, kts = _square_grid(20)
-    devs = _row_blocks(lambda p, kt: swap_check(p, kt)[1], ps, kts)
-    return [_at_most("cavity/reservoir swap", 1e-12, devs, ps, kts)]
+def _birth_gap(p):
+    return np.abs(esb_time(_death_time(p)) - esb_time_numeric(p))[:, None]
 
 
-def esb_grid_deviation():
-    """The closed-form birth time against the bisection-located one over ten
-    probabilities in [0.30, 0.95], each with a finite death time: one Check
-    of the worst gap."""
-    # the bisection's resolution: 20 halvings of [1e-8, 1] leave a bracket of at most 9.5e-7,
-    # so its midpoint is within 4.8e-7 of the N = 1e-10 crossing, which trails the birth by
-    # 1e-10 / N'(birth), at most 2.6e-7 (p = 0.95, slope 3.9e-4): a gap of at most 7.3e-7
-    p_values = np.linspace(0.30, 0.95, 10)
-    gaps = np.abs(esb_time(_death_time(p_values)) - esb_time_numeric(p_values))
-    return [_at_most("birth-time formula vs bisection", 2e-6, gaps, p_values, ())]
+# suite -> (axes, f, a (label, threshold, floor) per quantity): f on the axes
+# stacks the quantities on a last axis, each checked at its stated threshold
+AUDITS = {
+    "closedform": (_square_grid(25), _spectrum_deviation,
+                   [("spectrum vs eigensolver", 1e-10, False)]),
+    "monogamy": (_square_grid(25), _monogamy_slacks,
+                 [("pair-equality deviation", 1e-10, False), ("pair bound slack", -1e-10, True),
+                  ("negativity tail slack", -1e-10, True)]),
+    "swap": (_square_grid(20), lambda p, kt: swap_check(p, kt)[1][..., None],
+             [("cavity/reservoir swap", 1e-12, False)]),
+    # ten probabilities in [0.30, 0.95], each with a finite death time.  The bisection's
+    # resolution: 20 halvings of [1e-8, 1] leave a bracket of at most 9.5e-7, so its midpoint
+    # is within 4.8e-7 of the N = 1e-10 crossing, which trails the birth by 1e-10 / N'(birth),
+    # at most 2.6e-7 (p = 0.95, slope 3.9e-4): a gap of at most 7.3e-7
+    "esb": ((np.linspace(0.30, 0.95, 10),), _birth_gap,
+            [("birth-time formula vs bisection", 2e-6, False)]),
+}
+
+
+def grid_audit(suite):
+    """The Checks of one AUDITS suite: its f over blocks of whole rows of a
+    (p, kt) grid, or at once on a 1-D p axis, each quantity at its worst."""
+    axes, f, quantities = AUDITS[suite]
+    grid = _row_blocks(f, *axes) if len(axes) == 2 else f(*axes)
+    return [_verdict(*quantity, values, *axes)
+            for quantity, values in zip(quantities, np.moveaxis(grid, -1, 0), strict=True)]
 
 
 def region_grid_audit():
@@ -173,13 +174,8 @@ def region_grid_audit():
 
 
 # each audit takes no arguments and checks at its stated threshold
-SUITES = {
-    "closedform": closed_form_grid_deviation,
-    "monogamy": monogamy_grid_audit,
-    "swap": swap_grid_deviation,
-    "esb": esb_grid_deviation,
-    "regions": region_grid_audit,
-}
+SUITES = {**{suite: partial(grid_audit, suite) for suite in AUDITS},
+          "regions": region_grid_audit}
 
 
 def _fmt(x):
@@ -231,10 +227,10 @@ def cmd_surface(args):
     if args.oracle:
         dense = dense_cavity_negativity(global_output_state if mixed else gghz_output_state,
                                         params, kts)
-        value, at = grid_worst(np.abs(dense - grid), params, kts)
-        print(f"oracle check: max |closed form - numeric| = {value:.3e} "
-              f"at (param={at[0]:.6g}, kt={at[1]:.6g})")
-        if not value <= 1e-10:  # a nan fails
+        c = _verdict("closed form vs numeric", 1e-10, False, np.abs(dense - grid), params, kts)
+        print(f"oracle check: max |closed form - numeric| = {c.value:.3e} "
+              f"at (param={c.at[0]:.6g}, kt={c.at[1]:.6g})")
+        if not c.ok:
             print("oracle mismatch beyond tolerance 1.000e-10", file=sys.stderr)
             return 1
     return 0

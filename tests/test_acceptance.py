@@ -17,9 +17,8 @@ from cavres import (DensityMatrix, SystemLayout, esb_time, esd_time,
                     esd_threshold_probability, equal_entanglement_range,
                     gghz_esd_boundary, mixed_ghz_w, min_esd_point,
                     min_initial_negativity, negativity, reduce)
-from cavres.cli import (CONVENTIONS, _square_grid, closed_form_grid_deviation,
-                        dense_cavity_negativity, esb_grid_deviation, grid_worst,
-                        monogamy_grid_audit, region_grid_audit, swap_grid_deviation)
+from cavres.cli import (CONVENTIONS, SUITES, _square_grid, dense_cavity_negativity,
+                        grid_worst)
 from cavres.entanglement import (closed_form_pt_eigenvalues, gghz_negativity_closed,
                                  wootters_concurrence)
 from cavres.esd import ANOMALOUS_WINDOW, _bisect, lambda7_boundary
@@ -37,7 +36,7 @@ def report(criterion, ok, detail):
 
 def test_criterion_1_closed_form_spectrum_equivalence():
     start = time.perf_counter()
-    (c,) = closed_form_grid_deviation()
+    (c,) = SUITES["closedform"]()
     elapsed = time.perf_counter() - start
     ok = c.value <= 1e-10 and elapsed < 10.0
     detail = (f"spectrum vs eigensolver on 25x25 grid: max dev {c.value:.3e} "
@@ -101,7 +100,7 @@ def test_criterion_3_generalized_ghz_branch():
 
 
 def test_criterion_4_monogamy_suite():
-    eq, pair, tail = monogamy_grid_audit()
+    eq, pair, tail = SUITES["monogamy"]()
     ok = eq.value <= 1e-10 and pair.value >= -1e-10 and tail.value >= -1e-10
     detail = (f"25x25 grid: pair equality dev {eq.value:.3e} at {eq.at}, "
               f"pair-bound slack {pair.value:.3e} at {pair.at}, "
@@ -110,8 +109,8 @@ def test_criterion_4_monogamy_suite():
 
 
 def test_criterion_5_swap_and_birth_times():
-    (swap,) = swap_grid_deviation()
-    (esb,) = esb_grid_deviation()  # at the bisection's resolution
+    (swap,) = SUITES["swap"]()
+    (esb,) = SUITES["esb"]()  # at the bisection's resolution
     ok = swap.value < 1e-12 and esb.value < 2e-6
     detail = (f"swap identity on 20x20 grid: max entrywise dev {swap.value:.3e} "
               f"(tol 1e-12) at {swap.at}; birth-time formula vs bisection over 10 "
@@ -121,7 +120,7 @@ def test_criterion_5_swap_and_birth_times():
 
 def test_criterion_6_region_soundness():
     # the zero-entanglement threshold 1e-10 on both sides of the IV boundary
-    (c,) = region_grid_audit()
+    (c,) = SUITES["regions"]()
     ok = c.ok
     detail = f"40x40 grid: {c.label}"
     assert report(6, ok, detail), detail

@@ -456,21 +456,28 @@ class TestVerify:
     def test_esb_passes(self):
         assert run_cli(["verify", "esb"]) == 0
 
-    @pytest.mark.parametrize("member, failing", [("c_init_sq", 0), ("c_c1_sq", 1),
-                                                  ("n_cav_sq", 2)],
-                             ids=["equality", "pair", "tail"])
-    def test_a_broken_link_fails(self, capsys, monkeypatch, member, failing):
-        # raising one member by 1e-9 breaks exactly one link beyond its 1e-10
+    @pytest.mark.parametrize("member, nan, failing", [
+        ("c_init_sq", False, {0}), ("c_c1_sq", False, {1}), ("n_cav_sq", False, {2}),
+        ("c_init_sq", True, {0}), ("c_c1_sq", True, {1, 2}), ("n_cav_sq", True, {2}),
+    ], ids=["equality", "pair", "tail", "equality-nan", "pair-nan", "tail-nan"])
+    def test_a_broken_link_fails(self, capsys, monkeypatch, member, nan, failing):
+        # raising one member by 1e-9 breaks exactly one link beyond its 1e-10;
+        # a nan at one grid point fails each link it reaches, ceiling or floor
         chain = cli.monogamy_chain
 
         def broken(p, kt):
             rec = chain(p, kt)
-            return dataclasses.replace(rec, **{member: getattr(rec, member) + 1e-9})
+            bump = np.where((p == 0.5) & (kt == 1.5), np.nan, 0.0) if nan else 1e-9
+            return dataclasses.replace(rec, **{member: getattr(rec, member) + bump})
 
         monkeypatch.setattr(cli, "monogamy_chain", broken)
         assert run_cli(["verify", "monogamy"]) == 1
         lines = capsys.readouterr().out.splitlines()
-        assert [line.startswith("[FAIL]") for line in lines] == [i == failing for i in range(3)]
+        assert [line.startswith("[FAIL]") for line in lines] == [i in failing for i in range(3)]
+        if nan:
+            assert all(lines[i].endswith("worst at (p=0.5, kt=1.5): value nan vs "
+                                         + ("1.000e-10" if i == 0 else "-1.000e-10"))
+                       for i in failing)
 
     @pytest.mark.parametrize("suite", list(cli.SUITES))
     def test_audits_check_at_their_stated_thresholds(self, suite):
@@ -494,6 +501,11 @@ class TestVerify:
 
     def test_unknown_suite_usage_error(self):
         assert run_cli(["verify", "bogus"]) == 2
+
+    def test_suite_order(self, capsys):
+        # README, CI and the benchmark list the suites in this order
+        assert run_cli(["verify", "--help"]) == 0
+        assert "{closedform,monogamy,swap,esb,regions}" in capsys.readouterr().out
 
     # no command takes --tolerance, whatever its value: each threshold is fixed
     @pytest.mark.parametrize("argv", [

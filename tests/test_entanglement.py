@@ -208,9 +208,9 @@ class TestGridWorst:
         a_s, kts = cli._square_grid(25)
         dev = np.abs(cli.dense_cavity_negativity(gghz_output_state, a_s, kts)
                      - gghz_negativity_closed(a_s[:, None], kts))
-        c = cli._at_most("generalized GHZ vs eigensolver", 1e-10, dev, a_s, kts)
+        c = cli._verdict("generalized GHZ vs eigensolver", 1e-10, False, dev, a_s, kts)
         assert c.ok and c.value <= c.threshold == 1e-10 and len(c.at) == 2
-        c = cli._at_most("generalized GHZ vs eigensolver", 0.0, dev, a_s, kts)
+        c = cli._verdict("generalized GHZ vs eigensolver", 0.0, False, dev, a_s, kts)
         assert c.ok is (c.value <= 0.0)
 
 

@@ -620,5 +620,5 @@ class TestStackedDeathTimes:
             shapes.append(a.shape)
             return eigvals(a)
         monkeypatch.setattr(np.linalg, "eigvals", counting)
-        (check,) = cli.esb_grid_deviation()
+        (check,) = cli.SUITES["esb"]()
         assert check.ok and shapes == [(10, 3, 3), (10, 4, 4)]

@@ -27,9 +27,7 @@ from cavres import (DensityMatrix, PureState, amplitudes, esb_time_numeric,
                     gghz_output_state, ghz, global_output_state, mixed_ghz_w,
                     monogamy_chain, purified_initial, reduce, reorder, swap_check, w)
 from cavres import cli, entanglement, linalg
-from cavres.cli import (STACK_POINTS, _row_blocks, closed_form_grid_deviation,
-                        dense_cavity_negativity, esb_grid_deviation, monogamy_grid_audit,
-                        region_grid_audit, swap_grid_deviation)
+from cavres.cli import STACK_POINTS, SUITES, _row_blocks, dense_cavity_negativity
 from cavres.entanglement import ZERO_ENTANGLEMENT, marginal_negativity, wootters_concurrence
 from cavres.esd import _bisect, reservoir_negativity
 from cavres.linalg import partial_trace
@@ -327,10 +325,10 @@ def _gghz_oracle():
 # made 4, 10, 0, 8 and 2 calls in all; with one 8x8 eigvalsh per partial
 # transpose 2, 6, 0, 4 and 2; with one stack per row 25, 75, 0, 40 and 25.
 AUDITS = {
-    "closedform": (closed_form_grid_deviation, 1, 2),
-    "monogamy": (monogamy_grid_audit, 3, 2),
-    "swap": (swap_grid_deviation, 0, 1),
-    "regions": (region_grid_audit, 1, 4),
+    "closedform": (SUITES["closedform"], 1, 2),
+    "monogamy": (SUITES["monogamy"], 3, 2),
+    "swap": (SUITES["swap"], 0, 1),
+    "regions": (SUITES["regions"], 1, 4),
     "gghz": (_gghz_oracle, 0, 2),
 }
 # eigvalsh calls per partial transpose of each family's marginals
@@ -350,7 +348,7 @@ class TestLapackCallsPerRow:
         # 11 dense negativities however many p values: the two bracket ends
         # in one, then the midpoint and both quarter points for each two of
         # the 20 steps; each makes 1 eigvalsh call, for its blocks of 3, so 11
-        for run in (lambda: esb_time_numeric(np.array([0.3, 0.6])), esb_grid_deviation):
+        for run in (lambda: esb_time_numeric(np.array([0.3, 0.6])), SUITES["esb"]):
             stacks = _count_dense(monkeypatch)
             assert _lapack_calls(monkeypatch, run) == 11
             assert len(stacks) == 11 and stacks[0][0] == 2
@@ -453,7 +451,7 @@ class TestValidatedOnce:
 
     @pytest.mark.parametrize("run", [
         *(audit for audit, _, _ in AUDITS.values()),
-        esb_grid_deviation,
+        SUITES["esb"],
         lambda: monogamy_chain(PS[:, None], KTS),
         lambda: esb_time_numeric(np.array([0.3, 0.6])),
     ], ids=[*AUDITS, "esb", "monogamy_chain", "esb_time_numeric"])
