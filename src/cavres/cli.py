@@ -209,10 +209,9 @@ def cmd_surface(args):
     params = np.linspace(args.param_min, args.param_max, args.param_steps)
     kts = np.linspace(args.kt_min, args.kt_max, args.kt_steps)
     mixed = args.family == "mixed"
-    if mixed:
-        grid = negativity_from_spectrum(closed_form_pt_eigenvalues(params[:, None], kts))
-    else:
-        grid = gghz_negativity_closed(params[:, None], kts)
+    with np.errstate(over="ignore", invalid="ignore"):  # the refusal below reports each cell
+        grid = (negativity_from_spectrum(closed_form_pt_eigenvalues(params[:, None], kts)) if mixed
+                else gghz_negativity_closed(params[:, None], kts))
     bad = ~np.isfinite(grid)
     if bad.any():  # refused before any file is written
         raise RuntimeError(f"{np.count_nonzero(bad)} cells are not finite; the smallest kt "

@@ -10,6 +10,10 @@ matrix may be a stack, `(..., dim)` or `(..., dim, dim)`, one member per
 point, validated in one pass; every function on it keeps the leading
 axes.  Exact zeros are skipped: a Hermitian stack is eigensolved block by
 block, 2x2 ones in closed form, and `states.reduce` sums nonzero amplitudes.
+
+`PureState` and `DensityMatrix` are the one checked entry for outside data,
+since checks on outside input are safety code; the program's own states are
+valid by construction and skip the checks through `_derived`.
 """
 
 from dataclasses import dataclass

@@ -10,7 +10,6 @@ stacks of them, whose marginals sum nonzero amplitudes in a cached plan.
 """
 
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement, compress, zip_longest
 
 import numpy as np
 
@@ -152,20 +151,20 @@ def reduce(state, keep):
     """Reduced density matrix of a pure state on the kept qubits.
 
     With the kept qubits as rows (in layout order), psi is a matrix M and the
-    marginal M M^dagger.  Each entry on or above the diagonal sums, in
-    `_plan`'s order, the products of the amplitudes nonzero in any member
-    that share their column; a product with an exact zero is exactly 0, so
-    every member gets the bits of its own call.  The state was validated
-    when it was built, so the marginal is read-only and not checked again.
+    marginal M M^dagger.  Each entry on or above the diagonal sums from +0.0,
+    column by column, the products of the amplitudes nonzero in any member
+    that share their column; `np.add.at` adds each later one in index order.
+    A product with an exact zero is exactly 0, so every member gets the bits
+    of its own call.  The state was validated when it was built, so the
+    marginal is read-only and not checked again.
     """
     keep = tuple(keep)
     amps = state.amplitudes
-    sub, left, right, rounds, upper, lower = _plan(
+    sub, left, right, later, upper, lower = _plan(
         amps.reshape(-1, amps.shape[-1]).any(axis=0).tobytes(), state.layout, keep)
     terms = amps[..., left] * amps[..., right].conj()
     acc = 0.0 + terms[..., :upper.size]  # sums start at +0.0, as a skipped entry's zero
-    for entries, pairs in rounds:
-        acc[..., entries] += terms[..., pairs]
+    np.add.at(acc, (..., later), terms[..., upper.size:])
     out = np.zeros(amps.shape[:-1] + (sub.dim * sub.dim,), dtype=acc.dtype)
     out[..., lower] = acc.conj()
     out[..., upper] = acc
@@ -176,25 +175,22 @@ def reduce(state, keep):
 @lru_cache
 def _plan(pattern, layout, keep):
     """`reduce`'s plan for the nonzero amplitudes of a pattern, as bytes: the
-    kept sub-layout; the pairs (left, right) of amplitude indices, round k the
-    k-th term, by column, of each entry, entries with more terms first; each
-    later round's slices of entries and pairs; the entries' and mirrors' flat indices."""
+    kept sub-layout; the pairs (left, right) of amplitude indices that share a
+    column, each entry's first pair first, then the later pairs by entry and
+    column; the entry of each later pair; the entries' and mirrors' flat indices."""
     sub, n, pos = layout.restrict(keep), layout.n_qubits, layout.positions(keep)
     grid = np.moveaxis(np.arange(2 ** n).reshape((2,) * n), pos, range(len(pos)))
     grid = grid.reshape(sub.dim, -1)  # M's amplitude indices
-    terms = {}  # (row, row') -> its pairs, column by column
-    for col, live in zip(grid.T.tolist(), np.frombuffer(pattern, dtype=bool)[grid].T.tolist()):
-        for i, j in combinations_with_replacement(compress(range(sub.dim), live), 2):
-            terms.setdefault((i, j), []).append((col[i], col[j]))
-    entries = sorted(terms, key=lambda e: (-len(terms[e]), e))
-    rounds = [[t for t in r if t is not None] for r in zip_longest(*(terms[e] for e in entries))]
-    ends = list(accumulate(map(len, rounds)))
-    e = np.array(entries)
-    plan = (*np.array([t for r in rounds for t in r]).T, e @ [sub.dim, 1], e @ [1, sub.dim])
+    live = np.frombuffer(pattern, dtype=bool)[grid]
+    i, j = np.triu_indices(sub.dim)
+    entry, col = np.nonzero(live[i] & live[j])  # by entry, then by column
+    first = np.diff(entry, prepend=-1) > 0  # each entry's first pair
+    rows = np.stack((i[entry], j[entry]))
+    plan = (*grid[rows, col][:, np.argsort(~first, kind="stable")], (np.cumsum(first) - 1)[~first],
+            [sub.dim, 1] @ rows[:, first], [1, sub.dim] @ rows[:, first])
     for x in plan:
         x.setflags(write=False)  # the cache hands these to every call
-    slices = tuple((slice(0, b - a), slice(a, b)) for a, b in zip(ends, ends[1:]))
-    return sub, *plan[:2], slices, *plan[2:]
+    return sub, *plan
 
 
 def reorder(state, new_layout):

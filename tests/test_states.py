@@ -412,17 +412,26 @@ class TestReducePlan:
 
     def test_the_plan_holds_its_pairs_not_pairs_times_dim_squared(self):
         # a dense 7-qubit state reduced to 6 qubits
-        sub, left, right, rounds, upper, lower = states._plan(
+        sub, left, right, later, upper, lower = states._plan(
             np.ones(128, dtype=bool).tobytes(), GLOBAL_LAYOUT, GLOBAL_LAYOUT.labels[:6])
         pairs = 2 * (64 * 65 // 2)  # two columns, each pairing its 64 rows
         assert left.size == right.size == pairs and upper.size == lower.size == pairs // 2
-        assert len(rounds) == 1 and sub.dim == 64
+        assert later.size == left.size - upper.size == pairs // 2 and sub.dim == 64
+
+    def test_each_entry_sums_its_terms_in_column_order(self):
+        # entry (0, 0) sums 0.25 and then three 2**-56 in column order, each
+        # lost to rounding; adding the three small terms first would keep them
+        # and give 0.25000000000000006
+        tiny = 2.0 ** -28
+        state = PureState(("c1", "r1", "c2"),
+                          [0.5, tiny, tiny, tiny, np.sqrt(0.75 - 3 * tiny * tiny), 0.0, 0.0, 0.0])
+        assert reduce(state, ["c1"]).data[0, 0] == 0.25
 
     def test_the_cached_arrays_are_read_only(self):
         amps = global_output_state(0.4, 0.8).amplitudes
         plan = states._plan((amps != 0).tobytes(), GLOBAL_LAYOUT, ("c1", "c2", "c3"))
         arrays = [x for x in plan if isinstance(x, np.ndarray)]
-        assert len(arrays) == 4
+        assert len(arrays) == 5
         for x in arrays:
             assert not x.flags.writeable
             with pytest.raises(ValueError):
