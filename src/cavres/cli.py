@@ -230,7 +230,7 @@ def cmd_surface(args):
         print(f"oracle check: max |closed form - numeric| = {c.value:.3e} "
               f"at (param={c.at[0]:.6g}, kt={c.at[1]:.6g})")
         if not c.ok:
-            print("oracle mismatch beyond tolerance 1.000e-10", file=sys.stderr)
+            print(f"oracle mismatch beyond tolerance {c.threshold:.3e}", file=sys.stderr)
             return 1
     return 0
 

@@ -206,37 +206,27 @@ def partial_trace(rho, keep):
 
 
 def partial_transpose(rho, subsystem):
-    """Transpose the indices of the chosen qubits; returns a plain array.
-
-    The result is Hermitian but generally not positive, so it is returned as
-    a raw array rather than a DensityMatrix.
-    """
+    """Swap the row and column axes of the chosen qubits: a new, writable
+    array shaped like `rho.data`, Hermitian but generally not positive, so
+    a plain array rather than a DensityMatrix."""
     pos = rho.layout.positions(subsystem)
     n = rho.layout.n_qubits
     if not 0 < len(pos) < n:
         raise ValueError("subsystem must be a nonempty proper subset of the layout")
-    flat = rho.data.reshape(rho.data.shape[:-2] + (-1,))
-    return flat[..., _transposed(n, tuple(pos))].reshape(rho.data.shape)
-
-
-@lru_cache
-def _transposed(n, pos):
-    """Flat indices gathering an n-qubit matrix's partial transpose over the qubits at pos."""
-    axes = [(i + n) % (2 * n) if i % n in pos else i for i in range(2 * n)]
-    idx = np.arange(4 ** n).reshape((2,) * (2 * n)).transpose(axes).ravel()
-    idx.setflags(write=False)  # the cache hands it to every call
-    return idx
+    k = rho.data.ndim - 2  # leading stack axes
+    axes = [k + ((i + n) % (2 * n) if i % n in pos else i) for i in range(2 * n)]
+    arr = rho.data.reshape(rho.data.shape[:k] + (2,) * (2 * n)).transpose(*range(k), *axes)
+    return arr.reshape(rho.data.shape)  # a copy: a proper swap is never a view
 
 
 def _block_spectrum(h):
-    """Eigenvalues of a Hermitian matrix, or of each member of a stack, block
-    by block: the union of the spectra of the connected blocks of the entries
-    nonzero in any member (LAPACK's balancing), one `_eigvalsh_of_size` call
-    per size, so one block of 3 or more rows, as a dense matrix, gets eigvalsh's bits."""
+    """Eigenvalues of a Hermitian matrix, or of each member of a stack, as (..., n):
+    the union of the spectra of the connected blocks of the entries nonzero in any
+    member (LAPACK's balancing), one `_eigvalsh_of_size` call per size of `_blocks`,
+    so one block of 3 or more rows, as a dense matrix, gets eigvalsh's bits."""
     n = h.shape[-1]
-    flat = h.reshape(h.shape[:-2] + (n * n,))
-    pattern = (flat.reshape(-1, n * n) != 0).any(axis=0).tobytes()
-    parts = [_eigvalsh_of_size(flat[..., idx]) for idx in _blocks(pattern, n)]
+    pattern = (h.reshape(-1, n, n) != 0).any(axis=0).tobytes()
+    parts = [_eigvalsh_of_size(h[..., g[:, :, None], g[:, None, :]]) for g in _blocks(pattern, n)]
     return np.concatenate([v.reshape(h.shape[:-2] + (-1,)) for v in parts], axis=-1)
 
 
@@ -259,17 +249,16 @@ def _eigvalsh_of_size(sub):
 
 @lru_cache
 def _blocks(pattern, n):
-    """The blocks of an n x n pattern of nonzero entries, given as bytes, as
-    flat indices into the matrix: one (blocks, size, size) array per size."""
+    """The blocks of an n x n pattern of nonzero entries, given as bytes: one
+    read-only (blocks, size) array of row indices per size, ascending."""
     linked = np.frombuffer(pattern, dtype=bool).reshape(n, n)
     reach = np.linalg.matrix_power(linked | linked.T | np.eye(n, dtype=bool), n)
     first = reach.argmax(axis=0).tolist()  # each index's block, named by its least index
     blocks = [[i for i in range(n) if first[i] == b] for b in sorted(set(first))]
-    groups = [np.array([b for b in blocks if len(b) == s]) for s in sorted(set(map(len, blocks)))]
-    flat = tuple(idx[:, :, None] * n + idx[:, None, :] for idx in groups)
-    for idx in flat:
-        idx.setflags(write=False)  # the cache hands these to every call
-    return flat
+    groups = tuple(np.array([b for b in blocks if len(b) == s]) for s in sorted(set(map(len, blocks))))
+    for g in groups:
+        g.setflags(write=False)  # the cache hands these to every call
+    return groups
 
 
 def hermitian_eigenvalues(h):

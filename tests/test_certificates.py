@@ -127,6 +127,15 @@ class TestChainPurities:
         for member in (chain.c_init_sq, chain.c_pair_sq):
             assert np.max(np.abs(member - c0_sq)) <= 2e-15
 
+    def test_block_members_split_c0_squared_by_the_damping(self):
+        # c1 keeps e C0^2 and r1 holds (1 - e) C0^2, e = exp(-kt), so the
+        # pair bound c_pair_sq >= c_c1_sq + c_r1_sq is saturated
+        ps, kts = np.linspace(0.0, 1.0, 21)[:, None], np.linspace(0.0, 3.0, 25)
+        chain, c0_sq = monogamy_chain(ps, kts), _c0_sq(ps)
+        assert np.max(np.abs(chain.c_c1_sq - np.exp(-kts) * c0_sq)) <= 4e-15
+        assert np.max(np.abs(chain.c_r1_sq + np.expm1(-kts) * c0_sq)) <= 4e-15
+        assert np.max(np.abs(chain.pair_slack)) <= 4e-15
+
 
 class TestLandmarks:
     """Each landmark to 1e-12 of its 50-digit value from the model, or from

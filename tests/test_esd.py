@@ -461,6 +461,18 @@ class TestMixtureOutlivesItsPartner:
         # the narrowest margin sits at the mixture's earliest death
         assert abs(ps[np.argmin(margin)] - min_esd_point()[0]) < 0.01
 
+    def test_narrowest_margin_at_the_earliest_death(self):
+        # the margin has a kink at p*, with one-sided slopes -5.87 and +3.98,
+        # so a step of h to either side raises it by about 5.9h and 4.0h
+        def margin(p):
+            return esd_time(p) - gghz_esd_time(_matching_amplitude(p))
+
+        p_star, h = min_esd_point()[0], 1e-6
+        at = margin(p_star)
+        assert abs(at - 0.368377) < 1e-6
+        assert abs((margin(p_star - h) - at) / h - 5.87) < 0.01
+        assert abs((margin(p_star + h) - at) / h - 3.98) < 0.01
+
     def test_no_death_below_the_onset(self):
         for p in np.linspace(0.0, 0.25, 26):
             assert esd_time(p) is None

@@ -1,14 +1,16 @@
 import copy
+import itertools
 import pickle
 import warnings
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from cavres import DensityMatrix, PureState, SystemLayout, partial_transpose
-from cavres.linalg import (_block_spectrum, _eigvalsh_of_size, hermitian_eigenvalues,
-                           partial_trace, psd_sqrt, trace_norm)
+from cavres.linalg import (QUBIT_LABELS, _block_spectrum, _eigvalsh_of_size,
+                           hermitian_eigenvalues, partial_trace, psd_sqrt, trace_norm)
 from cavres.states import (CAVITY_LAYOUT, RESERVOIR_LAYOUT, ghz, gghz_output_state,
                            global_output_state, purified_initial, mixed_ghz_w, reduce)
 
@@ -125,7 +127,42 @@ class TestPartialTrace:
             assert np.max(np.abs(out.data - out.data.conj().T)) < 1e-12
 
 
+def _gathered(rho, pos):
+    """The partial transpose as one gather through a flat index: the flat
+    matrix's entries permuted as its 2n qubit axes are, with the row and
+    column axes of the qubits at pos exchanged."""
+    n = rho.layout.n_qubits
+    axes = [(i + n) % (2 * n) if i % n in pos else i for i in range(2 * n)]
+    idx = np.arange(4 ** n).reshape((2,) * (2 * n)).transpose(axes).ravel()
+    return rho.data.reshape(rho.data.shape[:-2] + (-1,))[..., idx].reshape(rho.data.shape)
+
+
 class TestPartialTranspose:
+    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["lone", "stacked"])
+    def test_axis_swap_matches_the_flat_gather(self, rng, n, dtype, lead):
+        # every nonempty proper subsystem, to the bit: a fresh writable array,
+        # which the swap sends back to the input's bits
+        layout = SystemLayout(QUBIT_LABELS[:n])
+        g = rng.normal(size=lead + (layout.dim, layout.dim))
+        if dtype is complex:
+            g = g + 1j * rng.normal(size=g.shape)
+        rho = g @ np.swapaxes(g.conj(), -1, -2)
+        rho = DensityMatrix(layout, rho / np.trace(rho, axis1=-2, axis2=-1)[..., None, None])
+        assert rho.data.dtype == dtype
+        for size in range(1, n):
+            for pos in itertools.combinations(range(n), size):
+                sub = [layout.labels[i] for i in pos]
+                pt = partial_transpose(rho, sub)
+                assert pt.shape == rho.data.shape and pt.dtype == rho.data.dtype
+                assert pt.tobytes() == _gathered(rho, pos).tobytes()
+                assert pt.flags.writeable
+                assert not np.shares_memory(pt, rho.data)
+                # pt is generally not positive, so it goes back in as a bare record
+                back = partial_transpose(SimpleNamespace(layout=layout, data=pt), sub)
+                assert back.tobytes() == rho.data.tobytes()
+
     def test_diagonal_product_state_unchanged(self):
         rho = DensityMatrix(SystemLayout(("c1", "c2")), np.diag([1.0, 0, 0, 0]))
         np.testing.assert_array_equal(partial_transpose(rho, ["c1"]), rho.data)
