@@ -50,10 +50,10 @@ class PtSpectrum:
     """Eight partial-transpose eigenvalues of the evolved cavity mixture.
 
     The order matches the closed-form labelling: entries 5 and 7 (1-based)
-    are the only ones that can go negative; the remaining six are sums and
-    products of nonnegative terms for every (p, kt), so each of their
-    |l| - l is exactly 0 and the negativity is -2 lambda5 - 2 lambda7 over
-    the negative ones, rounded once.
+    are the only ones that can go negative.  The other six are sums and products
+    of nonnegative terms at every (p, kt), entries 1 to 4 of e = exp(-kt) and
+    o = -expm1(-kt) alone, so each |l| - l is exactly 0 and the negativity is
+    -2 lambda5 - 2 lambda7 over the negative ones, rounded once.
     """
 
     lambdas: tuple
@@ -77,20 +77,20 @@ def closed_form_pt_eigenvalues(p, kt):
     Evaluates the closed forms for the mixture weight p and dimensionless
     time kt, which may be numpy arrays that broadcast against each other;
     each eigenvalue then has the broadcast shape.  Cross-validated against
-    the dense eigensolver of the traced seven-qubit state; the two
-    negative-capable entries drive the sudden-death analysis.
+    the dense eigensolver of the traced seven-qubit state.  lambda1 to
+    lambda4 are products in e and o; only lambda5 to lambda8 use u = exp(kt).
     """
     _check_probability(p)
     _check_time(kt)
     # not **: numpy's array ** rounds unlike libm's pow, and the u-form amplifies it to 1.8e-15
     u = np.exp(kt)
-    em = np.exp(-kt)
+    em, o = np.exp(-kt), -np.expm1(-kt)
     u2, u3, u4 = np.float_power(u, 2), np.float_power(u, 3), np.float_power(u, 4)
     em2, em3, p2 = np.float_power(em, 2), np.float_power(em, 3), np.float_power(p, 2)
     l1 = 0.5 * em3 * p
-    l2 = 0.5 * em3 * (u - 1.0) * p
-    l3 = 0.5 * em3 * np.float_power(u - 1.0, 2) * p
-    l4 = em * (4.0 - 4.0 * p + 3.0 * np.float_power(1.0 - em, 2) * p) / 6.0
+    l2 = 0.5 * em2 * o * p
+    l3 = 0.5 * em * o * o * p
+    l4 = em * (4.0 - 4.0 * p + 3.0 * o * o * p) / 6.0
     lin_a = em * (2.0 - 2.0 * p + 3.0 * (1.0 - em) * p)
     disc_a = (18.0 * u3 * p * (p - 2.0) + 36.0 * p2 - 108.0 * u * p2
               + u4 * np.float_power(p + 2.0, 2) + 3.0 * u2 * p * (8.0 + 31.0 * p))

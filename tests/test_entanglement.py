@@ -231,6 +231,19 @@ class TestNegativityFromSpectrum:
         spec = PtSpectrum(lambdas=(0.6, 0.5, 0.0, 0.0, -0.1, 0.0, 0.0, 0.0))
         assert abs(negativity_from_spectrum(spec) - 0.2) < 1e-15
 
+    def test_only_lambda5_and_lambda7_reach_the_bits(self):
+        # each nonnegative l adds |l| - l = 0 exactly, so the six nonnegative
+        # entries may change form without moving a byte of a surface grid
+        p, kt = np.linspace(0.0, 1.0, 101)[:, None], np.linspace(0.0, 3.0, 301)
+        lambdas = closed_form_pt_eigenvalues(p, kt).lambdas
+        want = negativity_from_spectrum(PtSpectrum(lambdas)).tobytes()
+        rng = np.random.default_rng(5)
+        for fill in (np.zeros, lambda shape: np.ldexp(rng.random(shape),
+                                                      rng.integers(-1070, 1000, shape))):
+            swapped = tuple(lam if i in (4, 6) else fill(lam.shape)
+                            for i, lam in enumerate(lambdas))
+            assert negativity_from_spectrum(PtSpectrum(swapped)).tobytes() == want
+
 
 class TestPureConcurrence:
     def test_ghz_cut(self):

@@ -316,9 +316,10 @@ def _mp_gghz_negativity(a, kt):
 class TestWholeDomain:
     """The closed forms on the documented domain kt in [0, inf): finite and
     non-negative at long times, and right to rounding at short ones and just
-    before a death.  The u = exp(kt) form overflows past kt ~ 177, cancels
-    in u - 1 as kt -> 0 and in lin - rad as lambda5 or lambda7 -> 0, so each
-    case fails until the bounded (e, o) kernel lands."""
+    before a death.  lambda1 to lambda4 are products in e = exp(-kt) and
+    o = -expm1(-kt), right on the whole domain.  The rest keep the u = exp(kt)
+    form, which overflows past kt ~ 177 and cancels in lin - rad as lambda5 or
+    lambda7 -> 0, so each xfail case fails until the bounded (e, o) kernel lands."""
 
     @OPEN_DEFECT
     @pytest.mark.filterwarnings("error")
@@ -343,16 +344,25 @@ class TestWholeDomain:
         want = _mp_gghz_negativity(a, kt)
         assert abs(gghz_negativity_closed(a, kt) - want) <= 1e-12 * want
 
-    @OPEN_DEFECT
-    @pytest.mark.parametrize("index", [1, 2], ids=["l2", "l3"])
-    def test_leaked_eigenvalues_at_short_times(self, index):
-        # l2 = e^2 o p / 2 and l3 = e o^2 p / 2, e = exp(-kt), o = 1 - e
-        p, kt = 0.5, 1e-12
+    @pytest.mark.parametrize("kt", [1e-12, 1e-100])
+    @pytest.mark.parametrize("index, p", [(1, 0.5), (2, 0.5), (3, 1.0)], ids=["l2", "l3", "l4"])
+    def test_leaked_eigenvalues_at_short_times(self, index, p, kt):
+        # e = exp(-kt), o = 1 - e; l4 = e (4 - 4p + 3 o^2 p) / 6 is e o^2 / 2 at p = 1
         with mp.workdps(50):
-            e = mp.exp(-mp.mpf(kt))
-            want = e ** (3 - index) * (1 - e) ** index * p / 2
+            e, o = mp.exp(-mp.mpf(kt)), -mp.expm1(-mp.mpf(kt))
+            want = (e * e * o * p / 2, e * o * o * p / 2,
+                    e * (4 - 4 * p + 3 * o * o * p) / 6)[index - 1]
         got = closed_form_pt_eigenvalues(p, kt).lambdas[index]
-        assert abs(got - want) <= 1e-12 * want
+        assert abs(got - want) <= 1e-15 * want
+
+    @SETTINGS
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1e300) | st.just(np.inf))
+    def test_first_four_eigenvalues_on_the_whole_domain(self, p, kt):
+        # lambda5 to lambda8 still overflow in u = exp(kt) from kt ~ 177; lambda1 to
+        # lambda4 are products in e and o, which stay in [0, 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            lambdas = np.array(closed_form_pt_eigenvalues(p, kt).lambdas[:4])
+        assert np.isfinite(lambdas).all() and (lambdas >= 0.0).all()
 
     @OPEN_DEFECT
     @pytest.mark.parametrize("p, rel", [(0.27, 1e-6), (0.27, 1e-8), (0.9, 1e-8)])
