@@ -199,6 +199,13 @@ def _write_table(path, fmt, header, axes, cells, meta, key):
         fh.writelines((head, body, tail))
 
 
+def _samples(axis, lo, hi, steps):
+    """np.linspace(lo, hi, steps), refused where too narrow a range repeats a double."""
+    if (np.diff(x := np.linspace(lo, hi, steps)) <= 0.0).any():
+        raise ValueError(f"{axis} samples must be strictly increasing")
+    return x
+
+
 def cmd_surface(args):
     # main reports each ValueError as a usage error (exit 2)
     if not (0.0 <= args.param_min < args.param_max <= 1.0
@@ -206,8 +213,8 @@ def cmd_surface(args):
             and min(args.param_steps, args.kt_steps) >= 2):  # nan fails too
         raise ValueError("surface needs 0 <= param-min < param-max <= 1, "
                          "finite 0 <= kt-min < kt-max and steps >= 2")
-    params = np.linspace(args.param_min, args.param_max, args.param_steps)
-    kts = np.linspace(args.kt_min, args.kt_max, args.kt_steps)
+    params = _samples("param", args.param_min, args.param_max, args.param_steps)
+    kts = _samples("kt", args.kt_min, args.kt_max, args.kt_steps)
     mixed = args.family == "mixed"
     with np.errstate(over="ignore", invalid="ignore"):  # the refusal below reports each cell
         grid = (negativity_from_spectrum(closed_form_pt_eigenvalues(params[:, None], kts)) if mixed
@@ -236,11 +243,9 @@ def cmd_surface(args):
 
 
 def cmd_boundary(args):
-    if not 0.0 < args.kt_min < args.kt_max < math.inf or args.kt_steps < 2:
-        raise ValueError("boundary needs finite 0 < kt-min < kt-max and steps >= 2")
-    kts = np.linspace(args.kt_min, args.kt_max, args.kt_steps)
-    if (np.diff(kts) <= 0.0).any():  # a range too narrow for kt-steps doubles
-        raise ValueError("kt samples must be strictly increasing")
+    if not 0.0 <= args.kt_min < args.kt_max < math.inf or args.kt_steps < 2:
+        raise ValueError("boundary needs finite 0 <= kt-min < kt-max and steps >= 2")
+    kts = _samples("kt", args.kt_min, args.kt_max, args.kt_steps)
     # looked up per call, so a replaced curve is the one evaluated
     curve = {"lambda5": lambda5_boundary, "lambda7": lambda7_boundary,
              "gghz": gghz_esd_boundary}[args.kind]

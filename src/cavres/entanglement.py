@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _block_spectrum, _item, partial_transpose
-from .states import (CAVITY_LAYOUT, RESERVOIR_LAYOUT, _check_probability, _check_time,
+from .states import (CAVITY_LAYOUT, RESERVOIR_LAYOUT, _check_probability, _chi_sq,
                      _partner_amplitude, global_output_state, reduce)
 
 ZERO_ENTANGLEMENT = 1e-10  # decision threshold for "no entanglement"
@@ -81,10 +81,9 @@ def closed_form_pt_eigenvalues(p, kt):
     lambda4 are products in e and o; only lambda5 to lambda8 use u = exp(kt).
     """
     _check_probability(p)
-    _check_time(kt)
+    o = _chi_sq(kt)
     # not **: numpy's array ** rounds unlike libm's pow, and the u-form amplifies it to 1.8e-15
-    u = np.exp(kt)
-    em, o = np.exp(-kt), -np.expm1(-kt)
+    u, em = np.exp(kt), np.exp(-kt)
     u2, u3, u4 = np.float_power(u, 2), np.float_power(u, 3), np.float_power(u, 4)
     em2, em3, p2 = np.float_power(em, 2), np.float_power(em, 3), np.float_power(p, 2)
     l1 = 0.5 * em3 * p
@@ -157,7 +156,7 @@ def gghz_negativity_closed(a, kt):
     a and kt may be numpy arrays that broadcast against each other.
     """
     b = _partner_amplitude(a)
-    _check_time(kt)
+    _chi_sq(kt)  # refuses kt below 0, nan included
     u = np.exp(kt)
     radicand = (4.0 * a * a * np.float_power(u, 3)
                 + b * b * np.float_power(2.0 - 3.0 * u + u * u, 2))

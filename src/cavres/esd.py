@@ -15,7 +15,7 @@ import numpy as np
 from .entanglement import (ZERO_ENTANGLEMENT, closed_form_pt_eigenvalues, marginal_negativity,
                            negativity_from_spectrum)
 from .linalg import _item, _require
-from .states import (RESERVOIR_LAYOUT, _check_probability, _check_time, _global_state,
+from .states import (RESERVOIR_LAYOUT, _check_probability, _chi_sq, _global_state,
                      _partner_amplitude, amplitudes, ghz, global_output_state, reduce, w)
 
 # Large-time limit of the lambda7 boundary curve: below this mix probability
@@ -57,12 +57,6 @@ def _q7(p):
     # the constant term, factored, keeps its digits near the onset p = 1/4
     return (9.0 * p * p, -36.0 * p * p, 36.0 * p * p + 18.0 * p,
             -(9.0 * p * p + 36.0 * p), 2.0 * (4.0 * p - 1.0) * (4.0 - p))
-
-
-def _chi_sq(kt):
-    """The leaked weight chi^2 = 1 - e, exact as kt -> 0 and as kt -> inf."""
-    _require(kt > 0.0, kt, "boundary curves need kt > 0, got {}")  # nan fails too
-    return -np.expm1(-kt)
 
 
 def lambda5_boundary(kt):
@@ -121,9 +115,8 @@ def classify_region(p, kt):
     term, so the GHZ row (p = 1) stays in region II.
     """
     _check_probability(p)
-    _check_time(kt)
+    o, r = _chi_sq(kt), 1.0 - p
     e = np.maximum(np.exp(-kt), np.finfo(float).smallest_subnormal)
-    o, r = -np.expm1(-kt), 1.0 - p
     q5 = 3.0 * p * e * (1.0 + o + o * o) - 2.0 * r * o
     q7_o = ((9.0 * p * p * o * o + 18.0 * p * r) * o + 9.0 * p * p) * o - 8.0 * r * r
     q7 = np.where(e > 0.5, q7_o, np.polyval(_q7(p), e))
@@ -307,5 +300,6 @@ def esb_time_numeric(p):
     Every birth comes before esb_time of the earliest death, kt ~ 0.41, so
     [1e-8, 1] brackets it unless the death is later than kt ~ 18.
     """
+    _require((p > ESD_ONSET_PROBABILITY) & (p < 1.0), p, "birth time needs 1/4 < p < 1, got {}")
     f = lambda kt: reservoir_negativity(p, kt) - ZERO_ENTANGLEMENT
     return _bisect(f, np.full(np.shape(p), 1e-8), 1.0, 1e-6)[0]

@@ -45,12 +45,14 @@ def _partner_amplitude(a):
     return np.sqrt(1.0 - a * a)
 
 
+def _chi_sq(kt):
+    """The leaked weight chi^2 = -expm1(-kt) = 1 - e, exact as kt -> 0 and as kt -> inf."""
+    _require(kt >= 0.0, kt, "dimensionless time kt={} must be a number at least 0")  # nan fails
+    return -np.expm1(-kt)
+
+
 def _check_probability(p):
     _require((p >= 0.0) & (p <= 1.0), p, "mix probability p={} outside [0, 1]")
-
-
-def _check_time(kt):
-    _require(kt >= 0.0, kt, "dimensionless time kt={} must be a number at least 0")
 
 
 def mixed_ghz_w(p):
@@ -69,8 +71,8 @@ def amplitudes(kt):
     xi = exp(-kt/2) is the surviving amplitude and chi = sqrt(-expm1(-kt)),
     exact as kt -> 0, the leaked one; xi^2 + chi^2 = 1.  Arrays give arrays.
     """
-    _check_time(kt)
-    return _item(np.exp(-kt / 2.0)), _item(np.sqrt(-np.expm1(-kt)))
+    chi_sq = _chi_sq(kt)
+    return _item(np.exp(-kt / 2.0)), _item(np.sqrt(chi_sq))
 
 
 def purified_initial(p):

@@ -159,6 +159,19 @@ class TestSurface:
         assert capsys.readouterr().err.endswith(self.RANGE_RULE)
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, axis", [
+        (["--kt-min", "0", "--kt-max", "5e-324", "--kt-steps", "3"], "kt"),
+        (["--param-max", "5e-324", "--param-steps", "3"], "param"),
+    ], ids=["kt", "param"])
+    def test_repeated_samples_usage_error(self, tmp_path, capsys, monkeypatch, flags, axis):
+        # three steps across one subnormal: linspace gives 0, 0, 5e-324
+        monkeypatch.setattr(cli, "closed_form_pt_eigenvalues", None)  # nothing is computed
+        out = tmp_path / "x.csv"
+        rc = run_cli(["surface", "--family", "mixed", *flags, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {axis} samples must be strictly increasing\n"
+        assert not out.exists()
+
     def test_json_format_carries_conventions(self, tmp_path):
         out = tmp_path / "surf.json"
         rc = run_cli(["surface", "--family", "mixed", "--param-steps", "3",
@@ -264,6 +277,13 @@ class TestBoundary:
         assert lines[0] == "kt,param"
         assert float(lines[1].split(",")[1]) < 1e-3
 
+    @pytest.mark.parametrize("kind, first", [("lambda5", "0,0"), ("lambda7", "0,1"),
+                                             ("gghz", "0,0")])
+    def test_curve_starts_at_kt_zero(self, tmp_path, kind, first):
+        out = tmp_path / "b.csv"
+        assert run_cli(["boundary", kind, "--kt-min", "0", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1] == first
+
     def test_gghz_approaches_its_limit(self, tmp_path):
         out = tmp_path / "b.csv"
         rc = run_cli(["boundary", "gghz", "--kt-min", "1.0", "--kt-max", "20.0",
@@ -327,10 +347,10 @@ class TestBoundary:
 
     def test_bad_range_usage_error(self, tmp_path, capsys):
         out = tmp_path / "b.csv"
-        rc = run_cli(["boundary", "lambda5", "--kt-min", "0.0",
+        rc = run_cli(["boundary", "lambda5", "--kt-min", "-1.0",
                       "--kt-max", "2.0", "--out", str(out)])
         assert rc == 2
-        assert capsys.readouterr().err == ("error: boundary needs finite 0 < kt-min < kt-max "
+        assert capsys.readouterr().err == ("error: boundary needs finite 0 <= kt-min < kt-max "
                                            "and steps >= 2\n")
         assert not out.exists()
 

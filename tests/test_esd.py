@@ -40,8 +40,8 @@ class TestLambda5Boundary:
         assert abs(lambda5_boundary(1.0) - root) < 1e-10
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            lambda5_boundary(0.0)
+        # at kt = 0, where e = 1, Q5 is 3p: the curve starts at p = 0
+        assert lambda5_boundary(0.0) == 0.0
         with pytest.raises(ValueError):
             lambda5_boundary(-1.0)
 
@@ -73,8 +73,10 @@ class TestLambda7Boundary:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_domain(self):
+        # at kt = 0, where e = 1, Q7 is -8(1 - p)^2: the curve starts at p = 1
+        assert lambda7_boundary(0.0) == 1.0
         with pytest.raises(ValueError):
-            lambda7_boundary(0.0)
+            lambda7_boundary(-1.0)
 
 
 class TestBoundariesAtLongTimes:
@@ -548,6 +550,15 @@ class TestEsbTime:
             t_death = esd_time(p)
             assert abs(esb_time(t_death) - esb_time_numeric(p)) < 1e-3
 
+    @pytest.mark.parametrize("bad", [0.0, 0.2, 0.25, 1.0, NAN])
+    def test_numeric_refuses_p_without_a_birth(self, bad):
+        # outside (1/4, 1) the cavities never die, so the reservoirs are
+        # entangled from kt = 0 on and the bisection has no crossing to find
+        for arg in (bad, np.array([0.5, bad, 2.0])):
+            with pytest.raises(ValueError) as info:
+                esb_time_numeric(arg)
+            assert str(info.value) == f"birth time needs 1/4 < p < 1, got {bad}"
+
     def test_reservoir_negativity_is_born_then_grows(self):
         p = 0.5
         birth = esb_time_numeric(p)
@@ -556,16 +567,17 @@ class TestEsbTime:
 
 
 class TestArrayCalls:
-    # 5e-324 to 1e300 and inf: where e underflows, where it rounds to 1, and
-    # both sides of esb_time's branch point ln 2
-    KTS = np.concatenate([[5e-324, 1e-300, np.nextafter(np.log(2.0), 0.0), np.log(2.0)],
-                          np.geomspace(1e-20, 1e300, 997), [np.inf]])
+    # 0 to 1e300 and inf: both zeros, where the curves start and esb_time
+    # refuses (a pair, so its grid still splits in two), where e underflows,
+    # where it rounds to 1, and both sides of esb_time's branch point ln 2
+    KTS = np.concatenate([[0.0, -0.0, 5e-324, 1e-300, np.nextafter(np.log(2.0), 0.0),
+                           np.log(2.0)], np.geomspace(1e-20, 1e300, 997), [np.inf]])
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("fn", [lambda5_boundary, lambda7_boundary, gghz_esd_boundary,
                                     esb_time], ids=lambda fn: fn.__name__)
     def test_array_call_is_the_scalar_calls_bit_for_bit(self, fn):
-        grid = self.KTS.reshape(2, -1)
+        grid = (self.KTS[self.KTS > 0.0] if fn is esb_time else self.KTS).reshape(2, -1)
         values = fn(grid)
         assert type(values) is np.ndarray and values.shape == grid.shape
         scalars = [fn(float(kt)) for kt in grid.flat]
@@ -573,17 +585,19 @@ class TestArrayCalls:
         assert values.ravel().tobytes() == np.array(scalars).tobytes()
 
     @pytest.mark.parametrize("fn, message", [
-        (lambda5_boundary, "boundary curves need kt > 0, got {}"),
-        (lambda7_boundary, "boundary curves need kt > 0, got {}"),
-        (gghz_esd_boundary, "boundary curves need kt > 0, got {}"),
+        (lambda5_boundary, "dimensionless time kt={} must be a number at least 0"),
+        (lambda7_boundary, "dimensionless time kt={} must be a number at least 0"),
+        (gghz_esd_boundary, "dimensionless time kt={} must be a number at least 0"),
         (esb_time, "death time must be positive, got {}"),
     ], ids=["lambda5", "lambda7", "gghz", "esb"])
     @pytest.mark.parametrize("bad", [0.0, -1.0, NAN])
     def test_array_names_its_first_bad_entry(self, fn, message, bad):
-        for arg in (bad, np.array([1.0, bad, -2.0])):
+        # the curves take kt = 0, so past it their first bad entry is the -2
+        first = -2.0 if bad == 0.0 and fn is not esb_time else bad
+        for arg in (first, np.array([1.0, bad, -2.0])):
             with pytest.raises(ValueError) as info:
                 fn(arg)
-            assert str(info.value) == message.format(bad)
+            assert str(info.value) == message.format(first)
 
 
 def _np_roots_death_time(p):

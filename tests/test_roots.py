@@ -22,8 +22,8 @@ from cavres import esd_threshold_probability, esd_time, min_esd_point
 from cavres.entanglement import (closed_form_pt_eigenvalues, gghz_negativity_closed,
                                  negativity_from_spectrum)
 from cavres.esd import (ESD_ONSET_PROBABILITY, INITIAL_NEGATIVITY_STATIONARY, _bisect,
-                        _q5, _q7, gghz_esd_boundary, initial_negativity,
-                        min_initial_negativity)
+                        _q5, _q7, gghz_esd_boundary, initial_negativity, lambda5_boundary,
+                        lambda7_boundary, min_initial_negativity)
 
 E, P, LAM = sp.symbols("e p lambda", positive=True)  # the damping model's symbols
 O = sp.Symbol("o", positive=True)  # o = 1 - e
@@ -363,6 +363,15 @@ class TestWholeDomain:
         with np.errstate(over="ignore", invalid="ignore"):
             lambdas = np.array(closed_form_pt_eigenvalues(p, kt).lambdas[:4])
         assert np.isfinite(lambdas).all() and (lambdas >= 0.0).all()
+
+    @SETTINGS
+    @given(st.floats(0.0, 1e300) | st.just(np.inf))
+    @pytest.mark.parametrize("curve", [lambda5_boundary, lambda7_boundary, gghz_esd_boundary],
+                             ids=lambda fn: fn.__name__)
+    def test_boundary_curves_on_the_whole_domain(self, curve, kt):
+        # RuntimeWarnings are errors here, so a curve may not overflow on the way
+        value = curve(kt)
+        assert type(value) is float and 0.0 <= value <= 1.0
 
     @OPEN_DEFECT
     @pytest.mark.parametrize("p, rel", [(0.27, 1e-6), (0.27, 1e-8), (0.9, 1e-8)])
