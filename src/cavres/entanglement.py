@@ -51,7 +51,7 @@ class PtSpectrum:
 
     The order matches the closed-form labelling: entries 5 and 7 (1-based)
     are the only ones that can go negative.  The other six are sums and products
-    of nonnegative terms at every (p, kt), entries 1 to 4 of e = exp(-kt) and
+    of nonnegative terms at every (p, kt), entries 1 to 6 of e = exp(-kt) and
     o = -expm1(-kt) alone, so each |l| - l is exactly 0 and the negativity is
     -2 lambda5 - 2 lambda7 over the negative ones, rounded once.
     """
@@ -71,14 +71,21 @@ class PtSpectrum:
         return self.lambdas[6]
 
 
+def _q5_eo(p, e, o):
+    """Q5 (esd._q5) in e and o = 1 - e, with no cancellation as kt -> 0: a
+    positive part less a positive part.  lambda5 lambda6 = -e^3 p Q5 / 12."""
+    return 3.0 * p * e * (1.0 + o + o * o) - 2.0 * (1.0 - p) * o
+
+
 def closed_form_pt_eigenvalues(p, kt):
     """Exact eigenvalues of the partial transpose of the evolved cavity state.
 
     Evaluates the closed forms for the mixture weight p and dimensionless
     time kt, which may be numpy arrays that broadcast against each other;
     each eigenvalue then has the broadcast shape.  Cross-validated against
-    the dense eigensolver of the traced seven-qubit state.  lambda1 to
-    lambda4 are products in e and o; only lambda5 to lambda8 use u = exp(kt).
+    the dense eigensolver of the traced seven-qubit state.  lambda1 to lambda6
+    are in e and o: lambda6 = e S_a / 12 and, from their product, lambda5 = -e^2
+    p Q5 / S_a, S_a = 2 - 2p + 3op + sqrt(D_a) > 0; only lambda7 and lambda8 use u.
     """
     _check_probability(p)
     o = _chi_sq(kt)
@@ -90,17 +97,16 @@ def closed_form_pt_eigenvalues(p, kt):
     l2 = 0.5 * em2 * o * p
     l3 = 0.5 * em * o * o * p
     l4 = em * (4.0 - 4.0 * p + 3.0 * o * o * p) / 6.0
-    lin_a = em * (2.0 - 2.0 * p + 3.0 * (1.0 - em) * p)
-    disc_a = (18.0 * u3 * p * (p - 2.0) + 36.0 * p2 - 108.0 * u * p2
-              + u4 * np.float_power(p + 2.0, 2) + 3.0 * u2 * p * (8.0 + 31.0 * p))
+    d_a = ((((36.0 * p2 * em - 108.0 * p2) * em + 93.0 * p2 + 24.0 * p) * em
+            + 18.0 * p2 - 36.0 * p) * em + (p + 2.0) * (p + 2.0))
+    s_a = 2.0 - 2.0 * p + 3.0 * o * p + np.sqrt(d_a)
     lin_b = 3.0 * (p + np.float_power(1.0 - em, 3) * p
                    + (1.0 - em) * (2.0 - 2.0 * p + em2 * p))
     disc_b = (36.0 * (u4 + p2 - u3 * (p + 2.0) - u * p * (p + 2.0))
               + u2 * (68.0 + 44.0 * p + 41.0 * p2))
-    rad_a = em3 * np.sqrt(disc_a)
     rad_b = em2 * np.sqrt(disc_b)
-    l5 = (lin_a - rad_a) / 12.0
-    l6 = (lin_a + rad_a) / 12.0
+    l5 = -em2 * p * _q5_eo(p, em, o) / s_a
+    l6 = em * s_a / 12.0
     l7 = (lin_b - rad_b) / 12.0
     l8 = (lin_b + rad_b) / 12.0
     return PtSpectrum(lambdas=(l1, l2, l3, l4, l5, l6, l7, l8))

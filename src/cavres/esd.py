@@ -12,8 +12,8 @@ from enum import Enum
 
 import numpy as np
 
-from .entanglement import (ZERO_ENTANGLEMENT, closed_form_pt_eigenvalues, marginal_negativity,
-                           negativity_from_spectrum)
+from .entanglement import (ZERO_ENTANGLEMENT, _q5_eo, closed_form_pt_eigenvalues,
+                           marginal_negativity, negativity_from_spectrum)
 from .linalg import _item, _require
 from .states import (RESERVOIR_LAYOUT, _check_probability, _chi_sq, _global_state,
                      _partner_amplitude, amplitudes, ghz, global_output_state, reduce, w)
@@ -106,18 +106,16 @@ def classify_region(p, kt):
     The signs come from Q5 and Q7, with no tie tolerance: lambda5 lambda6
     = -e^3 p Q5 / 12 and lambda7 lambda8 = e^2 Q7 / 36, where lambda6 and
     lambda8 are positive; p and Q5 are tested apart, as p Q5 can underflow.
-    The e-forms cancel as kt -> 0, so in o = 1 - e they are taken as
-    Q5 = 3p e (1 + o + o^2) - 2(1 - p) o and, where e > 1/2, as
-    Q7 = 9p^2 o^4 + 18p(1 - p) o^2 + 9p^2 o - 8(1 - p)^2: a positive part
-    less a positive part, each to a few ulp.  Q7's o-form cancels near
-    p = 1/4 as e -> 0, where its e-form is kept.  Where e underflows (kt >
-    ~745), the smallest positive e keeps the sign of the lowest nonzero
-    term, so the GHZ row (p = 1) stays in region II.
+    Q5 is entanglement._q5_eo, lambda5's own.  Q7's e-form cancels as kt -> 0,
+    so where e > 1/2 it is 9p^2 o^4 + 18p(1 - p) o^2 + 9p^2 o - 8(1 - p)^2 in
+    o = 1 - e, each part to a few ulp; that cancels near p = 1/4 as e -> 0, where
+    the e-form is kept.  Where e underflows (kt > ~745), the smallest positive e
+    keeps the sign of the lowest nonzero term, so the GHZ row stays in region II.
     """
     _check_probability(p)
     o, r = _chi_sq(kt), 1.0 - p
     e = np.maximum(np.exp(-kt), np.finfo(float).smallest_subnormal)
-    q5 = 3.0 * p * e * (1.0 + o + o * o) - 2.0 * r * o
+    q5 = _q5_eo(p, e, o)
     q7_o = ((9.0 * p * p * o * o + 18.0 * p * r) * o + 9.0 * p * p) * o - 8.0 * r * r
     q7 = np.where(e > 0.5, q7_o, np.polyval(_q7(p), e))
     return _REGIONS[((p > 0.0) & (q5 > 0.0)).astype(int), np.less(q7, 0.0).astype(int)]

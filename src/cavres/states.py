@@ -133,20 +133,16 @@ def global_output_state(p, kt):
     return _global_state(p, *amplitudes(kt))
 
 
-def _gghz_state(a, xi, chi):
+def gghz_output_state(a, kt):
+    """Evolved 6-qubit pure state of a|000000> + b|phi phi phi> at time kt, unchecked."""
+    cube = _pair_amplitudes(*amplitudes(kt))[1]  # refuses a bad kt before a bad a
     a = np.asarray(a, dtype=float)[..., None, None, None]
     b = _partner_amplitude(a)
-    cube = _pair_amplitudes(xi, chi)[1]
     # a|000000> + b ph ph ph in one pass, indexed as in the global state
     amps = np.zeros(np.broadcast_shapes(a.shape, cube.shape)[:-3] + (4, 4, 4))
     amps[..., 0, 0, 0] = a[..., 0, 0, 0]
     amps[..., 1:3, 1:3, 1:3] = b * cube
     return _derived(PureState, PAIR_LAYOUT, amps.reshape(amps.shape[:-3] + (-1,)))
-
-
-def gghz_output_state(a, kt):
-    """Evolved 6-qubit pure state of a|000000> + b|phi phi phi> at time kt, unchecked."""
-    return _gghz_state(a, *amplitudes(kt))
 
 
 def reduce(state, keep):

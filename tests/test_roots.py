@@ -15,10 +15,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import bisect
 
-from cavres import esd_threshold_probability, esd_time, min_esd_point
+from cavres import (RegionClass, classify_region, esd_threshold_probability, esd_time,
+                    min_esd_point)
 from cavres.entanglement import (closed_form_pt_eigenvalues, gghz_negativity_closed,
                                  negativity_from_spectrum)
 from cavres.esd import (ESD_ONSET_PROBABILITY, INITIAL_NEGATIVITY_STATIONARY, _bisect,
@@ -55,9 +56,9 @@ def _certified_q5_q7(certificate):
 
 
 def _radicands(p, e):
-    """D_a and D_b, the closed forms' radicands in e: disc_a = u^4 D_a and
-    disc_b = u^4 D_b, u = 1/e.  Only +, - and * on p and e, so they may be
-    sympy symbols or mpmath intervals."""
+    """D_a and D_b, the closed forms' radicands in e: lambda5 and lambda6 take
+    sqrt(D_a), and lambda7 and lambda8 that of disc_b = u^4 D_b, u = 1/e.  Only
+    +, - and * on p and e, so they may be sympy symbols or mpmath intervals."""
     d_a = ((((36 * p * p * e - 108 * p * p) * e + 93 * p * p + 24 * p) * e
             + 18 * p * p - 36 * p) * e + (p + 2) * (p + 2))
     d_b = ((((36 * p * p * e - 36 * p * (p + 2)) * e + 41 * p * p + 44 * p + 68) * e
@@ -119,8 +120,8 @@ class TestCertificate:
 
 
 class TestRadicands:
-    """The closed forms take np.sqrt of disc_a and disc_b unclamped: both
-    are u^4 times a polynomial in (p, e) that stays above 2 on the whole
+    """The closed forms take np.sqrt of D_a and disc_b = u^4 D_b unclamped:
+    D_a and D_b are polynomials in (p, e) that stay above 2 on the whole
     domain."""
 
     def test_discriminants_are_the_radicands(self, certificate):
@@ -316,10 +317,12 @@ def _mp_gghz_negativity(a, kt):
 class TestWholeDomain:
     """The closed forms on the documented domain kt in [0, inf): finite and
     non-negative at long times, and right to rounding at short ones and just
-    before a death.  lambda1 to lambda4 are products in e = exp(-kt) and
-    o = -expm1(-kt), right on the whole domain.  The rest keep the u = exp(kt)
-    form, which overflows past kt ~ 177 and cancels in lin - rad as lambda5 or
-    lambda7 -> 0, so each xfail case fails until the bounded (e, o) kernel lands."""
+    before a death.  lambda1 to lambda6 are in e = exp(-kt) and o = -expm1(-kt),
+    lambda5 from its product with lambda6, so it is finite, right relative to
+    its size and has the sign of classify_region's Q5 on the whole domain.
+    lambda7, lambda8 and the generalized GHZ keep the u = exp(kt) form, which
+    overflows past kt ~ 177 and cancels in lin - rad as lambda7 -> 0, so each
+    xfail case fails until the bounded (e, o) kernel lands."""
 
     @OPEN_DEFECT
     @pytest.mark.filterwarnings("error")
@@ -336,6 +339,18 @@ class TestWholeDomain:
     def test_gghz_negativity_at_long_times(self, a, kt):
         n = gghz_negativity_closed(a, kt)
         assert np.isfinite(n) and n >= 0.0
+
+    @SETTINGS
+    @given(st.floats(0.0, 1.0))
+    @example(1.0 - 2.0 ** -53)  # the u-form's lambda5 gave N = 1.0000000000000002 here
+    def test_initial_negativity_at_most_one(self, p):
+        assert 0.0 <= initial_negativity(p) <= 1.0
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 13")
+    def test_gghz_negativity_at_most_one(self):
+        # at kt = 0 the closed form is 2ab, which rounds to 1.0000000000000002 at 225
+        # of the 4001 doubles within 2000 ulp of sqrt(1/2), this one among them
+        assert gghz_negativity_closed(0.7071067811863262, 0.0) <= 1.0
 
     @OPEN_DEFECT
     @pytest.mark.parametrize("kt", [1e-6, 1e-9])
@@ -357,12 +372,38 @@ class TestWholeDomain:
 
     @SETTINGS
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1e300) | st.just(np.inf))
-    def test_first_four_eigenvalues_on_the_whole_domain(self, p, kt):
-        # lambda5 to lambda8 still overflow in u = exp(kt) from kt ~ 177; lambda1 to
-        # lambda4 are products in e and o, which stay in [0, 1]
+    def test_first_six_eigenvalues_on_the_whole_domain(self, p, kt):
+        # lambda7 and lambda8 still overflow in u = exp(kt) from kt ~ 177; lambda1 to
+        # lambda6 are in e and o, which stay in [0, 1], and lambda5 alone can go negative
         with np.errstate(over="ignore", invalid="ignore"):
-            lambdas = np.array(closed_form_pt_eigenvalues(p, kt).lambdas[:4])
-        assert np.isfinite(lambdas).all() and (lambdas >= 0.0).all()
+            lambdas = np.array(closed_form_pt_eigenvalues(p, kt).lambdas[:6])
+        assert np.isfinite(lambdas).all() and (np.delete(lambdas, 4) >= 0.0).all()
+
+    @SETTINGS
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1e300) | st.just(np.inf))
+    @example(0.3, 100.0)  # the u-form gave lambda5 = -1.66e-60 here, in region IV
+    def test_lambda5_sign_is_the_regions(self, p, kt):
+        with np.errstate(over="ignore", invalid="ignore"):
+            lambda5 = closed_form_pt_eigenvalues(p, kt).lambda5
+        if lambda5 != 0.0:
+            assert (lambda5 < 0.0) == (classify_region(p, kt) in (RegionClass.I, RegionClass.II))
+
+    @OPEN_DEFECT
+    def test_lambda7_sign_is_the_regions(self):
+        # lin - rad cancels to lambda7 = -1.48e-16 here, so N = 2.96e-16 in region IV
+        p, kt = 0.3, 100.0
+        lambda7 = closed_form_pt_eigenvalues(p, kt).lambda7
+        assert classify_region(p, kt) is RegionClass.IV and lambda7 >= 0.0
+
+    @pytest.mark.parametrize("kt", [50.0, 100.0, 170.0])
+    @pytest.mark.parametrize("p", [0.3, 0.6, 0.9])
+    def test_lambda5_at_long_times(self, p, kt):
+        # lambda5 ~ e^2 while the u-form's lin ~ e, so the referee's lin - rad
+        # cancels about 0.43 kt digits
+        with mp.workdps(int(40 + 1.4 * kt)):
+            want = _mp_lambda5_lambda7(mp.mpf(p), mp.mpf(kt))[0] / 12
+        got = closed_form_pt_eigenvalues(p, kt).lambda5
+        assert abs(got - want) <= 1e-13 * abs(want)
 
     @SETTINGS
     @given(st.floats(0.0, 1e300) | st.just(np.inf))
@@ -373,11 +414,13 @@ class TestWholeDomain:
         value = curve(kt)
         assert type(value) is float and 0.0 <= value <= 1.0
 
-    @OPEN_DEFECT
-    @pytest.mark.parametrize("p, rel", [(0.27, 1e-6), (0.27, 1e-8), (0.9, 1e-8)])
+    @pytest.mark.parametrize("p, rel", [pytest.param(0.27, 1e-6, marks=OPEN_DEFECT),
+                                        pytest.param(0.27, 1e-8, marks=OPEN_DEFECT),
+                                        (0.9, 1e-8)])
     def test_mixture_negativity_just_before_its_death(self, p, rel):
         # N = -2 lambda over the negative ones; N ~ esd_time - kt here, so rounding
-        # exp(-kt) alone costs at most 1.1e-16 / (rel esd_time) relative: 5e-9 here
+        # exp(-kt) alone costs at most 1.1e-16 / (rel esd_time) relative: 5e-9 here.
+        # At p = 0.9 lambda5 dies last; at 0.27 lambda7 does, in the u-form
         kt = esd_time(p) * (1.0 - rel)
         with mp.workdps(60):
             want = float(sum(-x for x in _mp_lambda5_lambda7(mp.mpf(p), mp.mpf(kt)) if x < 0) / 6)

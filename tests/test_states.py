@@ -177,6 +177,12 @@ class TestGghzOutputState:
         assert abs(amps[basis_index([1, 0, 1, 0, 1, 0])] - 0.8) < 1e-15
         assert np.count_nonzero(amps) == 2
 
+    def test_domain_checks_kt_first(self):
+        with pytest.raises(ValueError, match="amplitude a=1.5"):
+            gghz_output_state(1.5, 1.0)
+        with pytest.raises(ValueError, match="kt=-1.0"):
+            gghz_output_state(1.5, -1.0)
+
     def test_pair_exchange_symmetry(self):
         state = gghz_output_state(0.45, 1.1)
         pairs = [reduce(state, [c, r]).data
@@ -233,10 +239,9 @@ class TestOutputStatesAgainstKronChain:
 
     def test_gghz_output_state(self):
         for a, kt in self.GRID:
-            xi, chi = amplitudes(kt)
-            got = states._gghz_state(a, xi, chi)
+            got = gghz_output_state(a, kt)
             assert got.layout == PAIR_LAYOUT
-            np.testing.assert_array_equal(got.amplitudes, _kron_gghz(a, xi, chi))
+            np.testing.assert_array_equal(got.amplitudes, _kron_gghz(a, *amplitudes(kt)))
 
     def test_swapped_amplitudes(self):
         # the swap check feeds (chi, xi); that order must build the same way
