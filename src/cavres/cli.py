@@ -22,15 +22,14 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .entanglement import (ZERO_ENTANGLEMENT, closed_form_pt_eigenvalues,
+from .entanglement import (ZERO_ENTANGLEMENT, _marginal_pt_spectrum, closed_form_pt_eigenvalues,
                            gghz_negativity_closed, marginal_negativity, monogamy_chain,
                            negativity_from_spectrum)
 from .esd import (RegionClass, _death_time, classify_region, esb_time, esb_time_numeric,
                   esd_threshold_probability, esd_time, equal_entanglement_range,
                   gghz_esd_boundary, gghz_esd_time, lambda5_boundary, lambda7_boundary,
                   min_esd_point, min_initial_negativity, swap_check)
-from .linalg import _block_spectrum, partial_transpose
-from .states import CAVITY_LAYOUT, gghz_output_state, global_output_state, reduce
+from .states import CAVITY_LAYOUT, gghz_output_state, global_output_state
 
 CSV_HEADER = "param,kt,negativity"
 
@@ -108,8 +107,7 @@ def dense_cavity_negativity(state, params, kts):
 
 def _spectrum_deviation(p, kt):
     lam = np.sort(np.stack(closed_form_pt_eigenvalues(p, kt).lambdas, axis=-1), axis=-1)
-    num = np.sort(_block_spectrum(partial_transpose(
-        reduce(global_output_state(p, kt), CAVITY_LAYOUT.labels), ["c1"])), axis=-1)
+    num = np.sort(_marginal_pt_spectrum(global_output_state(p, kt), CAVITY_LAYOUT.labels), axis=-1)
     return np.max(np.abs(lam - num), axis=-1, keepdims=True)
 
 

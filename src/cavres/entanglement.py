@@ -5,17 +5,18 @@ cavity state of the evolving GHZ/W mixture, the closed-form negativity of
 the evolved generalized GHZ state, Wootters concurrence, and the monogamy
 chain that constrains how entanglement distributes between cavities and
 reservoirs during dissipation.  The dense measures act on stacks, and a
-partial transpose is eigensolved block by block; the grid audits of the
-closed forms are the verify suites in cavres.cli.
+partial transpose is eigensolved block by block, gathered from `reduce`'s
+sums for a pure state; the audits are the verify suites in cavres.cli.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .linalg import _block_spectrum, _item, partial_transpose
-from .states import (CAVITY_LAYOUT, RESERVOIR_LAYOUT, _check_probability, _chi_sq,
-                     _partner_amplitude, global_output_state, reduce)
+from .states import (CAVITY_LAYOUT, RESERVOIR_LAYOUT, _check_probability, _chi_sq, _pair_sums,
+                     _partner_amplitude, _pt_plan, global_output_state, reduce)
 
 ZERO_ENTANGLEMENT = 1e-10  # decision threshold for "no entanglement"
 
@@ -34,6 +35,7 @@ def negativity(rho, part_a):
     The partial transpose has trace Tr rho, so that is sum(|l| - l) over its
     eigenvalues l: nonnegative term by term, and blind to trace rounding.
     The model's 8x8 ones split into blocks of 3, 2, 2 and 1 rows, or finer.
+    `marginal_negativity` gives these bits for a pure state's marginal.
     """
     spectrum = _block_spectrum(partial_transpose(rho, part_a))
     return _item(np.sum(np.abs(spectrum) - spectrum, axis=-1))
@@ -41,8 +43,18 @@ def negativity(rho, part_a):
 
 def marginal_negativity(state, qubits):
     """Dense negativity of the first of the given qubits against the others,
-    in the marginal of a pure state on them."""
-    return negativity(reduce(state, qubits), qubits[:1])
+    in the marginal of a pure state on them: the bits of `negativity(reduce(
+    state, qubits), qubits[:1])`, with no dense marginal or transpose built."""
+    spectrum = _marginal_pt_spectrum(state, qubits)
+    return _item(np.sum(np.abs(spectrum) - spectrum, axis=-1))
+
+
+def _marginal_pt_spectrum(state, qubits):
+    """`_block_spectrum(partial_transpose(reduce(state, qubits), qubits[:1]))`, bit for bit."""
+    key, _, sums = _pair_sums(state, qubits)
+    live = (sums.reshape(-1, sums.shape[-1]) != 0).any(axis=0).tobytes()
+    parts = [linalg._eigvalsh_of_size(sums[..., g]) for g in _pt_plan(*key, qubits[0], live)]
+    return np.concatenate([v.reshape(sums.shape[:-1] + (-1,)) for v in parts], axis=-1)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ significant bit of the computational-basis index.  A state or density
 matrix may be a stack, `(..., dim)` or `(..., dim, dim)`, one member per
 point, validated in one pass; every function on it keeps the leading
 axes.  Exact zeros are skipped: a Hermitian stack is eigensolved block by
-block, 2x2 ones in closed form, and `states.reduce` sums nonzero amplitudes.
+block, 2x2 ones in closed form; `states.reduce` sums nonzero amplitudes, and
+a marginal's partial transpose is gathered from those sums by the same rules.
 
 `PureState` and `DensityMatrix` are the one checked entry for outside data,
 since checks on outside input are safety code; the program's own states are
@@ -209,14 +210,16 @@ def partial_transpose(rho, subsystem):
     """Swap the row and column axes of the chosen qubits: a new, writable
     array shaped like `rho.data`, Hermitian but generally not positive, so
     a plain array rather than a DensityMatrix."""
-    pos = rho.layout.positions(subsystem)
-    n = rho.layout.n_qubits
+    return _swap_qubit_axes(rho.data, rho.layout.n_qubits, rho.layout.positions(subsystem))
+
+
+def _swap_qubit_axes(mat, n, pos):
+    """A copy (a proper swap is never a view) of mat with the row and column axes of pos swapped."""
     if not 0 < len(pos) < n:
         raise ValueError("subsystem must be a nonempty proper subset of the layout")
-    k = rho.data.ndim - 2  # leading stack axes
+    k = mat.ndim - 2  # leading stack axes
     axes = [k + ((i + n) % (2 * n) if i % n in pos else i) for i in range(2 * n)]
-    arr = rho.data.reshape(rho.data.shape[:k] + (2,) * (2 * n)).transpose(*range(k), *axes)
-    return arr.reshape(rho.data.shape)  # a copy: a proper swap is never a view
+    return mat.reshape(mat.shape[:k] + (2,) * 2 * n).transpose(*range(k), *axes).reshape(mat.shape)
 
 
 def _block_spectrum(h):

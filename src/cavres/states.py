@@ -13,7 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import NORM_TOL, DensityMatrix, PureState, SystemLayout, _derived, _item, _require
+from .linalg import (NORM_TOL, DensityMatrix, PureState, SystemLayout, _blocks, _derived, _item,
+                     _require, _swap_qubit_axes)
 
 CAVITY_LAYOUT = SystemLayout(("c1", "c2", "c3"))
 RESERVOIR_LAYOUT = SystemLayout(("r1", "r2", "r3"))
@@ -146,28 +147,28 @@ def gghz_output_state(a, kt):
 
 
 def reduce(state, keep):
-    """Reduced density matrix of a pure state on the kept qubits.
+    """Reduced density matrix M M^dagger of a pure state on the kept qubits, M
+    the amplitudes with the kept qubits as rows (in layout order): `_pair_sums`
+    on and above the diagonal, mirrored below, exact zeros elsewhere.  Built
+    from a validated state, the marginal is read-only and not checked again."""
+    _, (sub, *_, src), sums = _pair_sums(state, keep)
+    return _derived(DensityMatrix, sub, sums[..., src])
 
-    With the kept qubits as rows (in layout order), psi is a matrix M and the
-    marginal M M^dagger.  Each entry on or above the diagonal sums from +0.0,
-    column by column, the products of the amplitudes nonzero in any member
-    that share their column; `np.add.at` adds each later one in index order.
-    A product with an exact zero is exactly 0, so every member gets the bits
-    of its own call.  The state was validated when it was built, so the
-    marginal is read-only and not checked again.
-    """
-    keep = tuple(keep)
+
+def _pair_sums(state, keep):
+    """(`_plan`'s key, the plan, [sums, conj(sums), 0]): each entry on or above the diagonal
+    sums from +0.0, column by column, the products of the amplitudes nonzero in any member
+    that share their column, later ones by `np.add.at` in index order.  A product with an
+    exact zero is exactly 0, so every member gets the bits of its own call."""
     amps = state.amplitudes
-    sub, left, right, later, upper, lower = _plan(
-        amps.reshape(-1, amps.shape[-1]).any(axis=0).tobytes(), state.layout, keep)
+    key = (amps.reshape(-1, amps.shape[-1]).any(axis=0).tobytes(), state.layout, tuple(keep))
+    _, left, right, later, src = plan = _plan(*key)
     terms = amps[..., left] * amps[..., right].conj()
-    acc = 0.0 + terms[..., :upper.size]  # sums start at +0.0, as a skipped entry's zero
-    np.add.at(acc, (..., later), terms[..., upper.size:])
-    out = np.zeros(amps.shape[:-1] + (sub.dim * sub.dim,), dtype=acc.dtype)
-    out[..., lower] = acc.conj()
-    out[..., upper] = acc
-    out[..., ::sub.dim + 1] = out[..., ::sub.dim + 1].real  # a * conj(a) keeps an FMA residue
-    return _derived(DensityMatrix, sub, out.reshape(out.shape[:-1] + (sub.dim, sub.dim)))
+    acc = 0.0 + terms[..., :left.size - later.size]  # from +0.0, as a skipped entry's zero
+    np.add.at(acc, (..., later), terms[..., acc.shape[-1]:])
+    acc = np.concatenate((acc, acc.conj(), np.zeros_like(acc[..., :1])), axis=-1)
+    acc[..., src.diagonal()] = acc[..., src.diagonal()].real  # a * conj(a) has an FMA residue
+    return key, plan, acc
 
 
 @lru_cache
@@ -175,7 +176,7 @@ def _plan(pattern, layout, keep):
     """`reduce`'s plan for the nonzero amplitudes of a pattern, as bytes: the
     kept sub-layout; the pairs (left, right) of amplitude indices that share a
     column, each entry's first pair first, then the later pairs by entry and
-    column; the entry of each later pair; the entries' and mirrors' flat indices."""
+    column; the entry of each later pair; each entry's slot in [sums, conj(sums), 0]."""
     sub, n, pos = layout.restrict(keep), layout.n_qubits, layout.positions(keep)
     grid = np.moveaxis(np.arange(2 ** n).reshape((2,) * n), pos, range(len(pos)))
     grid = grid.reshape(sub.dim, -1)  # M's amplitude indices
@@ -183,12 +184,27 @@ def _plan(pattern, layout, keep):
     i, j = np.triu_indices(sub.dim)
     entry, col = np.nonzero(live[i] & live[j])  # by entry, then by column
     first = np.diff(entry, prepend=-1) > 0  # each entry's first pair
-    rows = np.stack((i[entry], j[entry]))
+    rows, s = np.stack((i[entry], j[entry])), np.count_nonzero(first)
+    src = np.full((sub.dim, sub.dim), 2 * s)
+    src[tuple(rows[::-1, first])], src[tuple(rows[:, first])] = np.arange(s, 2 * s), np.arange(s)
     plan = (*grid[rows, col][:, np.argsort(~first, kind="stable")], (np.cumsum(first) - 1)[~first],
-            [sub.dim, 1] @ rows[:, first], [1, sub.dim] @ rows[:, first])
+            src)
     for x in plan:
         x.setflags(write=False)  # the cache hands these to every call
     return sub, *plan
+
+
+@lru_cache
+def _pt_plan(pattern, layout, keep, part, live):
+    """`reduce`'s marginal, transposed on `part`, as slots in [sums, conj(sums), 0]: a read-only
+    (blocks, size, size) array per size of `_blocks` of the slots `live` in any member."""
+    sub, *_, src = _plan(pattern, layout, keep)
+    src = _swap_qubit_axes(src, sub.n_qubits, sub.positions([part]))
+    live = np.frombuffer(live, dtype=bool)[src]
+    groups = tuple(src[g[:, :, None], g[:, None, :]] for g in _blocks(live.tobytes(), sub.dim))
+    for g in groups:
+        g.setflags(write=False)
+    return groups
 
 
 def reorder(state, new_layout):

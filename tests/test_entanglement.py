@@ -2,19 +2,20 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cavres import (DensityMatrix, PureState, SystemLayout, closed_form_pt_eigenvalues,
                     gghz_negativity_closed, gghz_output_state,
                     global_output_state, mixed_ghz_w, monogamy_chain,
                     negativity, negativity_from_spectrum,
                     pure_bipartite_concurrence_sq, reduce, w)
-from cavres import cli
+from cavres import cli, states
 from cavres.cli import grid_worst
-from cavres.entanglement import (PtSpectrum, _pair_block_concurrences_sq, marginal_negativity,
-                                 wootters_concurrence)
+from cavres.entanglement import (PtSpectrum, _marginal_pt_spectrum, _pair_block_concurrences_sq,
+                                 marginal_negativity, wootters_concurrence)
 from cavres.esd import reservoir_negativity, swap_check
-from cavres.linalg import partial_trace, partial_transpose
-from cavres.states import CAVITY_LAYOUT, RESERVOIR_LAYOUT, ghz, purified_initial
+from cavres.linalg import _block_spectrum, partial_trace, partial_transpose
+from cavres.states import CAVITY_LAYOUT, GLOBAL_LAYOUT, RESERVOIR_LAYOUT, ghz, purified_initial
 
 from conftest import random_unitary
 
@@ -70,6 +71,117 @@ class TestNegativity:
         for qubits in (("c1", "c2", "c3"), ("r1", "r2", "r3"), ("c2", "c3", "c1")):
             want = negativity(reduce(state, qubits), [qubits[0]])
             assert marginal_negativity(state, qubits) == want
+
+
+# 0 and 1e-300 start the damping; from kt ~ 250 some products underflow to exact zeros
+STACK_KTS = np.array([0.0, 1e-300, 0.3, 1.0, 40.0, 700.0, 1000.0, np.inf])
+MARGINAL_KEEPS = [CAVITY_LAYOUT.labels, RESERVOIR_LAYOUT.labels, ("c2", "c1", "c3"),
+                  ("r3", "r1"), ("c1", "r1", "c2", "r2")]
+
+
+def _same_bits(a, b):
+    x, y = np.asarray(a), np.asarray(b)
+    return (type(a) is type(b) and x.dtype == y.dtype and x.shape == y.shape
+            and x.tobytes() == y.tobytes())
+
+
+class TestMarginalNegativityFromSums:
+    """`marginal_negativity` and `_marginal_pt_spectrum` gather the partial
+    transpose's blocks from `reduce`'s sums; the dense route, `negativity` and
+    `_block_spectrum` of `partial_transpose(reduce(...))`, is their referee, bit
+    for bit, the first kept qubit transposed wherever it sits in the layout."""
+
+    @staticmethod
+    def _check(state, qubits):
+        rho = reduce(state, qubits)
+        assert _same_bits(marginal_negativity(state, qubits), negativity(rho, qubits[:1]))
+        want = _block_spectrum(partial_transpose(rho, qubits[:1]))
+        assert _same_bits(_marginal_pt_spectrum(state, qubits), want)
+
+    @pytest.mark.parametrize("qubits", MARGINAL_KEEPS)
+    def test_mixture_stack_with_kt_zero_members(self, qubits):
+        self._check(global_output_state(np.linspace(0.0, 1.0, 5)[:, None], STACK_KTS), qubits)
+
+    @pytest.mark.parametrize("qubits", [q for q in MARGINAL_KEEPS if "z" not in q])
+    def test_generalized_ghz_stack_with_kt_zero_members(self, qubits):
+        self._check(gghz_output_state(np.linspace(0.0, 1.0, 5)[:, None], STACK_KTS), qubits)
+
+    @pytest.mark.parametrize("kt", STACK_KTS)
+    @pytest.mark.parametrize("qubits", MARGINAL_KEEPS[:3])
+    def test_single_points(self, qubits, kt):
+        for state in (global_output_state(0.6, kt), gghz_output_state(0.4, kt)):
+            self._check(state, qubits)
+
+    @pytest.mark.parametrize("qubits", MARGINAL_KEEPS + [("z", "c3", "r2")])
+    def test_complex_pure_state(self, rng, qubits):
+        amps = rng.normal(size=(4, 128)) + 1j * rng.normal(size=(4, 128))
+        stack = PureState(GLOBAL_LAYOUT, amps / np.linalg.norm(amps, axis=-1, keepdims=True))
+        self._check(stack, qubits)
+        self._check(PureState(GLOBAL_LAYOUT, stack.amplitudes[1]), qubits)
+
+    def test_the_plan_is_built_once_per_pattern(self):
+        states._pt_plan.cache_clear()
+        kts = np.linspace(0.1, 3.0, 7)
+        for p in (0.2, 0.5, 0.9):  # one amplitude pattern, one pattern of nonzero sums
+            marginal_negativity(global_output_state(p, kts), CAVITY_LAYOUT.labels)
+            marginal_negativity(global_output_state(p, 1.5), CAVITY_LAYOUT.labels)
+        assert states._pt_plan.cache_info()[:2] == (5, 1)  # (hits, misses)
+        marginal_negativity(global_output_state(0.5, kts), RESERVOIR_LAYOUT.labels)
+        marginal_negativity(global_output_state(0.5, np.inf), CAVITY_LAYOUT.labels)
+        assert states._pt_plan.cache_info()[:2] == (5, 3)
+
+    def test_the_cached_blocks_are_read_only(self):
+        state = global_output_state(0.4, 0.8)
+        key, _, sums = states._pair_sums(state, CAVITY_LAYOUT.labels)
+        groups = states._pt_plan(*key, "c1", (sums != 0).tobytes())
+        assert [g.shape[1:] for g in groups] == [(1, 1), (2, 2), (3, 3)]  # 1, 2, 2 and 3 rows
+        for g in groups:
+            assert not g.flags.writeable
+            with pytest.raises(ValueError):
+                g[0] = 0
+
+
+PHYSICAL = settings(max_examples=60, deadline=None, derandomize=True)
+UNIT = st.floats(0.0, 1.0)
+TIMES = st.floats(0.0, 1e3) | st.just(np.inf)
+CHAIN_MEMBERS = [f.name for f in fields(monogamy_chain(0.5, 1.0))]
+
+
+class TestPhysicalRanges:
+    """ROADMAP item 13's ranges for the dense measures: 0 <= N <= 1 for the
+    cavity and reservoir negativities and 0 <= C^2 <= 1 for every chain member.
+    The lower bounds hold term by term.  The upper bounds fail by an ulp or two
+    at p = 1, and near it, until item 13 mends them; nothing is clamped."""
+
+    @PHYSICAL
+    @given(UNIT, TIMES)
+    def test_lower_bounds(self, p, kt):
+        state, rec = global_output_state(p, kt), monogamy_chain(p, kt)
+        assert marginal_negativity(state, CAVITY_LAYOUT.labels) >= 0.0
+        assert marginal_negativity(state, RESERVOIR_LAYOUT.labels) >= 0.0
+        assert all(getattr(rec, name) >= 0.0 for name in CHAIN_MEMBERS)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 13")
+    @PHYSICAL
+    @given(UNIT, TIMES)
+    @example(1.0, 0.0)  # the GHZ point: N = 1.0000000000000002
+    def test_cavity_negativity_at_most_one(self, p, kt):
+        assert marginal_negativity(global_output_state(p, kt), CAVITY_LAYOUT.labels) <= 1.0
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 13")
+    @PHYSICAL
+    @given(UNIT, TIMES)
+    @example(1.0, np.inf)  # all leaked: N = 1.0000000000000002, and from kt = 40 on
+    def test_reservoir_negativity_at_most_one(self, p, kt):
+        assert marginal_negativity(global_output_state(p, kt), RESERVOIR_LAYOUT.labels) <= 1.0
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 13")
+    @PHYSICAL
+    @given(UNIT, TIMES)
+    @example(1.0, 0.0)  # c_c1_sq = n_cav_sq = 1.0000000000000004
+    def test_chain_members_at_most_one(self, p, kt):
+        rec = monogamy_chain(p, kt)
+        assert all(getattr(rec, name) <= 1.0 for name in CHAIN_MEMBERS)
 
 
 class TestClosedFormSpectrum:

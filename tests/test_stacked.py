@@ -291,13 +291,14 @@ def _lapack_calls(monkeypatch, run):
 
 
 def _count_dense(monkeypatch):
-    """Record the shape of each stack `negativity` solves."""
+    """Record the amplitude shape of each stack `marginal_negativity` solves."""
     stacks = []
+    spectrum = entanglement._marginal_pt_spectrum
 
-    def counting(h):
-        stacks.append(h.shape)
-        return linalg._block_spectrum(h)
-    monkeypatch.setattr(entanglement, "_block_spectrum", counting)
+    def counting(state, qubits):
+        stacks.append(state.amplitudes.shape)
+        return spectrum(state, qubits)
+    monkeypatch.setattr(entanglement, "_marginal_pt_spectrum", counting)
     return stacks
 
 
