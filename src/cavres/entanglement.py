@@ -5,18 +5,18 @@ cavity state of the evolving GHZ/W mixture, the closed-form negativity of
 the evolved generalized GHZ state, Wootters concurrence, and the monogamy
 chain that constrains how entanglement distributes between cavities and
 reservoirs during dissipation.  The dense measures act on stacks, and a
-partial transpose is eigensolved block by block, gathered from `reduce`'s
-sums for a pure state; the audits are the verify suites in cavres.cli.
+partial transpose is eigensolved block by block, gathered through
+`_pt_slots` from a density matrix's entries or, for a pure state, from
+`reduce`'s sums; the audits are the verify suites in cavres.cli.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .linalg import _block_spectrum, _item, partial_transpose
+from .linalg import _block_spectrum, _item, _pt_slots
 from .states import (CAVITY_LAYOUT, RESERVOIR_LAYOUT, _check_probability, _chi_sq, _pair_sums,
-                     _partner_amplitude, _pt_plan, global_output_state, reduce)
+                     _partner_amplitude, global_output_state, reduce)
 
 ZERO_ENTANGLEMENT = 1e-10  # decision threshold for "no entanglement"
 
@@ -34,10 +34,12 @@ def negativity(rho, part_a):
 
     The partial transpose has trace Tr rho, so that is sum(|l| - l) over its
     eigenvalues l: nonnegative term by term, and blind to trace rounding.
-    The model's 8x8 ones split into blocks of 3, 2, 2 and 1 rows, or finer.
-    `marginal_negativity` gives these bits for a pure state's marginal.
+    The model's 8x8 ones split into blocks of 3, 2, 2 and 1 rows, or finer,
+    gathered from rho's flat entries through `_pt_slots`, so no transposed copy
+    is made.  `marginal_negativity` gives these bits for a pure state's marginal.
     """
-    spectrum = _block_spectrum(partial_transpose(rho, part_a))
+    slots = _pt_slots(rho.layout.n_qubits, tuple(rho.layout.positions(part_a)))
+    spectrum = _block_spectrum(rho.data.reshape(rho.data.shape[:-2] + (-1,)), slots)
     return _item(np.sum(np.abs(spectrum) - spectrum, axis=-1))
 
 
@@ -50,11 +52,10 @@ def marginal_negativity(state, qubits):
 
 
 def _marginal_pt_spectrum(state, qubits):
-    """`_block_spectrum(partial_transpose(reduce(state, qubits), qubits[:1]))`, bit for bit."""
-    key, _, sums = _pair_sums(state, qubits)
-    live = (sums.reshape(-1, sums.shape[-1]) != 0).any(axis=0).tobytes()
-    parts = [linalg._eigvalsh_of_size(sums[..., g]) for g in _pt_plan(*key, qubits[0], live)]
-    return np.concatenate([v.reshape(sums.shape[:-1] + (-1,)) for v in parts], axis=-1)
+    """The spectrum of `partial_transpose(reduce(state, qubits), qubits[:1])` by `_block_spectrum`,
+    bit for bit, gathered from `reduce`'s sums: its slot matrix composed with `_pt_slots`."""
+    (sub, *_, src), sums = _pair_sums(state, qubits)
+    return _block_spectrum(sums, src.ravel()[_pt_slots(sub.n_qubits, (sub.position(qubits[0]),))])
 
 
 @dataclass(frozen=True)

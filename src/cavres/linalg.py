@@ -8,9 +8,10 @@ Qubit ordering is big-endian: the first label in a layout is the most
 significant bit of the computational-basis index.  A state or density
 matrix may be a stack, `(..., dim)` or `(..., dim, dim)`, one member per
 point, validated in one pass; every function on it keeps the leading
-axes.  Exact zeros are skipped: a Hermitian stack is eigensolved block by
-block, 2x2 ones in closed form; `states.reduce` sums nonzero amplitudes, and
-a marginal's partial transpose is gathered from those sums by the same rules.
+axes.  A partial transpose is one cached slot map, `_pt_slots`, and
+`_block_spectrum` gathers a Hermitian matrix's blocks from any flat array
+through slots, skipping exact zeros, 2x2 blocks in closed form: a density
+matrix's entries, or the sums of nonzero amplitudes of `states.reduce`.
 
 `PureState` and `DensityMatrix` are the one checked entry for outside data,
 since checks on outside input are safety code; the program's own states are
@@ -207,30 +208,34 @@ def partial_trace(rho, keep):
 
 
 def partial_transpose(rho, subsystem):
-    """Swap the row and column axes of the chosen qubits: a new, writable
-    array shaped like `rho.data`, Hermitian but generally not positive, so
-    a plain array rather than a DensityMatrix."""
-    return _swap_qubit_axes(rho.data, rho.layout.n_qubits, rho.layout.positions(subsystem))
+    """Swap the row and column bits of the chosen qubits: `rho.data`'s flat entries
+    gathered through `_pt_slots`, a new, writable array shaped like it, Hermitian but
+    generally not positive, so a plain array rather than a DensityMatrix."""
+    slots = _pt_slots(rho.layout.n_qubits, tuple(rho.layout.positions(subsystem)))
+    return rho.data.reshape(rho.data.shape[:-2] + (-1,))[..., slots]
 
 
-def _swap_qubit_axes(mat, n, pos):
-    """A copy (a proper swap is never a view) of mat with the row and column axes of pos swapped."""
+@lru_cache
+def _pt_slots(n, pos):
+    """The partial transpose on the qubits at pos of an n-qubit matrix, as each entry's
+    flat index in that matrix: a read-only (2^n, 2^n) array, the row and column axes of
+    pos swapped in the flat indices' 2n qubit axes."""
     if not 0 < len(pos) < n:
         raise ValueError("subsystem must be a nonempty proper subset of the layout")
-    k = mat.ndim - 2  # leading stack axes
-    axes = [k + ((i + n) % (2 * n) if i % n in pos else i) for i in range(2 * n)]
-    return mat.reshape(mat.shape[:k] + (2,) * 2 * n).transpose(*range(k), *axes).reshape(mat.shape)
+    axes = [(i + n) % (2 * n) if i % n in pos else i for i in range(2 * n)]
+    slots = np.arange(4 ** n).reshape((2,) * 2 * n).transpose(axes).reshape(2 ** n, 2 ** n)
+    slots.setflags(write=False)  # the cache hands it to every call
+    return slots
 
 
-def _block_spectrum(h):
-    """Eigenvalues of a Hermitian matrix, or of each member of a stack, as (..., n):
-    the union of the spectra of the connected blocks of the entries nonzero in any
-    member (LAPACK's balancing), one `_eigvalsh_of_size` call per size of `_blocks`,
+def _block_spectrum(flat, slots):
+    """Eigenvalues of the Hermitian `flat[..., slots]`, or of each member of a stack, as
+    (..., n): the union of the spectra of the connected blocks of the entries nonzero in
+    any member (LAPACK's balancing), one `_eigvalsh_of_size` call per size of `_blocks`,
     so one block of 3 or more rows, as a dense matrix, gets eigvalsh's bits."""
-    n = h.shape[-1]
-    pattern = (h.reshape(-1, n, n) != 0).any(axis=0).tobytes()
-    parts = [_eigvalsh_of_size(h[..., g[:, :, None], g[:, None, :]]) for g in _blocks(pattern, n)]
-    return np.concatenate([v.reshape(h.shape[:-2] + (-1,)) for v in parts], axis=-1)
+    live = (flat.reshape(-1, flat.shape[-1]) != 0).any(axis=0).tobytes()
+    parts = [_eigvalsh_of_size(flat[..., g]) for g in _blocks(slots.tobytes(), live)]
+    return np.concatenate([v.reshape(flat.shape[:-1] + (-1,)) for v in parts], axis=-1)
 
 
 def _eigvalsh_of_size(sub):
@@ -251,14 +256,18 @@ def _eigvalsh_of_size(sub):
 
 
 @lru_cache
-def _blocks(pattern, n):
-    """The blocks of an n x n pattern of nonzero entries, given as bytes: one
-    read-only (blocks, size) array of row indices per size, ascending."""
-    linked = np.frombuffer(pattern, dtype=bool).reshape(n, n)
+def _blocks(slots, live):
+    """The blocks of an n x n slot map linked by the flat entries nonzero in any member,
+    both as bytes: one read-only (blocks, size, size) array of slots per size, ascending."""
+    slots = np.frombuffer(slots, dtype=int)
+    n = round(slots.size ** 0.5)
+    slots = slots.reshape(n, n)
+    linked = np.frombuffer(live, dtype=bool)[slots]
     reach = np.linalg.matrix_power(linked | linked.T | np.eye(n, dtype=bool), n)
     first = reach.argmax(axis=0).tolist()  # each index's block, named by its least index
     blocks = [[i for i in range(n) if first[i] == b] for b in sorted(set(first))]
-    groups = tuple(np.array([b for b in blocks if len(b) == s]) for s in sorted(set(map(len, blocks))))
+    groups = [np.array([b for b in blocks if len(b) == s]) for s in sorted(set(map(len, blocks)))]
+    groups = tuple(slots[g[:, :, None], g[:, None, :]] for g in groups)
     for g in groups:
         g.setflags(write=False)  # the cache hands these to every call
     return groups

@@ -13,8 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (NORM_TOL, DensityMatrix, PureState, SystemLayout, _blocks, _derived, _item,
-                     _require, _swap_qubit_axes)
+from .linalg import NORM_TOL, DensityMatrix, PureState, SystemLayout, _derived, _item, _require
 
 CAVITY_LAYOUT = SystemLayout(("c1", "c2", "c3"))
 RESERVOIR_LAYOUT = SystemLayout(("r1", "r2", "r3"))
@@ -151,24 +150,25 @@ def reduce(state, keep):
     the amplitudes with the kept qubits as rows (in layout order): `_pair_sums`
     on and above the diagonal, mirrored below, exact zeros elsewhere.  Built
     from a validated state, the marginal is read-only and not checked again."""
-    _, (sub, *_, src), sums = _pair_sums(state, keep)
+    (sub, *_, src), sums = _pair_sums(state, keep)
     return _derived(DensityMatrix, sub, sums[..., src])
 
 
 def _pair_sums(state, keep):
-    """(`_plan`'s key, the plan, [sums, conj(sums), 0]): each entry on or above the diagonal
+    """(the plan, [sums, conj(sums), 0]): each entry on or above the diagonal
     sums from +0.0, column by column, the products of the amplitudes nonzero in any member
     that share their column, later ones by `np.add.at` in index order.  A product with an
     exact zero is exactly 0, so every member gets the bits of its own call."""
     amps = state.amplitudes
-    key = (amps.reshape(-1, amps.shape[-1]).any(axis=0).tobytes(), state.layout, tuple(keep))
-    _, left, right, later, src = plan = _plan(*key)
+    pattern = amps.reshape(-1, amps.shape[-1]).any(axis=0).tobytes()
+    _, left, right, later, src = plan = _plan(pattern, state.layout, tuple(keep))
     terms = amps[..., left] * amps[..., right].conj()
     acc = 0.0 + terms[..., :left.size - later.size]  # from +0.0, as a skipped entry's zero
     np.add.at(acc, (..., later), terms[..., acc.shape[-1]:])
     acc = np.concatenate((acc, acc.conj(), np.zeros_like(acc[..., :1])), axis=-1)
-    acc[..., src.diagonal()] = acc[..., src.diagonal()].real  # a * conj(a) has an FMA residue
-    return key, plan, acc
+    if acc.dtype.kind == "c":  # a * conj(a) has an FMA residue
+        acc[..., src.diagonal()] = acc[..., src.diagonal()].real
+    return plan, acc
 
 
 @lru_cache
@@ -192,19 +192,6 @@ def _plan(pattern, layout, keep):
     for x in plan:
         x.setflags(write=False)  # the cache hands these to every call
     return sub, *plan
-
-
-@lru_cache
-def _pt_plan(pattern, layout, keep, part, live):
-    """`reduce`'s marginal, transposed on `part`, as slots in [sums, conj(sums), 0]: a read-only
-    (blocks, size, size) array per size of `_blocks` of the slots `live` in any member."""
-    sub, *_, src = _plan(pattern, layout, keep)
-    src = _swap_qubit_axes(src, sub.n_qubits, sub.positions([part]))
-    live = np.frombuffer(live, dtype=bool)[src]
-    groups = tuple(src[g[:, :, None], g[:, None, :]] for g in _blocks(live.tobytes(), sub.dim))
-    for g in groups:
-        g.setflags(write=False)
-    return groups
 
 
 def reorder(state, new_layout):

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from cavres import DensityMatrix, PureState, SystemLayout
+from cavres.linalg import _block_spectrum
 from cavres.states import CAVITY_LAYOUT, _partner_amplitude
+
+
+def dense_block_spectrum(h):
+    """`_block_spectrum` of a dense Hermitian matrix, or of each member of a
+    stack: its flat entries through the identity slots."""
+    n = h.shape[-1]
+    return _block_spectrum(h.reshape(h.shape[:-2] + (-1,)), np.arange(n * n).reshape(n, n))
 
 
 def random_unitary(rng, dim):
@@ -19,6 +27,17 @@ def random_density_matrix(rng, labels):
     g = rng.normal(size=(layout.dim, layout.dim)) + 1j * rng.normal(size=(layout.dim, layout.dim))
     rho = g @ g.conj().T
     return DensityMatrix(layout, rho / rho.trace())
+
+
+def random_density_stack(rng, labels, dtype, lead):
+    """Random density matrices over the labels, float64 or complex128, stacked
+    along the lead axes."""
+    layout = SystemLayout(labels)
+    g = rng.normal(size=lead + (layout.dim, layout.dim))
+    if dtype is complex:
+        g = g + 1j * rng.normal(size=g.shape)
+    rho = g @ np.swapaxes(g.conj(), -1, -2)
+    return DensityMatrix(layout, rho / np.trace(rho, axis1=-2, axis2=-1)[..., None, None])
 
 
 def random_separable_density_matrix(rng, labels, terms=3):

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import fields
 
 import numpy as np
@@ -9,15 +10,16 @@ from cavres import (DensityMatrix, PureState, SystemLayout, closed_form_pt_eigen
                     global_output_state, mixed_ghz_w, monogamy_chain,
                     negativity, negativity_from_spectrum,
                     pure_bipartite_concurrence_sq, reduce, w)
-from cavres import cli, states
+from cavres import cli, linalg
 from cavres.cli import grid_worst
 from cavres.entanglement import (PtSpectrum, _marginal_pt_spectrum, _pair_block_concurrences_sq,
                                  marginal_negativity, wootters_concurrence)
 from cavres.esd import reservoir_negativity, swap_check
-from cavres.linalg import _block_spectrum, partial_trace, partial_transpose
-from cavres.states import CAVITY_LAYOUT, GLOBAL_LAYOUT, RESERVOIR_LAYOUT, ghz, purified_initial
+from cavres.linalg import QUBIT_LABELS, _pt_slots, partial_trace, partial_transpose
+from cavres.states import (CAVITY_LAYOUT, GLOBAL_LAYOUT, RESERVOIR_LAYOUT, _pair_sums, ghz,
+                           purified_initial)
 
-from conftest import random_unitary
+from conftest import dense_block_spectrum, random_density_stack, random_unitary
 
 W_NEGATIVITY = 2.0 * np.sqrt(2.0) / 3.0
 
@@ -66,6 +68,22 @@ class TestNegativity:
             rotated = DensityMatrix(rho.layout, u @ rho.data @ u.conj().T)
             assert abs(negativity(rotated, ["c1"]) - expected) < 1e-10
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_outside_stacks_match_the_dense_transpose(self, rng, n, dtype):
+        # negativity gathers its blocks from rho's entries, partial_transpose
+        # not called; a projected copy with zero rows splits them into blocks
+        full = random_density_stack(rng, QUBIT_LABELS[:n], dtype, (3,))
+        cut = full.data.copy()
+        cut[..., 1::3, :] = cut[..., :, 1::3] = 0.0
+        cut /= np.trace(cut, axis1=-2, axis2=-1)[..., None, None]
+        for rho in (full, DensityMatrix(full.layout, cut)):
+            for size in range(1, n):
+                for sub in itertools.combinations(rho.layout.labels, size):
+                    spectrum = dense_block_spectrum(partial_transpose(rho, sub))
+                    want = np.sum(np.abs(spectrum) - spectrum, axis=-1)
+                    assert _same_bits(negativity(rho, sub), want)
+
     def test_marginal_negativity_is_first_qubit_of_the_marginal(self):
         state = global_output_state(0.6, 0.8)
         for qubits in (("c1", "c2", "c3"), ("r1", "r2", "r3"), ("c2", "c3", "c1")):
@@ -88,14 +106,15 @@ def _same_bits(a, b):
 class TestMarginalNegativityFromSums:
     """`marginal_negativity` and `_marginal_pt_spectrum` gather the partial
     transpose's blocks from `reduce`'s sums; the dense route, `negativity` and
-    `_block_spectrum` of `partial_transpose(reduce(...))`, is their referee, bit
-    for bit, the first kept qubit transposed wherever it sits in the layout."""
+    `_block_spectrum` of `partial_transpose(reduce(...))` through identity slots,
+    is their referee, bit for bit, the first kept qubit transposed wherever it
+    sits in the layout."""
 
     @staticmethod
     def _check(state, qubits):
         rho = reduce(state, qubits)
         assert _same_bits(marginal_negativity(state, qubits), negativity(rho, qubits[:1]))
-        want = _block_spectrum(partial_transpose(rho, qubits[:1]))
+        want = dense_block_spectrum(partial_transpose(rho, qubits[:1]))
         assert _same_bits(_marginal_pt_spectrum(state, qubits), want)
 
     @pytest.mark.parametrize("qubits", MARGINAL_KEEPS)
@@ -120,25 +139,29 @@ class TestMarginalNegativityFromSums:
         self._check(PureState(GLOBAL_LAYOUT, stack.amplitudes[1]), qubits)
 
     def test_the_plan_is_built_once_per_pattern(self):
-        states._pt_plan.cache_clear()
+        linalg._blocks.cache_clear()
         kts = np.linspace(0.1, 3.0, 7)
         for p in (0.2, 0.5, 0.9):  # one amplitude pattern, one pattern of nonzero sums
             marginal_negativity(global_output_state(p, kts), CAVITY_LAYOUT.labels)
             marginal_negativity(global_output_state(p, 1.5), CAVITY_LAYOUT.labels)
-        assert states._pt_plan.cache_info()[:2] == (5, 1)  # (hits, misses)
+        assert linalg._blocks.cache_info()[:2] == (5, 1)  # (hits, misses)
+        # the reservoir's marginal has the cavity's slot map and nonzero sums, so
+        # its blocks are a hit; all leaked, the cavity's sums are a new pattern
         marginal_negativity(global_output_state(0.5, kts), RESERVOIR_LAYOUT.labels)
+        assert linalg._blocks.cache_info()[:2] == (6, 1)
         marginal_negativity(global_output_state(0.5, np.inf), CAVITY_LAYOUT.labels)
-        assert states._pt_plan.cache_info()[:2] == (5, 3)
+        assert linalg._blocks.cache_info()[:2] == (6, 2)
 
     def test_the_cached_blocks_are_read_only(self):
-        state = global_output_state(0.4, 0.8)
-        key, _, sums = states._pair_sums(state, CAVITY_LAYOUT.labels)
-        groups = states._pt_plan(*key, "c1", (sums != 0).tobytes())
+        (*_, src), sums = _pair_sums(global_output_state(0.4, 0.8), CAVITY_LAYOUT.labels)
+        transposed = _pt_slots(3, (0,))
+        live = (sums != 0).tobytes()
+        groups = linalg._blocks(src.ravel()[transposed].tobytes(), live)
         assert [g.shape[1:] for g in groups] == [(1, 1), (2, 2), (3, 3)]  # 1, 2, 2 and 3 rows
-        for g in groups:
-            assert not g.flags.writeable
+        for x in (*groups, transposed):
+            assert not x.flags.writeable
             with pytest.raises(ValueError):
-                g[0] = 0
+                x[0] = 0
 
 
 PHYSICAL = settings(max_examples=60, deadline=None, derandomize=True)

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 from cavres import DensityMatrix, PureState, SystemLayout, partial_transpose
-from cavres.linalg import (QUBIT_LABELS, _block_spectrum, _eigvalsh_of_size,
-                           hermitian_eigenvalues, partial_trace, psd_sqrt, trace_norm)
+from cavres.linalg import (QUBIT_LABELS, _eigvalsh_of_size, hermitian_eigenvalues,
+                           partial_trace, psd_sqrt, trace_norm)
 from cavres.states import (CAVITY_LAYOUT, RESERVOIR_LAYOUT, ghz, gghz_output_state,
                            global_output_state, purified_initial, mixed_ghz_w, reduce)
 
-from conftest import (random_density_matrix, random_pure_state,
-                      random_separable_density_matrix, tensor_product)
+from conftest import (dense_block_spectrum, random_density_matrix, random_density_stack,
+                      random_pure_state, random_separable_density_matrix, tensor_product)
 
 
 def bell_pair():
@@ -144,12 +144,8 @@ class TestPartialTranspose:
     def test_axis_swap_matches_the_flat_gather(self, rng, n, dtype, lead):
         # every nonempty proper subsystem, to the bit: a fresh writable array,
         # which the swap sends back to the input's bits
-        layout = SystemLayout(QUBIT_LABELS[:n])
-        g = rng.normal(size=lead + (layout.dim, layout.dim))
-        if dtype is complex:
-            g = g + 1j * rng.normal(size=g.shape)
-        rho = g @ np.swapaxes(g.conj(), -1, -2)
-        rho = DensityMatrix(layout, rho / np.trace(rho, axis1=-2, axis2=-1)[..., None, None])
+        rho = random_density_stack(rng, QUBIT_LABELS[:n], dtype, lead)
+        layout = rho.layout
         assert rho.data.dtype == dtype
         for size in range(1, n):
             for pos in itertools.combinations(range(n), size):
@@ -179,18 +175,27 @@ class TestPartialTranspose:
         twice = partial_transpose(DensityMatrix(rho.layout, pt), ["r1"])
         np.testing.assert_allclose(twice, rho.data, atol=1e-15)
 
-    @pytest.mark.parametrize("subsystem, positions", [(["c2"], [1]),
-                                                      (["c1", "c3"], [0, 2])])
-    def test_matches_index_loop_definition(self, rng, subsystem, positions):
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["lone", "stacked"])
+    def test_matches_index_loop_definition(self, rng, n, dtype, lead):
         # (rho^T_A)[i, j] = rho[i', j'], where i' and j' swap the bits of
-        # the qubits in A between the row and the column index
-        rho = random_density_matrix(rng, ("c1", "c2", "c3"))
-        mask = sum(1 << (2 - q) for q in positions)
-        want = np.empty_like(rho.data)
-        for i in range(8):
-            for j in range(8):
-                want[i, j] = rho.data[(i & ~mask) | (j & mask), (j & ~mask) | (i & mask)]
-        np.testing.assert_array_equal(partial_transpose(rho, subsystem), want)
+        # the qubits in A between the row and the column index: a referee
+        # for every nonempty proper subsystem that shares no code with the
+        # axis swap of _gathered and _pt_slots
+        rho = random_density_stack(rng, QUBIT_LABELS[:n], dtype, lead)
+        dim = rho.layout.dim
+        for size in range(1, n):
+            for positions in itertools.combinations(range(n), size):
+                mask = sum(1 << (n - 1 - q) for q in positions)
+                want = np.empty_like(rho.data)
+                for i in range(dim):
+                    for j in range(dim):
+                        want[..., i, j] = rho.data[..., (i & ~mask) | (j & mask),
+                                                   (j & ~mask) | (i & mask)]
+                got = partial_transpose(rho, [rho.layout.labels[q] for q in positions])
+                assert got.dtype == rho.data.dtype
+                np.testing.assert_array_equal(got, want)
 
     def test_preserves_trace_exactly(self, rng):
         rho = random_density_matrix(rng, ("c1", "c2", "c3"))
@@ -247,13 +252,13 @@ def _permuted_blocks(rng, sizes, dtype=float):
 
 def _sorted_spectrum(h):
     """The block-by-block spectrum, sorted ascending as eigvalsh sorts it."""
-    return np.sort(_block_spectrum(h), axis=-1)
+    return np.sort(dense_block_spectrum(h), axis=-1)
 
 
 class TestBlockEigvalsh:
-    """The block-by-block spectrum of `_block_spectrum` against eigvalsh: a
-    block of 3 or more rows gets eigvalsh's bits, and a 2x2 block, solved in
-    closed form, is certified in TestTwoByTwoBlocks."""
+    """The block-by-block spectrum of `_block_spectrum`, through identity
+    slots, against eigvalsh: a block of 3 or more rows gets eigvalsh's bits,
+    and a 2x2 block, solved in closed form, is certified in TestTwoByTwoBlocks."""
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_a_dense_stack_gets_eigvalshs_bits(self, rng, dtype):
@@ -301,7 +306,7 @@ class TestBlockEigvalsh:
         assert np.max(np.abs(got - np.linalg.eigvalsh(pt))) <= 1e-15
         # at most two eigenvalues are negative, so the negativity's sum over
         # the unsorted spectrum has the bits of the sum over the sorted one
-        spectrum = _block_spectrum(pt)
+        spectrum = dense_block_spectrum(pt)
         assert np.array_equal(np.sum(np.abs(spectrum) - spectrum, axis=-1),
                               np.sum(np.abs(got) - got, axis=-1))
         for i in range(len(params)):
