@@ -175,10 +175,23 @@ class TestPartialTranspose:
         twice = partial_transpose(DensityMatrix(rho.layout, pt), ["r1"])
         np.testing.assert_allclose(twice, rho.data, atol=1e-15)
 
+    @pytest.mark.parametrize("subsystem, positions", [(["c2"], [1]),
+                                                      (["c1", "c3"], [0, 2])])
+    def test_matches_index_loop_definition(self, rng, subsystem, positions):
+        # (rho^T_A)[i, j] = rho[i', j'], where i' and j' swap the bits of
+        # the qubits in A between the row and the column index
+        rho = random_density_matrix(rng, ("c1", "c2", "c3"))
+        mask = sum(1 << (2 - q) for q in positions)
+        want = np.empty_like(rho.data)
+        for i in range(8):
+            for j in range(8):
+                want[i, j] = rho.data[(i & ~mask) | (j & mask), (j & ~mask) | (i & mask)]
+        np.testing.assert_array_equal(partial_transpose(rho, subsystem), want)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("lead", [(), (3,)], ids=["lone", "stacked"])
-    def test_matches_index_loop_definition(self, rng, n, dtype, lead):
+    def test_every_subsystem_matches_index_loop_definition(self, rng, n, dtype, lead):
         # (rho^T_A)[i, j] = rho[i', j'], where i' and j' swap the bits of
         # the qubits in A between the row and the column index: a referee
         # for every nonempty proper subsystem that shares no code with the
